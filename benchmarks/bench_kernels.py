@@ -13,10 +13,14 @@ outputs while it measures:
 * **targeted early-exit searches** — ``dijkstra_canonical`` with a
   small target set, the ``fast_shortest_path`` probe shape numpy hands
   back to the reference loop by design;
-* **SPT re-settle** — Ramalingam–Reps repair vs. the boundary-offer
-  loop, on hub failures with large affected subtrees;
-* **flat ILM decomposition** — the accelerated DP vs. the forward
-  reference DP on long concatenation chains.
+* **SPT repair** — the fused ``repair_resettle`` (subtree discovery,
+  fallback threshold, Ramalingam–Reps re-settle) vs. the reference,
+  on hub failures with large affected subtrees;
+* **decomposition DP** — ``decompose_flat`` over warmed row buffers
+  vs. the forward reference DP on long concatenation chains;
+* **per-call overhead** — what one restoration case pays around the
+  C work at n=4000: a search toward an adjacent target and the repair
+  of a small leaf subtree, in microseconds per call.
 
 Emits ``results/BENCH_kernels.json`` in the established BENCH schema
 (per-section timings, per-backend speedup ratios, the work-counter
@@ -143,23 +147,9 @@ def _targeted_section(results, label, graph, n_queries, repeat):
         )
 
 
-def _repair_entry(name, mod):
-    """numpy's vectorized body is called directly (its size gate would
-    route the benchmark back to the loop being measured); native has no
-    gate, so the public entry point is the native path already."""
-    return mod._repair_resettle_vec if name == "numpy" else mod.repair_resettle
-
-
-def _repair_section(results, graph, repeat):
-    """Hub failure: kill the highest-degree tree edge near the source."""
-    csr = shared_csr(graph)
-    base = as_view(csr)
-    nodes = csr.nodes
-    dist, pred, _ = pyk.dijkstra_canonical(base, 0)
-    children: dict[int, list[int]] = {}
-    for v in range(csr.n):
-        if pred[v] >= 0:
-            children.setdefault(pred[v], []).append(v)
+def _subtree_walker(children):
+    """``subtree(root)``: the node set below *root* in a children index."""
+    offsets, kids = children
 
     def subtree(root):
         out, stack = set(), [root]
@@ -167,32 +157,101 @@ def _repair_section(results, graph, repeat):
             x = stack.pop()
             if x not in out:
                 out.add(x)
-                stack.extend(children.get(x, ()))
+                stack.extend(kids[offsets[x]:offsets[x + 1]])
         return out
 
+    return subtree
+
+
+def _repair_section(results, graph, repeat):
+    """Hub failure: cut the tree edge above the largest subtree."""
+    csr = shared_csr(graph)
+    base = as_view(csr)
+    nodes = csr.nodes
+    dist, pred, _ = pyk.dijkstra_canonical(base, 0)
+    children = pyk.children_index(pred)
+    subtree = _subtree_walker(children)
     victim = max(
         (v for v in range(csr.n) if pred[v] >= 0), key=lambda v: len(subtree(v))
     )
-    affected = subtree(victim)
-    affected.discard(0)
     view = base.without(edges=[(nodes[pred[victim]], nodes[victim])])
-    results["repair_affected_nodes"] = len(affected)
-    ref = pyk.repair_resettle(view, 0, list(dist), list(pred), set(affected), False)
-    results["repair_python_s"] = _timed(
-        lambda: pyk.repair_resettle(
-            view, 0, list(dist), list(pred), set(affected), False
-        ),
-        repeat,
+    results["repair_affected_nodes"] = len(subtree(victim))
+    threshold = 2.0 * csr.n  # measure the repair, never the fallback
+
+    def run(mod):
+        return mod.repair_resettle(
+            view, 0, dist, pred, children, threshold, False
+        )
+
+    ref = run(pyk)
+    results["repair_python_s"] = _timed(lambda: run(pyk), repeat)
+    for name, mod in BACKENDS.items():
+        assert run(mod) == ref, f"repair: {name} disagrees"
+        results[f"repair_{name}_s"] = _timed(lambda mod=mod: run(mod), repeat)
+
+
+def _overhead_section(results, graph, calls, repeat):
+    """Per-call cost of the two smallest operations a case performs:
+    an early-exit search that stops at the nearest neighbor, and the
+    repair of a subtree of at most four nodes (seconds per call)."""
+    csr = shared_csr(graph)
+    base = as_view(csr)
+    nodes, n = csr.nodes, csr.n
+    rng = random.Random(5)
+    searches = []
+    for s in rng.sample(range(n), min(calls, n)):
+        lo, hi = csr.indptr[s], csr.indptr[s + 1]
+        if hi > lo:  # the lightest edge's head: settled right after s
+            slot = min(range(lo, hi), key=csr.weights.__getitem__)
+            searches.append((s, [csr.indices[slot]]))
+    dist, pred, _ = pyk.dijkstra_canonical(base, 0)
+    children = pyk.children_index(pred)
+    subtree = _subtree_walker(children)
+    small = [v for v in range(n) if pred[v] >= 0 and len(subtree(v)) <= 4]
+    cuts = [
+        base.without(edges=[(nodes[pred[v]], nodes[v])])
+        for v in rng.sample(small, min(calls, len(small)))
+    ]
+    threshold = 0.5 * n
+    results["overhead_n"] = n
+
+    def search(mod, keep=None):
+        for s, t in searches:
+            row = mod.dijkstra_canonical(base, s, t)
+            if keep is not None:
+                keep.append(row)
+
+    def repair(mod, keep=None):
+        for view in cuts:
+            row = mod.repair_resettle(
+                view, 0, dist, pred, children, threshold, False
+            )
+            if keep is not None:
+                keep.append(row)
+
+    def outputs(mod):
+        keep: list = []
+        search(mod, keep)
+        repair(mod, keep)
+        return keep
+
+    # Timed calls drop each result as the restoration loop does, so
+    # the allocator recycles the row buffers instead of faulting in
+    # fresh pages for hundreds of retained n-sized rows.
+    expected = outputs(pyk)
+    results["overhead_search_python_s"] = (
+        _timed(lambda: search(pyk), repeat) / len(searches)
+    )
+    results["overhead_repair_python_s"] = (
+        _timed(lambda: repair(pyk), repeat) / len(cuts)
     )
     for name, mod in BACKENDS.items():
-        entry = _repair_entry(name, mod)
-        got = entry(view, 0, list(dist), list(pred), set(affected), False)
-        assert got == ref, f"repair: {name} disagrees"
-        results[f"repair_{name}_s"] = _timed(
-            lambda entry=entry: entry(
-                view, 0, list(dist), list(pred), set(affected), False
-            ),
-            repeat,
+        assert outputs(mod) == expected, f"overhead: {name} disagrees"
+        results[f"overhead_search_{name}_s"] = (
+            _timed(lambda mod=mod: search(mod), repeat) / len(searches)
+        )
+        results[f"overhead_repair_{name}_s"] = (
+            _timed(lambda mod=mod: repair(mod), repeat) / len(cuts)
         )
 
 
@@ -231,20 +290,20 @@ def _decompose_section(results, graph, anchors, repeat):
     for u, v in zip(chain, chain[1:]):
         cum.append(cum[-1] + edge_weight(u, v))
     chain = tuple(chain)
-    rows = {
-        j: pyk.dijkstra_canonical(view, chain[j])[0] for j in range(len(chain))
-    }
-    row_for = rows.__getitem__
+    rows = [
+        pyk.dijkstra_canonical(view, chain[j])[0]
+        for j in range(len(chain) - 2)
+    ]
     results["decompose_chain_len"] = len(chain)
-    ref = pyk.decompose_flat(chain, cum, row_for)
+    ref = pyk.decompose_flat(chain, cum, rows)
     results["decompose_python_s"] = _timed(
-        lambda: pyk.decompose_flat(chain, cum, row_for), repeat
+        lambda: pyk.decompose_flat(chain, cum, rows), repeat
     )
     for name, mod in BACKENDS.items():
         entry = _decompose_entry(name, mod)
-        assert entry(chain, cum, row_for) == ref, f"decompose: {name} disagrees"
+        assert entry(chain, cum, rows) == ref, f"decompose: {name} disagrees"
         results[f"decompose_{name}_s"] = _timed(
-            lambda entry=entry: entry(chain, cum, row_for), repeat
+            lambda entry=entry: entry(chain, cum, rows), repeat
         )
 
 
@@ -271,13 +330,15 @@ def main(argv=None) -> None:
     if args.smoke:
         sizes = {"isp": 120, "internet": 300, "as": 300,
                  "repair_isp": 400, "anchors": 6,
-                 "single_sources": 8, "targeted_queries": 20}
+                 "single_sources": 8, "targeted_queries": 20,
+                 "overhead_isp": 300, "overhead_calls": 40}
         args.repeat = min(args.repeat, 2)
         args.sources = min(args.sources, 60)
     else:
         sizes = {"isp": 200, "internet": 4000, "as": 2000,
                  "repair_isp": 2000, "anchors": 16,
-                 "single_sources": 24, "targeted_queries": 120}
+                 "single_sources": 24, "targeted_queries": 120,
+                 "overhead_isp": 4000, "overhead_calls": 400}
 
     before = COUNTERS.snapshot()
     wall_start = time.perf_counter()
@@ -300,6 +361,9 @@ def main(argv=None) -> None:
                       sizes["targeted_queries"], args.repeat)
     _repair_section(results, repair_graph, args.repeat)
     _decompose_section(results, repair_graph, sizes["anchors"], args.repeat)
+    _overhead_section(results, generate_isp_topology(
+        n=sizes["overhead_isp"], seed=args.seed), sizes["overhead_calls"],
+        args.repeat)
 
     speedups: dict[str, dict[str, float]] = {name: {} for name in BACKENDS}
     for key in sorted(results):
@@ -334,6 +398,10 @@ def main(argv=None) -> None:
     for name, ratios in speedups.items():
         for stem, ratio in ratios.items():
             print(f"{stem} [{name}]: {ratio}x")
+    for key in sorted(results):
+        if key.startswith("overhead_") and key.endswith("_s"):
+            print(f"{key[:-2]} at n={results['overhead_n']}: "
+                  f"{results[key] * 1e6:.1f} us/call")
 
 
 if __name__ == "__main__":

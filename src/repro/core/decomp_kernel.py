@@ -25,6 +25,13 @@ precomputed:
 so each probe is two list indexings, a dict lookup, and one
 float-tolerant comparison — no allocation, no edge walk.
 
+:func:`~repro.core.decomposition.min_pieces_decompose` goes one step
+further when the base set admits every edge (Table 2's configuration):
+:meth:`PrefixSumProbe.min_pieces_choice` warms the rows of chain
+positions ``0 .. L-3`` in ascending order — the order the probe loop
+fetched them — and hands the whole O(L²) DP to the kernel backend's
+``decompose_flat``, which reads those rows in place.
+
 Float caveat (see ``docs/performance.md``): ``cum[i] - cum[j]``
 accumulates rounding differently than the direct left-to-right summation
 in ``Path.cost``.  The discrepancy is bounded by a few ulps of the total
@@ -38,6 +45,7 @@ from __future__ import annotations
 
 from ..graph.paths import Path
 from ..graph.shortest_paths import costs_equal
+from ..kernels import kernel_backend
 from ..perf import COUNTERS
 
 
@@ -110,6 +118,35 @@ class PrefixSumProbe(SubpathProbe):
         self._oracle = oracle
         self._rows: dict[int, dict] = {}
         self._include_edges = include_all_edges
+
+    @property
+    def admits_every_edge(self) -> bool:
+        """Every one-hop piece is a base path (``include_all_edges``)."""
+        return self._include_edges
+
+    def min_pieces_choice(self) -> list[int]:
+        """The min-pieces DP's ``choice`` column, solved by the kernel.
+
+        Requires :attr:`admits_every_edge` (every prefix is then
+        reachable, so the DP reads the row of every position ``j <=
+        L - 3``).  Rows are warmed in ascending ``j`` and read as they
+        stand, so the ``oracle_*`` counters move exactly as under the
+        probe loop, and ``probe_calls`` / ``o1_probes`` grow by the
+        same L(L−1)/2.
+        """
+        nodes = self._nodes
+        oracle = self._oracle
+        rows = [
+            oracle.warm(nodes[j], nodes[j + 1 :]) for j in range(len(nodes) - 2)
+        ]
+        index = oracle.csr().index
+        chain = [index[node] for node in nodes]
+        _best, choice, probes = kernel_backend().decompose_flat(
+            chain, self._cum, rows
+        )
+        COUNTERS.probe_calls += probes
+        COUNTERS.o1_probes += probes
+        return choice
 
     def _row(self, j: int) -> dict:
         row = self._rows.get(j)

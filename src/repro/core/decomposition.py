@@ -34,6 +34,7 @@ from ..graph.graph import Node
 from ..graph.heap import AddressableHeap
 from ..graph.paths import Path, concat_all
 from .base_paths import AllShortestPathsBase, BaseSet, ExplicitBaseSet
+from .decomp_kernel import PrefixSumProbe
 
 
 @dataclass(frozen=True)
@@ -229,14 +230,29 @@ def min_pieces_decompose(
     same piece count, the one with fewer bare edges wins.  This is the
     quantity Table 2's "avg. PC length" averages.
 
-    The O(L²) probe loop runs on the base set's sub-path prober, so for
-    the implicit shortest-path sets each probe is O(1) arithmetic with
-    no :class:`Path` allocation; results are identical to
-    :func:`min_pieces_decompose_reference`.
+    When the base set is an implicit shortest-path set admitting every
+    edge (Table 2's configuration), every piece is a base path and the
+    whole DP runs in the kernel backend's ``decompose_flat`` over the
+    warmed oracle rows (:meth:`PrefixSumProbe.min_pieces_choice`).
+    Otherwise the O(L²) loop runs on the base set's sub-path prober —
+    O(1) arithmetic per probe for the implicit sets.  Results are
+    identical to :func:`min_pieces_decompose_reference` either way.
     """
     if path.is_trivial:
         return Decomposition(pieces=(), base_flags=())
     probe = base_set.subpath_probe(path)
+    if isinstance(probe, PrefixSumProbe) and probe.admits_every_edge:
+        choice = probe.min_pieces_choice()
+        pieces: list[Path] = []
+        i = len(path.nodes) - 1
+        while i > 0:
+            j = choice[i]
+            pieces.append(path.subpath(j, i))
+            i = j
+        pieces.reverse()
+        return Decomposition(
+            pieces=tuple(pieces), base_flags=(True,) * len(pieces)
+        )
     n = len(path.nodes)
     INF = (n + 1, n + 1)
     # best[i] = (pieces, extra_edges) to cover path[0..i]; choice[i] = (j, is_base)

@@ -371,13 +371,14 @@ class IlmAccountant:
         base path here (``include_all_edges``), so a decomposition
         always exists and ``extra_edges`` stays 0.
 
-        The DP itself runs on the active kernel backend: every chain
-        prefix with a longer-than-one-hop suffix needs its oracle row
-        exactly once (one-hop pieces always extend the DP, so every
-        prefix is reachable), so the rows are batch-warmed up front and
-        ``decompose_flat`` receives a row getter that only ever hits
-        cache — identical fetch set, hence identical oracle counters,
-        under either backend.
+        The DP itself runs on the active kernel backend's
+        ``decompose_flat`` — the entry per-pair decomposition uses too.
+        Every chain prefix with a longer-than-one-hop suffix needs its
+        oracle row (one-hop pieces always extend the DP, so every prefix
+        is reachable): the rows of positions ``0 .. L-3`` are
+        batch-warmed up front and fetched in ascending order — the
+        order the DP first reads them — so the oracle counters are
+        those of the lazy fetch, under any backend.
         """
         weight = self._probe_weight_map()
         cum = [0.0]
@@ -388,12 +389,9 @@ class IlmAccountant:
         nodes = self.csr.nodes
         oracle = self._oracle
         oracle.warm_many(nodes[c] for c in chain[:-2])
-
-        def row_for(j: int) -> list[float]:
-            return oracle.row_arrays(nodes[chain[j]])[0]
-
-        best, choice, probes = kernel_backend().decompose_flat(
-            chain, cum, row_for
+        rows = [oracle.row_arrays(nodes[c])[0] for c in chain[:-2]]
+        _best, choice, probes = kernel_backend().decompose_flat(
+            chain, cum, rows
         )
         COUNTERS.probe_calls += probes
         COUNTERS.o1_probes += probes

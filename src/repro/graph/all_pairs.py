@@ -106,11 +106,13 @@ class LazyDistanceOracle:
     set is its sample of sources.
 
     Rows are stored **array-native**: one flat ``(dist, pred)`` pair of
-    int-indexed buffers per source, straight from the canonical CSR
-    kernel (:func:`~repro.graph.csr.dijkstra_csr_canonical`) — the same
-    shape :class:`~repro.graph.incremental.SptCache` caches, so rows
-    flow between the graph, cache, and experiment layers without
-    dict conversion.  Dict views (:meth:`distances_from`) are built on
+    int-indexed buffers per source (``array('d')`` / ``array('q')``, or
+    read-only memoryviews when adopted from shared memory), straight
+    from the canonical CSR kernel
+    (:func:`~repro.graph.csr.dijkstra_csr_canonical`) — the same shape
+    :class:`~repro.graph.incremental.SptCache` caches, so rows flow
+    between the graph, cache, kernel, and experiment layers without
+    conversion.  Dict views (:meth:`distances_from`) are built on
     demand, restricted to the requested targets.
 
     Two row flavors coexist:
@@ -152,7 +154,7 @@ class LazyDistanceOracle:
         self, graph, break_ties_by_hops: bool = False, tie_free: bool = False
     ) -> None:
         self._graph = graph
-        # Array mode: source -> flat buffers (list[float], list[int]).
+        # Array mode: source -> flat buffers (array('d'), array('q')).
         # Hops mode: source -> dict rows, as produced by dijkstra().
         self._dist: dict[Node, object] = {}
         self._pred: dict[Node, object] = {}
@@ -177,7 +179,7 @@ class LazyDistanceOracle:
         """
         return self._csr_view().csr
 
-    def row_arrays(self, source: Node) -> tuple[list[float], list[int]]:
+    def row_arrays(self, source: Node) -> tuple:
         """The full canonical ``(dist, pred)`` buffers for *source*.
 
         The zero-conversion hand-off other layers consume; indices are
@@ -255,22 +257,25 @@ class LazyDistanceOracle:
             if warm_up:
                 COUNTERS.warm_row_builds += 1
 
-    def warm(self, source: Node, targets: Iterable[Node]) -> None:
+    def warm(self, source: Node, targets: Iterable[Node]):
         """Guarantee each target is settled or provably unreachable.
 
         First request for a source runs a target-pruned search; a later
         request outrunning the settled frontier promotes the row to a
         full one (re-running truncated searches per query would forfeit
-        the cross-case caching the experiments rely on).
+        the cross-case caching the experiments rely on).  Returns the
+        source's distance row as it now stands — possibly truncated,
+        but final at every target, which is all the decomposition DP
+        reads (taking it as is keeps ``oracle_promotions`` untouched).
         """
         if source in self._complete:
-            return
+            return self._dist[source]
         row = self._dist.get(source)
         if row is not None:
             if all(self._covered(row, t) for t in targets):
-                return
+                return row
             self._ensure(source)
-            return
+            return self._dist[source]
         if self.break_ties_by_hops:
             dist, pred, exhausted = dijkstra_pruned(
                 self._graph, source, targets
@@ -290,15 +295,17 @@ class LazyDistanceOracle:
         else:
             self._truncated.add(source)
             COUNTERS.oracle_rows_truncated += 1
+        return dist
 
     def distances_from(self, source: Node, targets: Iterable[Node]) -> dict[Node, float]:
         """Exact distances to *targets*; a missing key means unreachable.
 
-        The decomposition kernel's bulk accessor: one call warms the
-        row, and the returned plain dict — the on-demand dict view of
-        the flat buffers, restricted to the probe's targets — makes
-        every subsequent probe a dictionary lookup plus one float
-        comparison.
+        The O(1) sub-path probes' bulk accessor (greedy and
+        base-path-budget decompositions): one call warms the row, and
+        the returned plain dict — the on-demand dict view of the flat
+        buffers, restricted to the probe's targets — makes every
+        subsequent probe a dictionary lookup plus one float comparison.
+        The min-pieces DP skips the dict and reads :meth:`warm`'s row.
         """
         targets = list(targets)
         self.warm(source, targets)
@@ -379,7 +386,7 @@ class LazyDistanceOracle:
             for s in wanted:
                 self._ensure(s)
 
-    def export_rows(self) -> dict[int, tuple[list[float], list[int]]]:
+    def export_rows(self) -> dict[int, tuple]:
         """Complete array-mode rows keyed by CSR source index.
 
         The publication payload for

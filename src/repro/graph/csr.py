@@ -338,13 +338,15 @@ def _require_alive(view: CsrView, src: int) -> None:
 
 def dijkstra_csr(
     view: CsrView, source: int, target: int = -1, legacy: bool = False
-) -> tuple[list[float], list[int]]:
+) -> tuple:
     """Dijkstra on CSR buffers — canonical tie order by default.
 
-    Returns ``(dist, pred)`` lists indexed by node index (``inf`` /
-    ``-1`` for unreached).  With ``target >= 0`` stops as soon as the
-    target settles; the settled prefix (and hence the source→target
-    predecessor chain) is identical to an exhaustive run's.
+    Returns ``(dist, pred)`` rows indexed by node index (``inf`` /
+    ``-1`` for unreached): ``array('d')`` / ``array('q')`` from the
+    canonical kernel, plain lists in the legacy audit mode.  With
+    ``target >= 0`` stops as soon as the target settles; the settled
+    prefix (and hence the source→target predecessor chain) is identical
+    to an exhaustive run's.
 
     By default this is a thin façade over
     :func:`dijkstra_csr_canonical` — one kernel, one tie order, across
@@ -395,7 +397,7 @@ def dijkstra_csr_canonical(
     view: CsrView,
     source: int,
     targets: Optional[Iterable[int]] = None,
-) -> tuple[list[float], list[int], bool]:
+) -> tuple[array, array, bool]:
     """Canonical-tie-order Dijkstra on CSR buffers — the production kernel.
 
     A lazy binary heap keyed ``(dist, node index)``: among equal-cost
@@ -413,7 +415,8 @@ def dijkstra_csr_canonical(
     exhausted run proves unreached nodes unreachable.
 
     Dispatches to the active kernel backend (:mod:`repro.kernels`);
-    every backend returns bit-identical rows and counter increments —
+    every backend returns bit-identical rows — ``dist`` as
+    ``array('d')``, ``pred`` as ``array('q')`` — and counter increments:
     the canonical contract makes both a pure function of the view.
     """
     _require_alive(view, source)
@@ -422,7 +425,7 @@ def dijkstra_csr_canonical(
 
 def bfs_csr(
     view: CsrView, source: int, target: int = -1, legacy: bool = False
-) -> tuple[list[float], list[int]]:
+) -> tuple:
     """BFS on CSR buffers (unweighted shortest paths), canonical order.
 
     By default each frontier is processed in **index order**, so the

@@ -6,12 +6,13 @@ every node; but deleting k edges only invalidates the *subtree hanging
 below them* in the pre-failure SPT — usually a few dozen nodes.  This
 module repairs cached pre-failure distance/predecessor arrays instead:
 
-1. **Affected set** — walk the pre-failure predecessor tree (children
-   lists are rebuilt in O(n) from the pred array) and collect the
-   descendants of every deleted tree edge / failed node.  Nodes outside
-   this set keep their exact distance *and* canonical predecessor:
-   their old shortest path is untouched, and no distance anywhere ever
-   decreases under deletion, so no new parent can beat the old one.
+1. **Affected set** — walk the pre-failure predecessor tree (a CSR
+   children index, inverted once per cached row from the pred array)
+   and collect the descendants of every deleted tree edge / failed
+   node.  Nodes outside this set keep their exact distance *and*
+   canonical predecessor: their old shortest path is untouched, and no
+   distance anywhere ever decreases under deletion, so no new parent
+   can beat the old one.
 2. **Boundary offers** — every surviving edge from an unaffected node
    into the affected set is a candidate re-attachment; seed a bounded
    heap with those offers.
@@ -26,6 +27,14 @@ module repairs cached pre-failure distance/predecessor arrays instead:
    :data:`REPAIR_FALLBACK_FRACTION` of the reachable nodes, repair
    would approach full-recompute cost while paying extra bookkeeping;
    abandon it and recompute (counted in ``COUNTERS.spt_fallbacks``).
+
+All four steps are one kernel call
+(:func:`repro.kernels.kernel_backend`'s ``repair_resettle``): it
+takes the cached pre-failure row, its children index and the fallback
+threshold, and answers with one of four outcomes — repaired row, tree
+untouched, over threshold, source cut off — so a failure case never
+walks its subtree in Python (the reference backend does, through
+:func:`affected_subtree`).
 
 :class:`SptCache` wraps the bookkeeping per graph: it owns the CSR
 snapshot, memoizes pre-failure rows per source, and exposes
@@ -48,10 +57,12 @@ multi-source consumer is the per-scenario ILM accounting.
 from __future__ import annotations
 
 import os
+from array import array
 from typing import Iterable, Optional
 
 from ..exceptions import NoPath
-from ..kernels import kernel_backend
+from ..kernels import OVER_THRESHOLD, REPAIRED, UNTOUCHED, kernel_backend
+from ..kernels import python_backend
 from ..perf import COUNTERS
 from .csr import (
     INF,
@@ -67,7 +78,7 @@ from .shortest_paths import shortest_path
 
 #: Repair aborts in favour of a full recompute once the affected set
 #: exceeds this fraction of the source's reachable nodes.  Repair does
-#: strictly more per-node work than a fresh run (children lists, offer
+#: strictly more per-node work than a fresh run (subtree walk, offer
 #: scans), and the targeted alternative may exit early, so past ~half
 #: the graph the fresh run wins; typical failure cases are far below
 #: this, making the fallback a safety valve for pathological cuts
@@ -102,16 +113,6 @@ def set_repair_fallback_fraction(value: float) -> float:
     return old
 
 
-def _children_lists(pred: list[int], n: int) -> list[list[int]]:
-    """Invert a predecessor array into per-node children lists, O(n)."""
-    children: list[list[int]] = [[] for _ in range(n)]
-    for v in range(n):
-        p = pred[v]
-        if p >= 0:
-            children[p].append(v)
-    return children
-
-
 def dead_edge_pairs(view: CsrView) -> list[tuple[int, int]]:
     """Recover (tail, head) index pairs for a view's dead edge slots.
 
@@ -135,12 +136,12 @@ def dead_edge_pairs(view: CsrView) -> list[tuple[int, int]]:
 
 
 def affected_subtree(
-    dist: list[float],
-    pred: list[int],
+    dist,
+    pred,
     n: int,
     dead_edge_pairs: Iterable[tuple[int, int]],
     dead_nodes: Iterable[int],
-    children: Optional[list[list[int]]] = None,
+    children: Optional[tuple[array, array]] = None,
 ) -> set[int]:
     """Nodes whose pre-failure shortest path used a deleted edge/node.
 
@@ -150,12 +151,15 @@ def affected_subtree(
     every failed node's subtree (failed nodes themselves are included so
     callers can blank their labels).
 
-    *children* lets callers reuse a prebuilt children-list inversion of
-    *pred* (it depends only on the pre-failure tree, so per-source
-    caches amortize the O(n) inversion across failure cases).
+    *children* is the ``(offsets, kids)`` children index of *pred*
+    (``children_index``); callers that cache it per source amortize the
+    O(n) inversion across failure cases.  The reference backend's
+    ``repair_resettle`` runs on this function; the native kernel walks
+    the same index in C, and the tests hold it to this result.
     """
     if children is None:
-        children = _children_lists(pred, n)
+        children = python_backend.children_index(pred)
+    offsets, kids = children
     roots: list[int] = []
     for u, v in dead_edge_pairs:
         if pred[v] == u:
@@ -166,19 +170,17 @@ def affected_subtree(
         if dist[x] != INF:
             roots.append(x)
     affected: set[int] = set()
-    stack = [r for r in roots if r not in affected]
+    stack = roots
     while stack:
         x = stack.pop()
         if x in affected:
             continue
         affected.add(x)
-        stack.extend(children[x])
+        stack.extend(kids[offsets[x]:offsets[x + 1]])
     return affected
 
 
-def _full_row(
-    view: CsrView, source: int, unit: bool
-) -> tuple[list[float], list[int]]:
+def _full_row(view: CsrView, source: int, unit: bool) -> tuple[array, array]:
     """From-scratch post-failure row: canonical Dijkstra or BFS (*unit*)."""
     if unit:
         return bfs_csr(view, source)
@@ -186,29 +188,58 @@ def _full_row(
     return full_dist, full_pred
 
 
+def _repair_row(
+    view: CsrView,
+    source: int,
+    dist,
+    pred,
+    children: tuple[array, array],
+    fallback_fraction: float,
+    unit: bool,
+) -> Optional[tuple]:
+    """One fused kernel repair, with the repair counters.
+
+    Returns the repaired row, the pre-failure row itself when no
+    deletion touched the tree, or ``None`` when repair is not viable
+    (the source failed, or the cut subtree outgrew *fallback_fraction*
+    of the reachable nodes — counted in ``spt_fallbacks``).  Reachable
+    nodes are the source plus every node with a parent, so the
+    children index already counts them.
+    """
+    threshold = fallback_fraction * max(1, len(children[1]) + 1)
+    outcome, new_dist, new_pred = kernel_backend().repair_resettle(
+        view, source, dist, pred, children, threshold, unit
+    )
+    if outcome == REPAIRED:
+        COUNTERS.spt_repairs += 1
+        return new_dist, new_pred
+    if outcome == UNTOUCHED:
+        COUNTERS.spt_repairs += 1
+        return dist, pred
+    if outcome == OVER_THRESHOLD:
+        COUNTERS.spt_fallbacks += 1
+    return None
+
+
 def repair_spt(
     view: CsrView,
     source: int,
-    dist: list[float],
-    pred: list[int],
+    dist,
+    pred,
     fallback_fraction: Optional[float] = None,
-    affected: Optional[set[int]] = None,
     unit: bool = False,
-) -> tuple[list[float], list[int]]:
+) -> tuple[array, array]:
     """Repair a canonical pre-failure SPT after the deletions in *view*.
 
-    *dist* / *pred* must be the **pre-failure** arrays produced by
+    *dist* / *pred* must be the **pre-failure** rows produced by
     :func:`~repro.graph.csr.dijkstra_csr_canonical` (exhausted run) on
     *view*'s underlying snapshot with no mask — or by
     :func:`~repro.graph.csr.bfs_csr` with ``unit=True``, which makes the
     repair relax hop counts instead of stored edge weights.  Returns
-    fresh ``(dist, pred)`` arrays for the masked graph — distances
+    fresh ``(dist, pred)`` rows for the masked graph — distances
     bitwise identical to re-running from scratch on *view*.  The inputs
     are never mutated.
 
-    *affected* may carry a precomputed :func:`affected_subtree` result;
-    the caller then guarantees *source* is not in it and has already
-    applied its own fallback policy (no threshold check happens here).
     *fallback_fraction* defaults to the process-wide
     :data:`REPAIR_FALLBACK_FRACTION` knob, read at call time.
 
@@ -217,34 +248,18 @@ def repair_spt(
     ``COUNTERS.spt_nodes_resettled``; threshold aborts into
     ``COUNTERS.spt_fallbacks`` before delegating to the full kernel.
     """
-    n = view.csr.n
-
-    if affected is None:
-        if fallback_fraction is None:
-            fallback_fraction = REPAIR_FALLBACK_FRACTION
-        affected = affected_subtree(
-            dist, pred, n, dead_edge_pairs(view), view.dead_nodes
-        )
-        if source in affected:
-            # The source itself failed; nothing to repair from.
-            return _full_row(view, source, unit)
-        reachable = sum(1 for d in dist if d != INF)
-        if affected and len(affected) > fallback_fraction * max(1, reachable):
-            COUNTERS.spt_fallbacks += 1
-            return _full_row(view, source, unit)
-
-    COUNTERS.spt_repairs += 1
-    if not affected:
-        # No deleted edge was a tree edge: the SPT survives as-is.
-        return list(dist), list(pred)
-
-    # Boundary offers + bounded re-settle live in the kernel backend
-    # (:mod:`repro.kernels`): the reference backend runs the historical
-    # heap loop, the vectorized one relaxes the affected region to
-    # fixpoint — both return bit-identical arrays and counters.
-    return kernel_backend().repair_resettle(
-        view, source, dist, pred, affected, unit
+    if fallback_fraction is None:
+        fallback_fraction = REPAIR_FALLBACK_FRACTION
+    children = kernel_backend().children_index(pred)
+    row = _repair_row(
+        view, source, dist, pred, children, fallback_fraction, unit
     )
+    if row is None:
+        return _full_row(view, source, unit)
+    if row[0] is dist:
+        # Tree untouched: the row stands, but callers get fresh copies.
+        return array("d", dist), array("q", pred)
+    return row
 
 
 class SptCache:
@@ -258,30 +273,28 @@ class SptCache:
     """
 
     __slots__ = (
-        "csr", "weighted", "_rows", "_children", "_reachable", "_spent",
-        "_sizes",
+        "csr", "weighted", "_rows", "_children", "_spent", "_sizes",
     )
 
     def __init__(self, graph, weighted: bool = True) -> None:
         self.csr = shared_csr(graph)
         self.weighted = weighted
-        self._rows: dict[int, tuple[list[float], list[int]]] = {}
-        # Per-source inversions of the pre-failure pred array and
-        # reachable-node counts: both depend only on the cached row, so
+        self._rows: dict[int, tuple] = {}
+        # Per-source children indices of the pre-failure pred rows (the
+        # fused repair's input): they depend only on the cached row, so
         # they amortize across every failure case touching that source.
-        self._children: dict[int, list[list[int]]] = {}
-        self._reachable: dict[int, int] = {}
+        self._children: dict[int, tuple[array, array]] = {}
         # Per-source subtree sizes of the pre-failure SPT (cost model).
         self._sizes: dict[int, list[int]] = {}
         # Rent-to-buy ledger for backup_path: settle work spent on
         # targeted searches per source *before* its row exists.
         self._spent: dict[int, int] = {}
 
-    def row(self, source: Node) -> tuple[list[float], list[int]]:
-        """The pre-failure canonical ``(dist, pred)`` arrays for *source*."""
+    def row(self, source: Node) -> tuple:
+        """The pre-failure canonical ``(dist, pred)`` rows for *source*."""
         return self._row(self.csr.index[source])
 
-    def _row(self, i: int) -> tuple[list[float], list[int]]:
+    def _row(self, i: int) -> tuple:
         row = self._rows.get(i)
         if row is None:
             base = CsrView(self.csr)
@@ -328,7 +341,7 @@ class SptCache:
         for i in idxs:
             self._row(i)
 
-    def export_rows(self) -> dict[int, tuple[list[float], list[int]]]:
+    def export_rows(self) -> dict[int, tuple]:
         """Every cached pre-failure row, keyed by CSR source index.
 
         The publication payload for :func:`repro.graph.shm.publish_rows`
@@ -382,26 +395,23 @@ class SptCache:
         COUNTERS.warm_rows_adopted += adopted
         return adopted
 
-    def _affected(
-        self,
-        i: int,
-        view: CsrView,
-        pairs: Optional[list[tuple[int, int]]] = None,
-    ) -> set[int]:
-        """Affected subtree of *i*'s cached row under *view*'s mask.
-
-        *pairs* lets batched callers reuse one ``dead_edge_pairs``
-        decode of the scenario across every source it touches.
-        """
-        dist, pred = self._row(i)
+    def _children_of(self, i: int) -> tuple[array, array]:
+        """Children index of *i*'s cached pre-failure row (memoized)."""
         children = self._children.get(i)
         if children is None:
-            children = self._children[i] = _children_lists(pred, self.csr.n)
-        if pairs is None:
-            pairs = dead_edge_pairs(view)
-        return affected_subtree(
-            dist, pred, self.csr.n, pairs, view.dead_nodes,
-            children=children,
+            children = self._children[i] = kernel_backend().children_index(
+                self._row(i)[1]
+            )
+        return children
+
+    def _repair(self, i: int, view: CsrView) -> Optional[tuple]:
+        """*i*'s post-failure row from one fused kernel repair of its
+        cached row, or ``None`` when repair is not viable (dead source,
+        fallback threshold)."""
+        dist, pred = self._row(i)
+        return _repair_row(
+            view, i, dist, pred, self._children_of(i),
+            REPAIR_FALLBACK_FRACTION, not self.weighted,
         )
 
     def subtree_sizes(self, i: int) -> list[int]:
@@ -413,7 +423,7 @@ class SptCache:
         descending-distance order — under positive edge weights a
         child's label is strictly larger than its parent's, so each
         node's total is final before it is pushed onto its parent.
-        Memoized per source alongside the children lists.
+        Memoized per source alongside the children indices.
         """
         sizes = self._sizes.get(i)
         if sizes is None:
@@ -458,31 +468,9 @@ class SptCache:
         for x in dead_nodes:
             if dist[x] != INF:
                 cost += sizes[x]
-        reachable = self._reachable.get(i)
-        if reachable is None:
-            reachable = self._reachable[i] = sum(
-                1 for d in dist if d != INF
-            )
-        return min(cost, reachable)
+        return min(cost, len(self._children_of(i)[1]) + 1)
 
-    def _repair_viable(self, i: int, affected: set[int]) -> bool:
-        """Apply the fallback policy: small-enough affected set, live source."""
-        if i in affected:
-            return False
-        reachable = self._reachable.get(i)
-        if reachable is None:
-            dist = self._row(i)[0]
-            reachable = self._reachable[i] = sum(
-                1 for d in dist if d != INF
-            )
-        if len(affected) > REPAIR_FALLBACK_FRACTION * max(1, reachable):
-            COUNTERS.spt_fallbacks += 1
-            return False
-        return True
-
-    def repaired_row(
-        self, source: Node, view: CsrView
-    ) -> tuple[list[float], list[int]]:
+    def repaired_row(self, source: Node, view: CsrView) -> tuple:
         """Post-failure ``(dist, pred)`` for *source* under *view*'s mask.
 
         Repairs the cached pre-failure row when the affected subtree is
@@ -492,35 +480,25 @@ class SptCache:
         """
         return self._repaired_row_idx(self.csr.index[source], view)
 
-    def _repaired_row_idx(
-        self,
-        i: int,
-        view: CsrView,
-        pairs: Optional[list[tuple[int, int]]] = None,
-    ) -> tuple[list[float], list[int]]:
+    def _repaired_row_idx(self, i: int, view: CsrView) -> tuple:
         dist, pred = self._row(i)
         if not view.dead_edges and not view.dead_nodes:
             return dist, pred
-        affected = self._affected(i, view, pairs=pairs)
-        if not self._repair_viable(i, affected):
-            return _full_row(view, i, not self.weighted)
-        return repair_spt(
-            view, i, dist, pred, affected=affected, unit=not self.weighted
-        )
+        row = self._repair(i, view)
+        return row if row is not None else _full_row(view, i, not self.weighted)
 
     def repair_batch(
         self, sources: Iterable[Node], scenario_or_view
-    ) -> dict[Node, tuple[list[float], list[int]]]:
+    ) -> dict[Node, tuple]:
         """Post-failure rows for every source touched by one scenario.
 
-        The multi-source batched entry point: the scenario's dead edge
-        slots are decoded **once** and shared across every source's
-        affected-subtree computation, then all touched sources are
-        re-settled in the same pass.  Each returned row is bitwise
+        The multi-source batched entry point: one masked view (and its
+        decoded dead slots) serves every touched source, each repaired
+        by one fused kernel call.  Each returned row is bitwise
         identical to :meth:`repaired_row` for that source (the repairs
-        are independent — they only share the scenario decode and the
-        per-source children/reachable caches).  Dead sources are
-        omitted from the result.
+        are independent — they only share the scenario's view and the
+        per-source children indices).  Dead sources are omitted from
+        the result.
         """
         view = self.view_for(scenario_or_view)
         index, nodes = self.csr.index, self.csr.nodes
@@ -531,16 +509,16 @@ class SptCache:
 
     def repair_batch_idx(
         self, source_idxs: Iterable[int], scenario_or_view
-    ) -> dict[int, tuple[list[float], list[int]]]:
+    ) -> dict[int, tuple]:
         """Index-space :meth:`repair_batch`: ``{source idx: (dist, pred)}``.
 
         The all-array variant flat-row consumers (the ILM accountant)
         call directly — no Node round-trips.  Dead sources are omitted.
 
-        Besides the shared scenario decode, the batch stages its work
-        for the vectorized backends: missing pre-failure rows are built
-        in one :meth:`warm_rows` call, and the sources whose repair
-        trips the fallback policy are recomputed together through
+        Besides the shared scenario view, the batch stages its work for
+        the vectorized backends: missing pre-failure rows are built in
+        one :meth:`warm_rows` call, and the sources whose repair trips
+        the fallback policy are recomputed together through
         ``rows_many`` on the masked view.  Rows and counters are
         bit-identical to calling :meth:`repaired_row` per source.
         """
@@ -552,36 +530,24 @@ class SptCache:
         self.warm_rows(idxs)
         if not view.dead_edges and not view.dead_nodes:
             return {i: self._row(i) for i in idxs}
-        pairs = dead_edge_pairs(view)
-        affected_by: dict[int, set[int]] = {}
+        rows: dict[int, Optional[tuple]] = {}
         fallbacks: list[int] = []
         for i in idxs:
-            affected = self._affected(i, view, pairs=pairs)
-            if self._repair_viable(i, affected):
-                affected_by[i] = affected
-            else:
+            rows[i] = row = self._repair(i, view)
+            if row is None:
                 fallbacks.append(i)
         full = (
             kernel_backend().rows_many(view, fallbacks, not self.weighted)
             if len(fallbacks) > 1
             else None
         )
-        rows: dict[int, tuple[list[float], list[int]]] = {}
-        for i in idxs:
-            affected = affected_by.get(i)
-            if affected is None:
-                rows[i] = (
-                    full[i]
-                    if full is not None
-                    else _full_row(view, i, not self.weighted)
-                )
-            else:
-                dist, pred = self._row(i)
-                rows[i] = repair_spt(
-                    view, i, dist, pred,
-                    affected=affected, unit=not self.weighted,
-                )
-        return rows
+        for i in fallbacks:
+            rows[i] = (
+                full[i]
+                if full is not None
+                else _full_row(view, i, not self.weighted)
+            )
+        return rows  # type: ignore[return-value]
 
     def view_for(self, scenario_or_view) -> CsrView:
         """Masked view for a FailureScenario / FilteredView / (edges, nodes)."""
@@ -621,9 +587,7 @@ class SptCache:
             raise NoPath(f"no path from {source!r} to {target!r}")
         return Path(_chain(self.csr, pred, s, t))
 
-    def _backup_row(
-        self, s: int, t: int, view: CsrView
-    ) -> tuple[list[float], list[int]]:
+    def _backup_row(self, s: int, t: int, view: CsrView) -> tuple:
         """Repaired source row, or one targeted search when not viable.
 
         Rent-to-buy: while *s* has no cached row, targeted early-exit
@@ -646,21 +610,10 @@ class SptCache:
                 COUNTERS.csr_settled - before
             )
             return row
-        affected = self._affected(s, view)
-        if self._repair_viable(s, affected):
-            dist, pred = self._row(s)
-            if not affected:
-                # Tree untouched by the mask: the cached row answers.
-                COUNTERS.spt_repairs += 1
-                return dist, pred
-            return repair_spt(
-                view, s, dist, pred, affected=affected, unit=not self.weighted
-            )
-        return self._targeted_row(s, t, view)
+        row = self._repair(s, view)
+        return row if row is not None else self._targeted_row(s, t, view)
 
-    def _targeted_row(
-        self, s: int, t: int, view: CsrView
-    ) -> tuple[list[float], list[int]]:
+    def _targeted_row(self, s: int, t: int, view: CsrView) -> tuple:
         """One early-exit canonical search toward *t* (no caching)."""
         if self.weighted:
             dist, pred, _ = dijkstra_csr_canonical(view, s, targets=(t,))
@@ -681,7 +634,7 @@ class SptCache:
         return {nodes[i]: d for i, d in enumerate(dist) if d != INF}
 
 
-def _chain(csr: CsrGraph, pred: list[int], s: int, t: int) -> list[Node]:
+def _chain(csr: CsrGraph, pred, s: int, t: int) -> list[Node]:
     chain = [t]
     x = t
     while x != s:

@@ -29,8 +29,9 @@ float64 block plus one int64 block behind a self-describing JSON header
 (tie order, dtypes, row length ``n``, ascending source-index table,
 graph ``source_version``, and a ``kind`` tag separating SPT rows from
 oracle rows).  Workers attach :class:`RowTable` views and adopt
-individual rows zero-copy and **read-only**; ``repair_spt`` copies
-before mutating, so repairs stay worker-local (copy-on-repair).
+individual rows zero-copy and **read-only**; the kernels read them in
+place and write repairs into fresh rows, so repairs stay worker-local
+(copy-on-repair).
 
 Both sides derive section offsets from the header lengths with the same
 alignment rule, so the header stays self-describing and the layout has
@@ -475,9 +476,9 @@ class RowTable:
     One contiguous ``dist`` block (S x n float64) and one ``pred``
     block (S x n int64) over the shared pages; :meth:`row` hands out
     zero-copy **read-only** memoryview slices, so an adopter can never
-    scribble on another worker's warm state — ``repair_spt`` copies
-    before it mutates (copy-on-repair), which these views enforce at
-    the buffer level.
+    scribble on another worker's warm state — the repair kernels read
+    them in place and write into fresh rows (copy-on-repair), which
+    these views enforce at the buffer level.
     """
 
     __slots__ = (

@@ -32,6 +32,15 @@ backend selected here.  Three backends ship:
     input size — including the targeted searches, single-source rows,
     and small repairs the numpy backend gates back to Python.
 
+Rows cross every layer as flat buffers: each backend returns ``dist``
+as ``array('d')`` and ``pred`` as ``array('q')``, and the caches
+(:class:`~repro.graph.incremental.SptCache`,
+:class:`~repro.graph.all_pairs.LazyDistanceOracle`, shared-memory
+publication) hold and index them as they are.  A restoration case
+stays inside the kernels end to end: ``repair_resettle`` finds the cut
+subtree, applies the fallback threshold and re-settles in one call, and
+``decompose_flat`` reads the warmed oracle rows in place.
+
 Selection: the ``REPRO_KERNEL`` environment variable (``python``,
 ``numpy``, ``native``, or ``auto`` — the default), or ``--kernel`` on
 every experiment CLI (:func:`add_kernel_argument` / :func:`apply_kernel`).
@@ -49,6 +58,12 @@ from typing import Any, Optional
 
 #: Recognized values for REPRO_KERNEL / --kernel.
 KERNEL_CHOICES = ("auto", "python", "numpy", "native")
+
+#: ``repair_resettle`` outcomes (the same codes ``_native.c`` returns):
+#: the row was repaired; no deletion cut the tree, so the cached row
+#: stands; more nodes were cut off than the fallback threshold allows;
+#: the source itself failed.
+REPAIRED, UNTOUCHED, OVER_THRESHOLD, SOURCE_CUT = range(4)
 
 _BACKEND = None  # resolved backend module, cached per process
 

@@ -16,13 +16,16 @@
  * Counters are returned through out-parameters; the Python wrapper
  * flushes them into repro.perf.COUNTERS, keeping this file free of any
  * Python API dependency (it is plain C99, linked only against libm).
- * All functions return 0 on success and a negative status on failure
- * (-1 allocation, -2 row-callback error); the wrapper raises.
+ * Functions return a non-negative status on success (0, or the repair
+ * outcome) and a negative one on failure (-1 allocation, -2 malformed
+ * input); the wrapper raises.  Inputs are validated by the wrapper
+ * before any pointer crosses: these loops trust their indices.
  */
 
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 typedef int64_t i64;
 typedef unsigned char u8;
@@ -377,18 +380,93 @@ repro_rows_many(const i64 *indptr, const i64 *indices, const double *weights,
 }
 
 /* ---------------------------------------------------------------- *
- * Ramalingam–Reps re-settle of a non-empty affected subtree — the
- * reference boundary-offer + bounded-heap loop.  `new_dist`/`new_pred`
- * arrive holding the full pre-failure labels and are repaired in
- * place; `aff` lists the affected node indices and `aff_mask` marks
- * them (source never affected, per the caller's contract).
+ * Children index of a pre-failure SPT: CSR offsets (n + 1 entries)
+ * plus every node's children in ascending index order — the inversion
+ * of the pred array that the fused repair walks to find cut subtrees.
+ * `kids` has room for n entries; returns how many it filled, or -2
+ * when a pred entry names no node.
  * ---------------------------------------------------------------- */
 
-int
-repro_repair(const i64 *indptr, const i64 *indices, const double *weights,
-             i64 n, const u8 *edge_dead, const u8 *node_dead, const i64 *aff,
-             i64 n_aff, const u8 *aff_mask, i64 unit, double *new_dist,
-             i64 *new_pred, i64 *out_relaxations, i64 *out_settled)
+i64
+repro_children(i64 n, const i64 *pred, i64 *offsets, i64 *kids)
+{
+    for (i64 i = 0; i <= n; i++)
+        offsets[i] = 0;
+    for (i64 v = 0; v < n; v++) {
+        i64 p = pred[v];
+        if (p < -1 || p >= n)
+            return -2;
+        if (p >= 0)
+            offsets[p + 1]++;
+    }
+    for (i64 i = 1; i <= n; i++)
+        offsets[i] += offsets[i - 1];
+    i64 total = offsets[n];
+    /* offsets[p + 1] is the end of p's run; filling backwards leaves
+     * it at the run's start and the run in ascending index order. */
+    for (i64 v = n - 1; v >= 0; v--) {
+        i64 p = pred[v];
+        if (p >= 0)
+            kids[--offsets[p + 1]] = v;
+    }
+    memmove(offsets, offsets + 1, (size_t)n * sizeof(i64));
+    offsets[n] = total;
+    return total;
+}
+
+/* ---------------------------------------------------------------- *
+ * Fused decremental repair: affected-subtree discovery, the fallback
+ * threshold, and the Ramalingam–Reps re-settle in one call.
+ *
+ * The affected set is the union of the pre-failure subtrees hanging
+ * below every cut tree edge (pred[v] == u for a dead slot u -> v, in
+ * either orientation) and below every dead node the row reached —
+ * repro.graph.incremental.affected_subtree, walked over the children
+ * index.  Outcomes (the return value):
+ *
+ *   0  repaired: new_dist/new_pred hold the post-failure row;
+ *   1  tree untouched: no deletion cut the tree, the row stands;
+ *   2  over threshold: more than `threshold` nodes affected (the walk
+ *      stops there — the caller recomputes from scratch);
+ *   3  source cut off: the source itself failed.
+ *
+ * Only outcome 0 writes the outputs; the pre-failure row is read-only
+ * (it may be a shared-memory page).  -1 reports an allocation failure.
+ * ---------------------------------------------------------------- */
+
+enum {
+    REPAIR_DONE = 0,
+    REPAIR_UNTOUCHED = 1,
+    REPAIR_OVER_THRESHOLD = 2,
+    REPAIR_SOURCE_CUT = 3
+};
+
+/* Tail of a CSR slot: the largest u with indptr[u] <= slot
+ * (repro.graph.incremental.dead_edge_pairs' binary search). */
+static i64
+slot_tail(const i64 *indptr, i64 n, i64 slot)
+{
+    i64 lo = 0;
+    i64 hi = n;
+    while (lo + 1 < hi) {
+        i64 mid = (lo + hi) / 2;
+        if (indptr[mid] <= slot)
+            lo = mid;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
+/* Boundary offers + bounded heap re-settle of the affected region —
+ * the reference boundary-offer loop.  `new_dist`/`new_pred` arrive
+ * holding the pre-failure labels and are repaired in place; `aff`
+ * lists the region and `aff_mask` marks it. */
+static int
+resettle(const i64 *indptr, const i64 *indices, const double *weights,
+         i64 n, const u8 *edge_dead, const u8 *node_dead, const i64 *aff,
+         i64 n_aff, const u8 *aff_mask, i64 unit, double *new_dist,
+         i64 *new_pred, i64 *out_relaxations, i64 *out_settled)
 {
     double *best_d = (double *)malloc((size_t)n * sizeof(double));
     i64 *best_p = (i64 *)malloc((size_t)n * sizeof(i64));
@@ -484,19 +562,87 @@ oom:
     return -1;
 }
 
+int
+repro_repair(const i64 *indptr, const i64 *indices, const double *weights,
+             i64 n, const u8 *edge_dead, const u8 *node_dead, i64 source,
+             const double *dist, const i64 *pred, const i64 *child_off,
+             const i64 *kids, const i64 *dead_slots, i64 n_dead_slots,
+             const i64 *dead_nodes, i64 n_dead_nodes, double threshold,
+             i64 unit, double *new_dist, i64 *new_pred,
+             i64 *out_relaxations, i64 *out_settled)
+{
+    *out_relaxations = 0;
+    *out_settled = 0;
+    /* The source is the tree's root: it is affected exactly when it
+     * failed itself. */
+    if (node_dead[source])
+        return REPAIR_SOURCE_CUT;
+    u8 *aff_mask = (u8 *)calloc((size_t)n, 1);
+    i64 *aff = (i64 *)malloc((size_t)n * sizeof(i64));
+    /* Every node enters the stack once as its parent's child, plus
+     * at most two roots per dead slot and one per dead node. */
+    i64 *stack = (i64 *)malloc(
+        (size_t)(n + 2 * n_dead_slots + n_dead_nodes) * sizeof(i64));
+    if (aff_mask == NULL || aff == NULL || stack == NULL) {
+        free(aff_mask);
+        free(aff);
+        free(stack);
+        return -1;
+    }
+    i64 sp = 0;
+    for (i64 k = 0; k < n_dead_slots; k++) {
+        i64 slot = dead_slots[k];
+        i64 v = indices[slot];
+        i64 u = slot_tail(indptr, n, slot);
+        if (pred[v] == u)
+            stack[sp++] = v;
+        if (pred[u] == v)
+            stack[sp++] = u;
+    }
+    for (i64 k = 0; k < n_dead_nodes; k++) {
+        i64 x = dead_nodes[k];
+        if (!isinf(dist[x]))
+            stack[sp++] = x;
+    }
+    i64 n_aff = 0;
+    int status = REPAIR_DONE;
+    while (sp) {
+        i64 x = stack[--sp];
+        if (aff_mask[x])
+            continue;
+        aff_mask[x] = 1;
+        aff[n_aff++] = x;
+        if ((double)n_aff > threshold) {
+            status = REPAIR_OVER_THRESHOLD;
+            break;
+        }
+        i64 stop = child_off[x + 1];
+        for (i64 k = child_off[x]; k < stop; k++)
+            stack[sp++] = kids[k];
+    }
+    if (status == REPAIR_DONE && n_aff == 0)
+        status = REPAIR_UNTOUCHED;
+    if (status == REPAIR_DONE) {
+        memcpy(new_dist, dist, (size_t)n * sizeof(double));
+        memcpy(new_pred, pred, (size_t)n * sizeof(i64));
+        if (resettle(indptr, indices, weights, n, edge_dead, node_dead, aff,
+                     n_aff, aff_mask, unit, new_dist, new_pred,
+                     out_relaxations, out_settled))
+            status = -1;
+    }
+    free(aff_mask);
+    free(aff);
+    free(stack);
+    return status;
+}
+
 /* ---------------------------------------------------------------- *
  * Min-pieces decomposition DP — forward pass, first-minimal-j ties.
- * Oracle rows are fetched lazily through the Python callback (memoized
- * here per j); a NULL row aborts with -2 and the wrapper re-raises the
- * captured Python exception.
+ * `rows[j]` is the already-warmed oracle distance row of chain[j] for
+ * j = 0 .. n - 3 (the only positions whose row the DP reads); a probe
+ * of the piece j -> i reads rows[j][chain[i]].  No allocation, no
+ * callback.
  * ---------------------------------------------------------------- */
-
-/* Fetch the oracle row for chain position j, *compacted to chain
- * positions*: entry i holds row[chain[i]].  The DP only ever reads a
- * row at chain positions, so the wrapper converts len(chain) doubles
- * per fetch instead of a whole n-node row — the difference between the
- * native DP winning and losing on ISP-scale graphs with short chains. */
-typedef const double *(*row_cb)(i64 j);
 
 static int
 costs_equal(double a, double b, double eps)
@@ -513,14 +659,11 @@ costs_equal(double a, double b, double eps)
 }
 
 int
-repro_decompose(i64 n, const double *cum, double eps,
-                row_cb row_for, i64 *best, i64 *choice, i64 *out_probes)
+repro_decompose(i64 n, const i64 *chain, const double *cum,
+                const double *const *rows, double eps, i64 *best,
+                i64 *choice, i64 *out_probes)
 {
     i64 unset = n + 1;
-    const double **rows = (const double **)calloc((size_t)n,
-                                                  sizeof(double *));
-    if (rows == NULL)
-        return -1;
     for (i64 i = 0; i < n; i++) {
         best[i] = unset;
         choice[i] = 0;
@@ -529,6 +672,7 @@ repro_decompose(i64 n, const double *cum, double eps,
     i64 probes = 0;
     for (i64 i = 1; i < n; i++) {
         double cum_i = cum[i];
+        i64 ci = chain[i];
         i64 bi = unset;
         i64 cj = 0;
         for (i64 j = 0; j < i; j++) {
@@ -537,16 +681,7 @@ repro_decompose(i64 n, const double *cum, double eps,
                 continue;
             probes++;
             if (i - j > 1) {
-                const double *row = rows[j];
-                if (row == NULL) {
-                    row = row_for(j);
-                    if (row == NULL) {
-                        free(rows);
-                        return -2;
-                    }
-                    rows[j] = row;
-                }
-                double d = row[i];
+                double d = rows[j][ci];
                 if (isinf(d) || !costs_equal(cum_i - cum[j], d, eps))
                     continue;
             }
@@ -559,7 +694,6 @@ repro_decompose(i64 n, const double *cum, double eps,
         best[i] = bi;
         choice[i] = cj;
     }
-    free(rows);
     *out_probes = probes;
     return 0;
 }

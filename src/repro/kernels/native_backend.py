@@ -40,15 +40,16 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
-import operator
 import os
 import shutil
 import subprocess
 from array import array
 from pathlib import Path
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
+from ..graph.shortest_paths import EPSILON
 from ..perf import COUNTERS
+from . import REPAIRED
 
 NAME = "native"
 INF = float("inf")
@@ -179,7 +180,6 @@ def _load() -> ctypes.CDLL:
 _i64 = ctypes.c_int64
 _i64p = ctypes.POINTER(ctypes.c_int64)
 _ptr = ctypes.c_void_p
-_ROW_CB = ctypes.CFUNCTYPE(ctypes.c_void_p, ctypes.c_int64)
 
 _LIB = _load()
 
@@ -197,14 +197,17 @@ _LIB.repro_rows_many.argtypes = [
     _ptr, _ptr, _ptr, _i64, _ptr, _ptr, _ptr, _i64, _i64, _ptr, _ptr,
     _i64p, _i64p,
 ]
+_LIB.repro_children.restype = _i64
+_LIB.repro_children.argtypes = [_i64, _ptr, _ptr, _ptr]
 _LIB.repro_repair.restype = ctypes.c_int
 _LIB.repro_repair.argtypes = [
-    _ptr, _ptr, _ptr, _i64, _ptr, _ptr, _ptr, _i64, _ptr, _i64, _ptr, _ptr,
+    _ptr, _ptr, _ptr, _i64, _ptr, _ptr, _i64, _ptr, _ptr, _ptr, _ptr,
+    _ptr, _i64, _ptr, _i64, ctypes.c_double, _i64, _ptr, _ptr,
     _i64p, _i64p,
 ]
 _LIB.repro_decompose.restype = ctypes.c_int
 _LIB.repro_decompose.argtypes = [
-    _i64, _ptr, ctypes.c_double, _ROW_CB, _ptr, _ptr, _i64p,
+    _i64, _ptr, _ptr, _ptr, ctypes.c_double, _ptr, _ptr, _i64p,
 ]
 
 
@@ -216,30 +219,126 @@ def library_path() -> Path:
 def _check(status: int) -> None:
     if status == -1:
         raise MemoryError("native kernel allocation failed")
-    if status != 0:
+    if status < 0:
         raise RuntimeError(f"native kernel failed with status {status}")
 
 
 # -- zero-copy pointer plumbing ------------------------------------------------
 
 
+class _PyBuffer(ctypes.Structure):
+    """CPython's ``Py_buffer`` (only ``buf`` is read)."""
+
+    _fields_ = [
+        ("buf", ctypes.c_void_p),
+        ("obj", ctypes.c_void_p),
+        ("len", ctypes.c_ssize_t),
+        ("itemsize", ctypes.c_ssize_t),
+        ("readonly", ctypes.c_int),
+        ("ndim", ctypes.c_int),
+        ("format", ctypes.c_char_p),
+        ("shape", ctypes.c_void_p),
+        ("strides", ctypes.c_void_p),
+        ("suboffsets", ctypes.c_void_p),
+        ("internal", ctypes.c_void_p),
+    ]
+
+
+_get_buffer = ctypes.pythonapi.PyObject_GetBuffer
+_get_buffer.argtypes = [ctypes.py_object, ctypes.POINTER(_PyBuffer), ctypes.c_int]
+_get_buffer.restype = ctypes.c_int
+_release_buffer = ctypes.pythonapi.PyBuffer_Release
+_release_buffer.argtypes = [ctypes.POINTER(_PyBuffer)]
+_release_buffer.restype = None
+#: PyBUF_C_CONTIGUOUS | PyBUF_FORMAT: a read-only request, so the
+#: read-only rows adopted from shared memory qualify.
+_PYBUF_C_CONTIGUOUS_FORMAT = 0x3C
+
+def _buffer_address(view: memoryview) -> int:
+    """Base address of a 1-D contiguous memoryview, read-only included."""
+    if view.ndim != 1 or not view.c_contiguous:
+        raise ValueError("buffer must be 1-D and contiguous")
+    if not view.nbytes:
+        return 0
+    info = _PyBuffer()
+    if _get_buffer(view, ctypes.byref(info), _PYBUF_C_CONTIGUOUS_FORMAT):
+        raise ValueError("buffer is not C-contiguous")  # pragma: no cover
+    addr = info.buf or 0
+    _release_buffer(ctypes.byref(info))
+    return addr
+
+
+#: id(view) -> (view, address, format) for memoryview rows (the
+#: read-only rows adopted from shared memory, reused across calls).
+#: The entry holds the view, so the id cannot be recycled while it is
+#: cached; a view released since (its segment closed) fails the length
+#: check in :func:`_row_addr` before its stale address is used.
+_VIEW_ADDRS: dict[int, tuple[memoryview, int, str]] = {}
+_VIEW_ADDRS_MAX = 1 << 16
+
+
+def _view_entry(view: memoryview) -> tuple[memoryview, int, str]:
+    """``(view, base address, format)`` of a row view, memoized."""
+    hit = _VIEW_ADDRS.get(id(view))
+    if hit is not None and hit[0] is view:
+        return hit
+    address = _buffer_address(view)
+    if len(_VIEW_ADDRS) >= _VIEW_ADDRS_MAX:
+        _VIEW_ADDRS.clear()
+    hit = _VIEW_ADDRS[id(view)] = (view, address, view.format)
+    return hit
+
+
 def _addr_of(buf) -> tuple[int, object]:
     """``(base address, keepalive)`` of a contiguous buffer, zero-copy.
 
     ``array.array`` exposes its address directly; anything else goes
-    through the writable buffer protocol (shared-memory memoryview
-    casts, bytearray masks).  Empty buffers yield a null pointer — the
-    kernels never dereference them (no slots / no nodes to scan).
+    through the buffer protocol (shared-memory memoryview casts —
+    read-only ones included — and bytearray masks).  Empty buffers
+    yield a null pointer — the kernels never dereference them (no
+    slots / no nodes to scan).
     """
     if isinstance(buf, array):
         return (buf.buffer_info()[0] if len(buf) else 0), buf
     view = buf if isinstance(buf, memoryview) else memoryview(buf)
-    if view.nbytes == 0:
-        return 0, view
-    if view.readonly:
-        view = memoryview(bytearray(view))
-    pin = (ctypes.c_char * view.nbytes).from_buffer(view)
+    if view.readonly or not view.nbytes:
+        return _buffer_address(view), view
+    pin = ctypes.c_char.from_buffer(view)
     return ctypes.addressof(pin), (view, pin)
+
+
+def _row_addr(buf, typecode: str, n: int, what: str) -> int:
+    """Address of a flat row buffer after checking its shape.
+
+    Accepts ``array(typecode)`` and 1-D contiguous memoryviews of that
+    format (the read-only shared-memory rows); anything else — a list,
+    another typecode, a length other than *n*, a released view — raises
+    ``ValueError`` before C could read out of bounds.  The kernels only
+    ever read through these addresses.
+    """
+    if type(buf) is array:
+        if buf.typecode != typecode or len(buf) != n:
+            raise ValueError(
+                f"{what}: expected array({typecode!r}) of {n} entries, got "
+                f"array({buf.typecode!r}) of {len(buf)}"
+            )
+        return buf.buffer_info()[0]
+    if isinstance(buf, memoryview):
+        try:
+            _view, addr, fmt = _view_entry(buf)
+            length = len(buf)
+        except ValueError as exc:  # released or non-contiguous view
+            raise ValueError(f"{what}: {exc}") from None
+        if fmt != typecode or length != n:
+            raise ValueError(
+                f"{what}: expected a {typecode!r} view of {n} entries, "
+                f"got format {fmt!r} of {length}"
+            )
+        return addr
+    raise ValueError(
+        f"{what}: expected array({typecode!r}) or memoryview, got "
+        f"{type(buf).__name__}"
+    )
 
 
 def _graph_ptrs(csr) -> tuple[int, int, int, object]:
@@ -256,15 +355,36 @@ def _graph_ptrs(csr) -> tuple[int, int, int, object]:
     return ptrs
 
 
-def _view_ptrs(view) -> tuple[int, int, object]:
-    """``(edge_dead, node_dead)`` mask addresses, cached per view."""
+def _view_ptrs(view) -> tuple[int, int, array, array, object]:
+    """Per-view native state, cached: ``(edge_dead, node_dead)`` mask
+    addresses plus the dead slots and dead nodes as ``array('q')``.
+
+    One failure scenario serves every source it touches, so the fused
+    repair reads its roots from here; a dead index outside the
+    snapshot raises ``ValueError``.
+    """
     state = view.native_state
     if state is None:
+        csr = view.csr
+        slots = array("q", sorted(view.dead_edges))
+        nodes = array("q", sorted(view.dead_nodes))
+        if slots and (slots[0] < 0 or slots[-1] >= len(csr.indices)):
+            raise ValueError(
+                f"dead edge slot outside [0, {len(csr.indices)}) in view"
+            )
+        if nodes and (nodes[0] < 0 or nodes[-1] >= csr.n):
+            raise ValueError(f"dead node index outside [0, {csr.n}) in view")
         edge_mask, node_mask = view.masks()
         edge_dead, k1 = _addr_of(edge_mask)
         node_dead, k2 = _addr_of(node_mask)
-        state = view.native_state = (edge_dead, node_dead, (k1, k2))
+        state = view.native_state = (
+            edge_dead, node_dead, slots, nodes, (k1, k2)
+        )
     return state
+
+
+_D0 = array("d", [0.0])
+_Q0 = array("q", [0])
 
 
 # -- backend interface ---------------------------------------------------------
@@ -272,19 +392,21 @@ def _view_ptrs(view) -> tuple[int, int, object]:
 
 def dijkstra_canonical(
     view, source: int, targets: Optional[Iterable[int]] = None
-) -> tuple[list[float], list[int], bool]:
+) -> tuple[array, array, bool]:
     """Canonical Dijkstra rows — native at every size, targeted or not."""
     csr = view.csr
     n = csr.n
     indptr, indices, weights, _keep = _graph_ptrs(csr)
-    edge_dead, node_dead, _vkeep = _view_ptrs(view)
-    dist = array("d", bytes(8 * n))
-    pred = array("q", bytes(8 * n))
+    edge_dead, node_dead, *_vkeep = _view_ptrs(view)
+    dist = _D0 * n
+    pred = _Q0 * n
     if targets is None:
         t_addr, t_len = 0, -1
         t_arr = None
     else:
-        t_arr = array("q", list(targets))
+        t_arr = array("q", targets)
+        if t_arr and (min(t_arr) < 0 or max(t_arr) >= n):
+            raise ValueError(f"target index outside [0, {n})")
         t_addr = t_arr.buffer_info()[0] if len(t_arr) else 0
         t_len = len(t_arr)
     exhausted = _i64()
@@ -299,17 +421,17 @@ def dijkstra_canonical(
     del t_arr
     COUNTERS.csr_relaxations += relaxations.value
     COUNTERS.csr_settled += settled.value
-    return dist.tolist(), pred.tolist(), bool(exhausted.value)
+    return dist, pred, bool(exhausted.value)
 
 
-def bfs(view, source: int, target: int = -1) -> tuple[list[float], list[int]]:
+def bfs(view, source: int, target: int = -1) -> tuple[array, array]:
     """Canonical index-ordered BFS with early target exit — native."""
     csr = view.csr
     n = csr.n
     indptr, indices, _weights, _keep = _graph_ptrs(csr)
-    edge_dead, node_dead, _vkeep = _view_ptrs(view)
-    dist = array("d", bytes(8 * n))
-    pred = array("q", bytes(8 * n))
+    edge_dead, node_dead, *_vkeep = _view_ptrs(view)
+    dist = _D0 * n
+    pred = _Q0 * n
     relaxations = _i64()
     settled = _i64()
     _check(_LIB.repro_bfs(
@@ -319,7 +441,7 @@ def bfs(view, source: int, target: int = -1) -> tuple[list[float], list[int]]:
     ))
     COUNTERS.csr_relaxations += relaxations.value
     COUNTERS.csr_settled += settled.value
-    return dist.tolist(), pred.tolist()
+    return dist, pred
 
 
 _ROWS_SCRATCH: dict[int, tuple[array, array]] = {}
@@ -331,7 +453,7 @@ def _rows_scratch(entries: int) -> tuple[array, array]:
     Keyed by size, capped at one cached pair — chunk sizes repeat."""
     cached = _ROWS_SCRATCH.get(entries)
     if cached is None:
-        cached = (array("d", bytes(8 * entries)), array("q", bytes(8 * entries)))
+        cached = (_D0 * entries, _Q0 * entries)
         _ROWS_SCRATCH.clear()
         _ROWS_SCRATCH[entries] = cached
     return cached
@@ -339,25 +461,23 @@ def _rows_scratch(entries: int) -> tuple[array, array]:
 
 def rows_many(
     view, sources: list[int], unit: bool
-) -> dict[int, tuple[list[float], list[int]]]:
+) -> dict[int, tuple[array, array]]:
     """Batched exhaustive rows, one C call per source chunk.
 
     Equivalent to the caller's per-source reference loop (same per-row
     algorithm, counters summed instead of flushed per source), so —
     unlike the numpy backend — it also serves directed snapshots.
     """
-    out: dict[int, tuple[list[float], list[int]]] = {}
+    out: dict[int, tuple[array, array]] = {}
     if not sources:
         return out
     csr = view.csr
     n = csr.n
     indptr, indices, weights, _keep = _graph_ptrs(csr)
-    edge_dead, node_dead, _vkeep = _view_ptrs(view)
+    edge_dead, node_dead, *_vkeep = _view_ptrs(view)
     srcs = list(sources)
     block = min(len(srcs), ROWS_CHUNK)
     dist_block, pred_block = _rows_scratch(n * block)
-    dist_mv = memoryview(dist_block)
-    pred_mv = memoryview(pred_block)
     relaxations = _i64()
     settled = _i64()
     total_relax = 0
@@ -375,94 +495,115 @@ def rows_many(
         total_settled += settled.value
         for k, src in enumerate(chunk):
             out[src] = (
-                dist_mv[k * n:(k + 1) * n].tolist(),
-                pred_mv[k * n:(k + 1) * n].tolist(),
+                dist_block[k * n:(k + 1) * n],
+                pred_block[k * n:(k + 1) * n],
             )
     COUNTERS.csr_relaxations += total_relax
     COUNTERS.csr_settled += total_settled
     return out
 
 
+def children_index(pred) -> tuple[array, array]:
+    """``(offsets, kids)`` children index of a pre-failure SPT, in C."""
+    n = len(pred)
+    pred_addr = _row_addr(pred, "q", n, "pred")
+    offsets = _Q0 * (n + 1)
+    kids = _Q0 * n
+    filled = _LIB.repro_children(
+        n, pred_addr, offsets.buffer_info()[0], kids.buffer_info()[0]
+    )
+    if filled < 0:
+        raise ValueError("pred names a node outside the row")
+    del kids[filled:]
+    return offsets, kids
+
+
 def repair_resettle(
     view,
     source: int,
-    dist: list[float],
-    pred: list[int],
-    affected: set[int],
+    dist,
+    pred,
+    children: tuple[array, array],
+    threshold: float,
     unit: bool,
-) -> tuple[list[float], list[int]]:
-    """Ramalingam–Reps re-settle — native at every affected-set size."""
+) -> tuple[int, Optional[array], Optional[array]]:
+    """Fused subtree discovery + threshold + re-settle, one C call.
+
+    Reads the cached pre-failure row in place (read-only shared-memory
+    rows included) and writes a repaired copy only when the outcome is
+    ``REPAIRED``.  Buffer shapes, the children index and the view's
+    dead indices are validated first (``ValueError`` on a mismatch).
+    """
     csr = view.csr
     n = csr.n
+    if not 0 <= source < n:
+        raise ValueError(f"source {source} outside [0, {n})")
+    dist_addr = _row_addr(dist, "d", n, "dist")
+    pred_addr = _row_addr(pred, "q", n, "pred")
+    offsets, kids = children
+    off_addr = _row_addr(offsets, "q", n + 1, "children offsets")
+    kids_addr = _row_addr(kids, "q", len(kids), "children")
+    if offsets[n] != len(kids):
+        raise ValueError(
+            f"children index ends at {offsets[n]}, holds {len(kids)} kids"
+        )
     indptr, indices, weights, _keep = _graph_ptrs(csr)
-    edge_dead, node_dead, _vkeep = _view_ptrs(view)
-    new_dist = array("d", dist)
-    new_pred = array("q", pred)
-    aff = array("q", sorted(affected))
-    aff_mask = bytearray(n)
-    for x in affected:
-        aff_mask[x] = 1
-    mask_addr, mask_keep = _addr_of(aff_mask)
+    edge_dead, node_dead, slots, nodes, _vkeep = _view_ptrs(view)
+    new_dist = _D0 * n
+    new_pred = _Q0 * n
     relaxations = _i64()
     settled = _i64()
-    _check(_LIB.repro_repair(
-        indptr, indices, weights, n, edge_dead, node_dead,
-        aff.buffer_info()[0], len(aff), mask_addr, 1 if unit else 0,
+    outcome = _LIB.repro_repair(
+        indptr, indices, weights, n, edge_dead, node_dead, source,
+        dist_addr, pred_addr, off_addr, kids_addr,
+        slots.buffer_info()[0], len(slots), nodes.buffer_info()[0],
+        len(nodes), threshold, 1 if unit else 0,
         new_dist.buffer_info()[0], new_pred.buffer_info()[0],
         ctypes.byref(relaxations), ctypes.byref(settled),
-    ))
-    del mask_keep
+    )
+    _check(outcome)
+    if outcome != REPAIRED:
+        return outcome, None, None
     COUNTERS.spt_nodes_resettled += settled.value
     COUNTERS.csr_relaxations += relaxations.value
-    return new_dist.tolist(), new_pred.tolist()
+    return outcome, new_dist, new_pred
 
 
 def decompose_flat(
-    chain: tuple[int, ...],
-    cum: list[float],
-    row_for: Callable[[int], list[float]],
+    chain: Sequence[int],
+    cum: Sequence[float],
+    rows: Sequence,
 ) -> tuple[list[int], list[int], int]:
-    """Min-pieces decomposition DP with lazy oracle-row fetches.
+    """Min-pieces decomposition DP over already-warmed oracle rows.
 
-    Rows cross back into Python through a ctypes callback exactly when
-    the reference loop would fetch them (memoized per ``j`` on the C
-    side), compacted to chain positions on the way in — the DP only
-    reads ``row[chain[i]]``, so each fetch converts ``len(chain)``
-    doubles instead of a whole n-node row.  A raising ``row_for``
-    aborts the DP and re-raises here.
+    ``rows[j]`` is the distance row of ``chain[j]`` for j = 0 .. L−3;
+    C reads them in place through one pointer table (no callback, no
+    conversion).  Every row must be a ``'d'`` buffer of the same length
+    n and every chain index must lie in [0, n), else ``ValueError``.
     """
-    from ..graph.shortest_paths import EPSILON
-
-    n = len(chain)
-    if n == 0:
+    length = len(chain)
+    if length == 0:
         return [], [], 0
-    if n > 1:
-        compact = operator.itemgetter(*chain)
-    else:
-        compact = None  # single-element chains never fetch a row
+    if len(cum) != length:
+        raise ValueError(f"cum has {len(cum)} entries, chain {length}")
+    needed = max(0, length - 2)
+    if len(rows) < needed:
+        raise ValueError(f"{len(rows)} rows for a {length}-node chain")
+    chain_arr = array("q", chain)
+    if needed:
+        n = len(rows[0])
+        if min(chain_arr) < 0 or max(chain_arr) >= n:
+            raise ValueError(f"chain index outside [0, {n})")
+        table = array(
+            "Q", [_row_addr(rows[j], "d", n, "rows") for j in range(needed)]
+        )
     cum_arr = array("d", cum)
-    best = array("q", bytes(8 * n))
-    choice = array("q", bytes(8 * n))
+    best = _Q0 * length
+    choice = _Q0 * length
     probes = _i64()
-    keepalive: list[array] = []
-    failure: list[BaseException] = []
-
-    @_ROW_CB
-    def _fetch(j: int):
-        try:
-            row = array("d", compact(row_for(j)))
-            keepalive.append(row)
-            return row.buffer_info()[0]
-        except BaseException as exc:  # propagated around the C frame
-            failure.append(exc)
-            return None
-
-    status = _LIB.repro_decompose(
-        n, cum_arr.buffer_info()[0],
-        float(EPSILON), _fetch, best.buffer_info()[0],
-        choice.buffer_info()[0], ctypes.byref(probes),
-    )
-    if failure:
-        raise failure[0]
-    _check(status)
+    _check(_LIB.repro_decompose(
+        length, chain_arr.buffer_info()[0], cum_arr.buffer_info()[0],
+        table.buffer_info()[0] if needed else 0, EPSILON,
+        best.buffer_info()[0], choice.buffer_info()[0], ctypes.byref(probes),
+    ))
     return best.tolist(), choice.tolist(), probes.value

@@ -53,11 +53,13 @@ are backend-invariant by construction.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from array import array
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from ..perf import COUNTERS
+from . import REPAIRED
 from . import python_backend as _py
 
 try:  # pragma: no cover - exercised through both branches in CI
@@ -180,6 +182,15 @@ def _effective_weights(view, unit: bool) -> np.ndarray:
             w = g["weights"]
         state[key] = w
     return w
+
+
+def _row_arrays(dist: np.ndarray, pred: np.ndarray) -> tuple[array, array]:
+    """One row as the ``array('d')`` / ``array('q')`` pair every backend
+    returns."""
+    return (
+        array("d", dist.astype(np.float64, copy=False).tobytes()),
+        array("q", pred.astype(np.int64, copy=False).tobytes()),
+    )
 
 
 # -- batched full rows --------------------------------------------------------
@@ -352,7 +363,7 @@ def _extract_preds(
 
 def _full_rows(
     view, sources: list[int], unit: bool
-) -> dict[int, tuple[list[float], list[int]]]:
+) -> dict[int, tuple[array, array]]:
     """Exhaustive canonical rows for *sources*, settled in chunks."""
     g = _graph_arrays(view.csr)
     state = _view_state(view)
@@ -361,7 +372,7 @@ def _full_rows(
     row_of = g["row_of"]
     m = len(g["indices"])
     chunk_size = CHUNK if m <= BIG_GRAPH_SLOTS else CHUNK_BIG_GRAPH
-    out: dict[int, tuple[list[float], list[int]]] = {}
+    out: dict[int, tuple[array, array]] = {}
     relaxations = 0
     settled = 0
     for lo in range(0, len(sources), chunk_size):
@@ -377,7 +388,7 @@ def _full_rows(
         # first keeps this O(m + S·n) instead of O(S·m).
         relaxations += int((fin.sum(axis=0)[row_of] * live).sum())
         for k, src in enumerate(chunk.tolist()):
-            out[src] = (D[k].tolist(), pred[k].tolist())
+            out[src] = _row_arrays(D[k], pred[k])
     COUNTERS.csr_relaxations += relaxations
     COUNTERS.csr_settled += settled
     return out
@@ -393,7 +404,7 @@ def _vector_eligible(view, n_needed: int) -> bool:
 
 def dijkstra_canonical(
     view, source: int, targets: Optional[Iterable[int]] = None
-) -> tuple[list[float], list[int], bool]:
+) -> tuple[array, array, bool]:
     """Canonical Dijkstra rows; vectorized for exhaustive queries.
 
     Targeted early-exit queries keep the reference heap — settling a
@@ -406,7 +417,7 @@ def dijkstra_canonical(
     return dist, pred, True
 
 
-def bfs(view, source: int, target: int = -1) -> tuple[list[float], list[int]]:
+def bfs(view, source: int, target: int = -1) -> tuple[array, array]:
     """Canonical BFS rows; vectorized for exhaustive queries."""
     if target >= 0 or not _vector_eligible(view, SINGLE_MIN_N):
         return _py.bfs(view, source, target)
@@ -415,7 +426,7 @@ def bfs(view, source: int, target: int = -1) -> tuple[list[float], list[int]]:
 
 def rows_many(
     view, sources: list[int], unit: bool
-) -> Optional[dict[int, tuple[list[float], list[int]]]]:
+) -> Optional[dict[int, tuple[array, array]]]:
     """Batched exhaustive rows — the backend's headline stage."""
     if not sources:
         return {}
@@ -424,28 +435,44 @@ def rows_many(
     return _full_rows(view, list(sources), unit)
 
 
+#: Children indices come from the reference counting sort (one O(n)
+#: pass per cached source row).
+children_index = _py.children_index
+
+
 def repair_resettle(
     view,
     source: int,
-    dist: list[float],
-    pred: list[int],
-    affected: set[int],
+    dist,
+    pred,
+    children: tuple[array, array],
+    threshold: float,
     unit: bool,
-) -> tuple[list[float], list[int]]:
-    """Re-settle an affected subtree; vectorized above the size gate."""
+) -> tuple[int, Optional[array], Optional[array]]:
+    """Fused repair: reference subtree discovery and threshold, then the
+    re-settle — vectorized above the size gate."""
+    outcome, affected = _py.cut_subtree(
+        view, source, dist, pred, children, threshold
+    )
+    if outcome != REPAIRED:
+        return outcome, None, None
     if len(affected) < REPAIR_MIN_AFFECTED or view.csr.directed:
-        return _py.repair_resettle(view, source, dist, pred, affected, unit)
-    return _repair_resettle_vec(view, source, dist, pred, affected, unit)
+        new_dist, new_pred = _py.resettle(view, dist, pred, affected, unit)
+    else:
+        new_dist, new_pred = _repair_resettle_vec(
+            view, source, dist, pred, affected, unit
+        )
+    return outcome, new_dist, new_pred
 
 
 def _repair_resettle_vec(
     view,
     source: int,
-    dist: list[float],
-    pred: list[int],
+    dist,
+    pred,
     affected: set[int],
     unit: bool,
-) -> tuple[list[float], list[int]]:
+) -> tuple[array, array]:
     """Vectorized Ramalingam–Reps re-settle.
 
     Blank the affected labels, then relax *only the affected rows* to
@@ -464,7 +491,7 @@ def _repair_resettle_vec(
     indptr, indices, deg = g["indptr"], g["indices"], g["deg"]
     n = len(g["deg"])
 
-    new_dist = np.array(dist)
+    new_dist = np.array(dist, dtype=np.float64)
     new_pred = np.array(pred, dtype=np.int64)
     aff_idx = np.fromiter(affected, dtype=np.int64, count=len(affected))
     aff_idx.sort()
@@ -522,24 +549,24 @@ def _repair_resettle_vec(
     ))
     COUNTERS.csr_relaxations += boundary + settle_scan
     COUNTERS.spt_nodes_resettled += int(np.count_nonzero(row_finite))
-    return new_dist.tolist(), new_pred.tolist()
+    return _row_arrays(new_dist, new_pred)
 
 
 def decompose_flat(
-    chain: tuple[int, ...],
-    cum: list[float],
-    row_for: Callable[[int], list[float]],
+    chain: Sequence[int],
+    cum: Sequence[float],
+    rows: Sequence,
 ) -> tuple[list[int], list[int], int]:
     """Min-pieces DP; matrix recurrence above the chain-length gate."""
     if len(chain) < DECOMPOSE_MIN_CHAIN:
-        return _py.decompose_flat(chain, cum, row_for)
-    return _decompose_flat_vec(chain, cum, row_for)
+        return _py.decompose_flat(chain, cum, rows)
+    return _decompose_flat_vec(chain, cum, rows)
 
 
 def _decompose_flat_vec(
-    chain: tuple[int, ...],
-    cum: list[float],
-    row_for: Callable[[int], list[float]],
+    chain: Sequence[int],
+    cum: Sequence[float],
+    rows: Sequence,
 ) -> tuple[list[int], list[int], int]:
     """Masked matrix form of the decomposition DP.
 
@@ -553,11 +580,11 @@ def _decompose_flat_vec(
 
     n = len(chain)
     unset = n + 1
-    cumv = np.asarray(cum)
+    cumv = np.asarray(cum, dtype=np.float64)
+    cols = np.asarray(chain, dtype=np.int64)
     dist_ji = np.full((n, n), INF)
     for j in range(n - 2):
-        row = row_for(j)
-        dist_ji[j] = [row[c] for c in chain]
+        dist_ji[j] = np.asarray(rows[j], dtype=np.float64)[cols]
     span = cumv[None, :] - cumv[:, None]
     gap = np.arange(n)[None, :] - np.arange(n)[:, None]
     tol = EPSILON * np.maximum(

@@ -11,6 +11,10 @@ identical to the historical set-based loops.
 
 Backend interface (duck-typed module):
 
+Every row — ``dist`` and ``pred`` — is a flat buffer: the kernels
+return ``array('d')`` / ``array('q')``, and accept those or read-only
+memoryviews of the same formats (rows adopted from shared memory).
+
 ``NAME``
     Backend identifier stamped into BENCH headers.
 ``dijkstra_canonical(view, source, targets) -> (dist, pred, exhausted)``
@@ -20,20 +24,29 @@ Backend interface (duck-typed module):
     Canonical index-ordered BFS with optional early target exit.
 ``rows_many(view, sources, unit) -> dict | None``
     Batched full rows; ``None`` means "no batched path — caller loops".
-``repair_resettle(view, source, dist, pred, affected, unit)``
-    Ramalingam–Reps re-settle of a non-empty affected subtree; returns
-    fresh ``(new_dist, new_pred)`` and accounts
-    ``spt_nodes_resettled`` / ``csr_relaxations``.
-``decompose_flat(chain, cum, row_for) -> (best, choice, probes)``
-    The min-pieces decomposition DP over prefix sums and oracle rows.
+``children_index(pred) -> (offsets, kids)``
+    CSR inversion of a pre-failure predecessor row: the children of
+    ``v`` are ``kids[offsets[v]:offsets[v + 1]]``, ascending.
+``repair_resettle(view, source, dist, pred, children, threshold, unit)``
+    Fused decremental repair of a cached pre-failure row: finds the
+    subtree the view's deletions cut off, compares its size with
+    *threshold*, and re-settles it.  Returns ``(outcome, new_dist,
+    new_pred)`` — the rows only for :data:`~repro.kernels.REPAIRED`,
+    ``None`` for ``UNTOUCHED`` / ``OVER_THRESHOLD`` / ``SOURCE_CUT`` —
+    and accounts ``spt_nodes_resettled`` / ``csr_relaxations``.
+``decompose_flat(chain, cum, rows) -> (best, choice, probes)``
+    The min-pieces decomposition DP over prefix sums and the warmed
+    oracle rows of chain positions ``0 .. len(chain) - 3``.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Iterable, Optional
+from array import array
+from typing import Iterable, Optional, Sequence
 
 from ..perf import COUNTERS
+from . import OVER_THRESHOLD, REPAIRED, SOURCE_CUT, UNTOUCHED
 
 NAME = "python"
 INF = float("inf")
@@ -41,7 +54,7 @@ INF = float("inf")
 
 def dijkstra_canonical(
     view, source: int, targets: Optional[Iterable[int]] = None
-) -> tuple[list[float], list[int], bool]:
+) -> tuple[array, array, bool]:
     """Lazy-heap canonical Dijkstra (see ``dijkstra_csr_canonical``)."""
     csr = view.csr
     indptr, indices, weights = csr.indptr, csr.indices, csr.weights
@@ -87,10 +100,10 @@ def dijkstra_canonical(
             # (dist, index) order, so the first tight parent already won.
     COUNTERS.csr_relaxations += relaxations
     COUNTERS.csr_settled += settled
-    return dist, pred, exhausted
+    return array("d", dist), array("q", pred), exhausted
 
 
-def bfs(view, source: int, target: int = -1) -> tuple[list[float], list[int]]:
+def bfs(view, source: int, target: int = -1) -> tuple[array, array]:
     """Canonical index-ordered BFS (see ``bfs_csr``)."""
     csr = view.csr
     indptr, indices = csr.indptr, csr.indices
@@ -102,7 +115,7 @@ def bfs(view, source: int, target: int = -1) -> tuple[list[float], list[int]]:
     relaxations = 0
     if source == target:
         COUNTERS.csr_settled += settled
-        return dist, pred
+        return array("d", dist), array("q", pred)
     frontier = [source]
     while frontier:
         frontier.sort()
@@ -121,12 +134,12 @@ def bfs(view, source: int, target: int = -1) -> tuple[list[float], list[int]]:
                     if v == target:
                         COUNTERS.csr_relaxations += relaxations
                         COUNTERS.csr_settled += settled
-                        return dist, pred
+                        return array("d", dist), array("q", pred)
                     next_frontier.append(v)
         frontier = next_frontier
     COUNTERS.csr_relaxations += relaxations
     COUNTERS.csr_settled += settled
-    return dist, pred
+    return array("d", dist), array("q", pred)
 
 
 def rows_many(view, sources: list[int], unit: bool):
@@ -134,23 +147,86 @@ def rows_many(view, sources: list[int], unit: bool):
     return None
 
 
+def children_index(pred) -> tuple[array, array]:
+    """CSR children index of a predecessor row (counting sort, O(n))."""
+    n = len(pred)
+    offsets = array("q", bytes(8 * (n + 1)))
+    for p in pred:
+        if p >= 0:
+            offsets[p + 1] += 1
+    for i in range(1, n + 1):
+        offsets[i] += offsets[i - 1]
+    kids = array("q", bytes(8 * offsets[n]))
+    fill = offsets[:n]
+    for v, p in enumerate(pred):
+        if p >= 0:
+            kids[fill[p]] = v
+            fill[p] += 1
+    return offsets, kids
+
+
+def cut_subtree(
+    view,
+    source: int,
+    dist,
+    pred,
+    children: tuple[array, array],
+    threshold: float,
+) -> tuple[int, set[int]]:
+    """The discovery half of :func:`repair_resettle`: the repair
+    outcome plus the affected set
+    (:func:`~repro.graph.incremental.affected_subtree` over the
+    children index)."""
+    from ..graph import incremental
+
+    affected = incremental.affected_subtree(
+        dist, pred, view.csr.n, incremental.dead_edge_pairs(view),
+        view.dead_nodes, children=children,
+    )
+    if source in affected:
+        return SOURCE_CUT, affected
+    if not affected:
+        return UNTOUCHED, affected
+    if len(affected) > threshold:
+        return OVER_THRESHOLD, affected
+    return REPAIRED, affected
+
+
 def repair_resettle(
     view,
     source: int,
-    dist: list[float],
-    pred: list[int],
+    dist,
+    pred,
+    children: tuple[array, array],
+    threshold: float,
+    unit: bool,
+) -> tuple[int, Optional[array], Optional[array]]:
+    """Fused repair: :func:`cut_subtree`, then :func:`resettle` when the
+    outcome is ``REPAIRED``.  The inputs are never written."""
+    outcome, affected = cut_subtree(
+        view, source, dist, pred, children, threshold
+    )
+    if outcome != REPAIRED:
+        return outcome, None, None
+    new_dist, new_pred = resettle(view, dist, pred, affected, unit)
+    return outcome, new_dist, new_pred
+
+
+def resettle(
+    view,
+    dist,
+    pred,
     affected: set[int],
     unit: bool,
-) -> tuple[list[float], list[int]]:
+) -> tuple[array, array]:
     """Boundary offers + bounded heap re-settle of the affected subtree.
 
     The body of the historical ``repair_spt`` hot path: blank the
     affected labels, seed a heap with every surviving edge from an
     intact node into the region (equal offers resolved by the canonical
     ``(dist[parent], parent index)`` rule), then re-settle restricted to
-    the region.  The caller owns the policy (affected computation,
-    fallback threshold, ``spt_repairs``); *affected* is non-empty and
-    does not contain *source*.
+    the region.  *affected* is non-empty and does not contain the
+    source; returns fresh ``(new_dist, new_pred)`` rows.
     """
     csr = view.csr
     indptr, indices, weights = csr.indptr, csr.indices, csr.weights
@@ -227,21 +303,21 @@ def repair_resettle(
                 push(heap, (candidate, v))
     COUNTERS.spt_nodes_resettled += settled
     COUNTERS.csr_relaxations += relaxations
-    return new_dist, new_pred
+    return array("d", new_dist), array("q", new_pred)
 
 
 def decompose_flat(
-    chain: tuple[int, ...],
-    cum: list[float],
-    row_for: Callable[[int], list[float]],
+    chain: Sequence[int],
+    cum: Sequence[float],
+    rows: Sequence,
 ) -> tuple[list[int], list[int], int]:
     """Min-pieces DP over prefix sums — forward pass, first-minimal-j ties.
 
     *cum* holds prefix sums of the chain's probe-graph weights;
-    ``row_for(j)`` yields the oracle distance row of ``chain[j]``
-    (fetched lazily, memoized per call).  Returns ``(best, choice,
-    probes)`` with ``best[i] == len(chain) + 1`` meaning unset; the
-    caller extracts pieces and accounts the probes.
+    ``rows[j]`` is the (already warmed) oracle distance row of
+    ``chain[j]`` for every ``j <= len(chain) - 3``.  Returns ``(best,
+    choice, probes)`` with ``best[i] == len(chain) + 1`` meaning unset;
+    the caller extracts pieces and accounts the probes.
     """
     from ..graph.shortest_paths import costs_equal
 
@@ -249,8 +325,9 @@ def decompose_flat(
     unset = n + 1
     best = [unset] * n
     choice = [0] * n
+    if not n:
+        return best, choice, 0
     best[0] = 0
-    rows: dict[int, list[float]] = {}
     probes = 0
     for i in range(1, n):
         ci = chain[i]
@@ -263,10 +340,7 @@ def decompose_flat(
                 continue
             probes += 1
             if i - j > 1:
-                row = rows.get(j)
-                if row is None:
-                    row = rows[j] = row_for(j)
-                d = row[ci]
+                d = rows[j][ci]
                 if d == INF or not costs_equal(cum_i - cum[j], d):
                     continue
             candidate = bj + 1

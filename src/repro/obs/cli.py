@@ -58,7 +58,7 @@ from typing import Any, Optional
 
 from . import heartbeat as hb
 from .events import EventLog
-from .ledger import comparable_history, read_entries
+from .ledger import comparable_history, config_mismatch, read_entries
 from .metrics import rates_from_counters
 from .report import (
     MISPREDICT_FACTOR,
@@ -254,27 +254,19 @@ def cmd_diff(args: argparse.Namespace) -> int:
     if old_sha and new_sha and old_sha != new_sha:
         print(f"note: comparing across commits ({old_sha} vs {new_sha})")
 
-    # policy / failure_model / tie_order / repair_fallback /
-    # shm_enabled / kernel_backend / jobs: policy fields stamped by
-    # write_bench_json — runs under different restoration policies,
-    # failure models, tie rules, fallback thresholds, shared-memory
-    # availability, kernel backends, or fan-out widths do different
-    # work or time it differently (worker-side counters merge into the
-    # totals; backends share counters but not wall-clock), so their
-    # numbers must not be diffed (files predating the fields compare
-    # as before).
-    for key in (
-        "name", "scale", "seed", "cases",
-        "policy", "failure_model",
-        "tie_order", "repair_fallback", "shm_enabled", "kernel_backend",
-        "jobs",
-    ):
-        if key in old and key in new and old[key] != new[key]:
-            print(
-                f"NOT COMPARABLE: {key} differs "
-                f"({old[key]!r} vs {new[key]!r})"
-            )
-            return 2
+    # The ledger's comparability rule: runs under different workloads,
+    # policies, failure models, ILM accounting modes, tie rules,
+    # fallback thresholds, shared-memory availability, kernel backends,
+    # or fan-out widths do different work or time it differently, so
+    # their numbers must not be diffed (fields absent from either file
+    # do not constrain).
+    key = config_mismatch(old, new)
+    if key is not None:
+        print(
+            f"NOT COMPARABLE: {key} differs "
+            f"({old[key]!r} vs {new[key]!r})"
+        )
+        return 2
 
     exit_code = 0
 

@@ -25,9 +25,11 @@ One JSON object per line (JSONL), schema-tagged
 
 ``config`` carries the comparability fields (see
 :data:`COMPARABILITY_KEYS`); runs whose config differs do different
-work and are never trended against each other.  The versioning policy
-mirrors :mod:`repro.obs.events`: additive keys are free, envelope
-changes bump the schema suffix.
+work and are never trended against each other.
+:func:`config_mismatch` is the one comparability rule —
+``repro.obs diff``, ``trend`` and ``report`` all apply it.  The
+versioning policy mirrors :mod:`repro.obs.events`: additive keys are
+free, envelope changes bump the schema suffix.
 
 Where it writes
 ---------------
@@ -56,9 +58,11 @@ from typing import Any, Iterable, Optional, Union
 LEDGER_SCHEMA = "repro.obs.ledger/1"
 
 #: Config fields two runs must share before their numbers may be
-#: trended against each other.  Mirrors the ``repro.obs diff``
-#: comparability gate (policy fields change the work done); ``cases``
-#: guards against workload drift inside one name/scale/seed.
+#: diffed or trended against each other (policy fields change the work
+#: done); ``cases`` guards against workload drift inside one
+#: name/scale/seed, ``modes`` / ``ilm_accounting`` /
+#: ``ilm_max_scenarios`` against comparing a per-pair run with a
+#: per-link one or ILM runs over different scenario caps.
 COMPARABILITY_KEYS = (
     "name",
     "scale",
@@ -68,6 +72,7 @@ COMPARABILITY_KEYS = (
     "policy",
     "failure_model",
     "ilm_accounting",
+    "ilm_max_scenarios",
     "tie_order",
     "repair_fallback",
     "shm_enabled",
@@ -210,32 +215,36 @@ def read_entries(
     return entries
 
 
-def comparability_key(entry: dict[str, Any]) -> tuple:
-    """The tuple two entries must share to be trend-comparable.
+def config_mismatch(old: dict[str, Any], new: dict[str, Any]) -> Optional[str]:
+    """The first :data:`COMPARABILITY_KEYS` field both sides carry with
+    different values, or ``None`` when the two runs are comparable.
 
-    Built from :data:`COMPARABILITY_KEYS`; a key absent from the
-    entry's config contributes ``None`` (files predating a field stay
-    comparable with each other, as in ``repro.obs diff``).
+    A field absent from either side does not constrain: files and
+    ledger entries predating a field stay comparable with newer ones.
+    Lists and tuples compare alike (JSON round-trips tuples as lists).
     """
-    config = entry.get("config", {})
-    values: list[Any] = [entry.get("name")]
     for key in COMPARABILITY_KEYS:
-        if key == "name":
+        if key not in old or key not in new:
             continue
-        value = config.get(key)
-        if isinstance(value, list):
-            value = tuple(value)
-        values.append(value)
-    return tuple(values)
+        a, b = old[key], new[key]
+        if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
+            a, b = list(a), list(b)
+        if a != b:
+            return key
+    return None
+
+
+def _entry_config(entry: dict[str, Any]) -> dict[str, Any]:
+    return {"name": entry.get("name"), **entry.get("config", {})}
 
 
 def comparable_history(
     entries: list[dict[str, Any]], latest: dict[str, Any]
 ) -> list[dict[str, Any]]:
-    """Entries (excluding *latest* itself) comparable with *latest*,
-    in ledger (append) order."""
-    key = comparability_key(latest)
+    """Entries (excluding *latest* itself) comparable with *latest*
+    (:func:`config_mismatch`), in ledger (append) order."""
+    config = _entry_config(latest)
     return [
         e for e in entries
-        if e is not latest and comparability_key(e) == key
+        if e is not latest and config_mismatch(_entry_config(e), config) is None
     ]

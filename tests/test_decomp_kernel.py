@@ -242,3 +242,84 @@ class TestTruncatedOracle:
                 if classic.has_path(s, t):
                     assert classic.distance(s, t) == fast.distance(s, t)
                     assert classic.path(s, t) == fast.path(s, t)
+
+
+ORACLE_COUNTERS = ("oracle_rows_full", "oracle_rows_truncated", "oracle_promotions")
+
+
+@pytest.fixture(params=["python", "native"])
+def kernel(request, monkeypatch):
+    """Run the test under each backend, restoring the selection after."""
+    from repro.kernels import available_backends, backend_name, set_backend
+
+    if request.param not in available_backends():
+        pytest.skip(f"{request.param} backend unavailable")
+    monkeypatch.setenv("REPRO_KERNEL", backend_name())
+    previous = set_backend(request.param)
+    yield request.param
+    set_backend(previous)
+
+
+def random_walks(graph: Graph, seed: int, count: int = 8) -> list[Path]:
+    """Random simple walks (valid, not necessarily shortest) of 2-12 nodes."""
+    rng = random.Random(seed)
+    nodes = sorted(graph.nodes)
+    walks = []
+    while len(walks) < count:
+        walk = [rng.choice(nodes)]
+        for _ in range(rng.randrange(1, 12)):
+            options = [
+                v for v in sorted(graph.neighbors(walk[-1])) if v not in walk
+            ]
+            if not options:
+                break
+            walk.append(rng.choice(options))
+        if len(walk) >= 2:
+            walks.append(Path(walk))
+    return walks
+
+
+class TestKernelDecomposition:
+    """min_pieces_decompose's kernel path (implicit base, every edge
+    admitted) against the reference, probe for probe and row for row."""
+
+    @pytest.mark.parametrize("flavor", ["all", "unique"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_kernel_path_matches_reference_and_lazy_fetch(
+        self, kernel, flavor, seed, monkeypatch
+    ):
+        from repro.kernels import kernel_backend
+
+        g = random_connected_graph(seed)
+        make = (
+            (lambda: AllShortestPathsBase(g))
+            if flavor == "all"
+            else (lambda: UniqueShortestPathsBase(g, seed=seed))
+        )
+        base, lazy, ref_base = make(), make(), make()
+        backend = kernel_backend()
+        calls = []
+        monkeypatch.setattr(
+            backend, "decompose_flat",
+            lambda *a, _f=backend.decompose_flat: calls.append(1) or _f(*a),
+        )
+        for path in random_walks(g, seed + 100):
+            before = COUNTERS.snapshot()
+            got = min_pieces_decompose(path, base, allow_edges=True)
+            delta = COUNTERS.delta(before)
+            assert_same(
+                got,
+                min_pieces_decompose_reference(path, ref_base, allow_edges=True),
+            )
+            assert all(got.base_flags)
+            size = len(path.nodes)
+            assert delta.probe_calls == size * (size - 1) // 2
+            assert delta.o1_probes == delta.probe_calls
+            before = COUNTERS.snapshot()
+            nodes = path.nodes
+            for j in range(size - 2):
+                lazy.oracle.distances_from(nodes[j], nodes[j + 1:])
+            lazy_delta = COUNTERS.delta(before)
+            for name in ORACLE_COUNTERS + ("csr_settled", "csr_relaxations"):
+                assert getattr(delta, name) == getattr(lazy_delta, name), name
+        assert len(calls) == 8

@@ -14,7 +14,10 @@ The numpy vectorized stages are called directly
 (``_repair_resettle_vec``, ``_decompose_flat_vec``) so the size gates
 — which route small inputs to the reference loops — cannot hide a
 divergence; the native backend has no gates, so its public entry
-points are exercised at every input size.
+points are exercised at every input size: the fused repair through all
+four outcomes, and the decomposition DP over row buffers it reads in
+place (validated first — a malformed buffer raises ``ValueError``
+instead of reaching C).
 
 Tie-heavy graphs matter most here: on unit-weight topologies (grid,
 cycle, comb) nearly every node has several tight parents, so any
@@ -27,12 +30,17 @@ selection tests below run regardless.
 from __future__ import annotations
 
 import random
+from array import array
 
 import pytest
 
 from repro.graph.csr import as_view, shared_csr
 from repro.kernels import (
     KERNEL_CHOICES,
+    OVER_THRESHOLD,
+    REPAIRED,
+    SOURCE_CUT,
+    UNTOUCHED,
     available_backends,
     backend_name,
     set_backend,
@@ -209,71 +217,90 @@ class TestRowsBitIdentity:
         assert delta.csr_settled < view.csr.n  # truncated, not exhaustive
 
 
-def _repair_entry(accel):
-    """The no-gate repair entry point for *accel*.
-
-    numpy's vectorized body is called directly so its size gate cannot
-    hide a divergence on small affected sets; the native backend has no
-    gate, so its public entry point already runs native at every size.
-    """
-    mod = _accel_module(accel)
-    return mod._repair_resettle_vec if accel == "numpy" else mod.repair_resettle
-
-
-def _decompose_entry(accel):
-    """The no-gate decomposition DP entry point for *accel*."""
-    mod = _accel_module(accel)
-    return mod._decompose_flat_vec if accel == "numpy" else mod.decompose_flat
+def _pre_failure_row(view, source, unit):
+    if unit:
+        return pyk.bfs(view, source)
+    dist, pred, _ = pyk.dijkstra_canonical(view, source)
+    return dist, pred
 
 
 class TestRepairBitIdentity:
-    """Accelerated SPT re-settle == the boundary-offer reference loop."""
+    """Accelerated SPT repair == the reference, outcome and row."""
 
     def _repair_cases(self, graph, unit):
-        """Yield (view, source, dist, pred, affected) repair instances."""
+        """Yield (view, source, dist, pred, threshold) fused-repair cases.
+
+        Per source: random tree-edge cuts under a threshold that admits
+        them (repaired) and under a zero threshold (over threshold), a
+        non-tree cut and the clean view (tree untouched), and the
+        source's own failure (source cut off).
+        """
         csr = shared_csr(graph)
         base = as_view(csr)
         nodes = csr.nodes
         rng = random.Random(11)
         for source in (0, csr.n // 2):
-            if unit:
-                dist, pred = pyk.bfs(base, source)
-            else:
-                dist, pred, _ = pyk.dijkstra_canonical(base, source)
+            dist, pred = _pre_failure_row(base, source, unit)
             tree_nodes = [v for v in range(csr.n) if pred[v] >= 0]
             if not tree_nodes:
                 continue
+            roomy = 2.0 * csr.n
+            yield base, source, dist, pred, roomy
+            yield base.without(nodes=[nodes[source]]), source, dist, pred, roomy
             for k in (1, 3):
                 picks = rng.sample(tree_nodes, min(k, len(tree_nodes)))
-                failed = [(nodes[pred[v]], nodes[v]) for v in picks]
-                view = base.without(edges=failed)
-                children: dict[int, list[int]] = {}
-                for v in range(csr.n):
-                    if pred[v] >= 0:
-                        children.setdefault(pred[v], []).append(v)
-                affected: set[int] = set()
-                stack = list(picks)
-                while stack:
-                    x = stack.pop()
-                    if x in affected:
-                        continue
-                    affected.add(x)
-                    stack.extend(children.get(x, ()))
-                affected.discard(source)
-                if affected:
-                    yield view, source, dist, pred, affected
+                view = base.without(
+                    edges=[(nodes[pred[v]], nodes[v]) for v in picks]
+                )
+                yield view, source, dist, pred, roomy
+                yield view, source, dist, pred, 0.0
+            tree_edges = {
+                frozenset((v, pred[v])) for v in tree_nodes
+            }
+            spare = [
+                (u, v) for u, v in graph.edges()
+                if frozenset((csr.index[u], csr.index[v])) not in tree_edges
+            ]
+            if spare:
+                yield base.without(edges=spare[:1]), source, dist, pred, roomy
 
-    def _assert_repairs(self, graph, unit, entry):
-        for view, source, dist, pred, affected in self._repair_cases(graph, unit):
+    def _assert_fused(self, graph, unit, mod):
+        outcomes = set()
+        for view, source, dist, pred, threshold in self._repair_cases(
+            graph, unit
+        ):
+            children = pyk.children_index(pred)
             before = COUNTERS.snapshot()
             ref = pyk.repair_resettle(
-                view, source, list(dist), list(pred), set(affected), unit
+                view, source, dist, pred, children, threshold, unit
             )
             ref_delta = COUNTERS.delta(before)
             before = COUNTERS.snapshot()
-            acc = entry(
-                view, source, list(dist), list(pred), set(affected), unit
+            got = mod.repair_resettle(
+                view, source, dist, pred, mod.children_index(pred),
+                threshold, unit,
             )
+            acc_delta = COUNTERS.delta(before)
+            assert got == ref
+            assert acc_delta == ref_delta
+            outcomes.add(ref[0])
+        return outcomes
+
+    def _assert_resettle(self, graph, unit, entry):
+        """The numpy vectorized stage == the reference re-settle."""
+        for view, source, dist, pred, threshold in self._repair_cases(
+            graph, unit
+        ):
+            outcome, affected = pyk.cut_subtree(
+                view, source, dist, pred, pyk.children_index(pred), threshold
+            )
+            if outcome != REPAIRED:
+                continue
+            before = COUNTERS.snapshot()
+            ref = pyk.resettle(view, dist, pred, affected, unit)
+            ref_delta = COUNTERS.delta(before)
+            before = COUNTERS.snapshot()
+            acc = entry(view, source, dist, pred, set(affected), unit)
             acc_delta = COUNTERS.delta(before)
             assert acc == ref
             assert acc_delta == ref_delta
@@ -281,10 +308,17 @@ class TestRepairBitIdentity:
     @ACCEL_PARAMS
     @FAMILY_PARAMS
     def test_repaired_rows_match(self, family, accel):
+        """Native: the fused call through all four outcomes, counters
+        included; numpy: its vectorized re-settle stage."""
         graph = family()
-        entry = _repair_entry(accel)
-        self._assert_repairs(graph, unit=False, entry=entry)
-        self._assert_repairs(graph, unit=True, entry=entry)
+        mod = _accel_module(accel)
+        if accel == "numpy":
+            self._assert_resettle(graph, False, npk._repair_resettle_vec)
+            self._assert_resettle(graph, True, npk._repair_resettle_vec)
+            return
+        outcomes = self._assert_fused(graph, False, mod)
+        outcomes |= self._assert_fused(graph, True, mod)
+        assert outcomes == {REPAIRED, UNTOUCHED, OVER_THRESHOLD, SOURCE_CUT}
 
     @requires_numpy
     @FAMILY_PARAMS
@@ -292,7 +326,64 @@ class TestRepairBitIdentity:
         monkeypatch.setattr(npk, "_sp_dijkstra", None)
         monkeypatch.setattr(npk, "_sp_csr_matrix", None)
         graph = family()
-        self._assert_repairs(graph, unit=False, entry=npk._repair_resettle_vec)
+        self._assert_resettle(graph, False, npk._repair_resettle_vec)
+
+    @ACCEL_PARAMS
+    def test_public_repair_matches_the_reference(self, accel):
+        """numpy's gated public entry agrees too (above and below the gate)."""
+        mod = _accel_module(accel)
+        graph = generate_isp_topology(n=500, seed=9)
+        assert self._assert_fused(graph, False, mod) >= {REPAIRED}
+
+    @ACCEL_PARAMS
+    def test_children_index_matches_the_reference(self, accel):
+        mod = _accel_module(accel)
+        graph = generate_isp_topology(n=60, seed=4)
+        view = as_view(shared_csr(graph))
+        for source in (0, 7, 31):
+            pred = _pre_failure_row(view, source, False)[1]
+            offsets, kids = mod.children_index(pred)
+            assert (offsets, kids) == pyk.children_index(pred)
+            for v in range(len(pred)):
+                assert list(kids[offsets[v]:offsets[v + 1]]) == [
+                    c for c in range(len(pred)) if pred[c] == v
+                ]
+
+
+class TestRowTypes:
+    """Every backend hands rows out as array('d') / array('q')."""
+
+    @staticmethod
+    def _assert_row(dist, pred, n):
+        assert type(dist) is array and dist.typecode == "d" and len(dist) == n
+        assert type(pred) is array and pred.typecode == "q" and len(pred) == n
+
+    @pytest.mark.parametrize("name", ["python", "numpy", "native"])
+    def test_row_entry_points_return_flat_buffers(self, name):
+        mod = pyk if name == "python" else _accel_module(name)
+        for size in (40, 500):  # below and above numpy's single-row gate
+            graph = generate_isp_topology(n=size, seed=9)
+            view = as_view(shared_csr(graph))
+            n = view.csr.n
+            dist, pred, _ = mod.dijkstra_canonical(view, 0)
+            self._assert_row(dist, pred, n)
+            self._assert_row(*mod.dijkstra_canonical(view, 0, [5])[:2], n)
+            self._assert_row(*mod.bfs(view, 0), n)
+            self._assert_row(*mod.bfs(view, 0, 5), n)
+            rows = mod.rows_many(view, [0, 1, 2], False)
+            for row in (rows or {}).values():
+                self._assert_row(*row, n)
+            nodes = view.csr.nodes
+            failed = view.without(edges=[(nodes[pred[7]], nodes[7])])
+            outcome, new_dist, new_pred = mod.repair_resettle(
+                failed, 0, dist, pred, mod.children_index(pred), 2.0 * n, False
+            )
+            assert outcome == REPAIRED
+            self._assert_row(new_dist, new_pred, n)
+            offsets, kids = mod.children_index(pred)
+            assert type(offsets) is array and offsets.typecode == "q"
+            assert type(kids) is array and kids.typecode == "q"
+            assert len(offsets) == n + 1 and offsets[n] == len(kids)
 
 
 class TestDecomposeBitIdentity:
@@ -327,59 +418,150 @@ class TestDecomposeBitIdentity:
     @FAMILY_PARAMS
     def test_decomposition_columns_match(self, family, accel):
         graph = family()
-        entry = _decompose_entry(accel)
+        mod = _accel_module(accel)
+        entry = mod._decompose_flat_vec if accel == "numpy" else mod.decompose_flat
         rng = random.Random(23)
         for view, chain, cum in self._chains(graph, rng):
-            # Pre-warmed rows: row_for must not touch the csr counters,
-            # so the probe deltas below compare only the DP itself.
-            rows = {
-                j: pyk.dijkstra_canonical(view, chain[j])[0]
-                for j in range(len(chain))
-            }
-            row_for = rows.__getitem__
+            rows = [
+                pyk.dijkstra_canonical(view, chain[j])[0]
+                for j in range(len(chain) - 2)
+            ]
             before = COUNTERS.snapshot()
-            ref = pyk.decompose_flat(chain, cum, row_for)
+            ref = pyk.decompose_flat(chain, cum, rows)
             ref_delta = COUNTERS.delta(before)
             before = COUNTERS.snapshot()
-            acc = entry(chain, cum, row_for)
+            acc = entry(chain, cum, rows)
             acc_delta = COUNTERS.delta(before)
             assert acc == ref
             assert acc_delta == ref_delta
 
-    @requires_native
-    def test_native_fetches_rows_lazily_like_the_reference(self):
-        """Row callbacks fire for exactly the same ``j`` sequence."""
+    @ACCEL_PARAMS
+    def test_truncated_rows_are_read_as_they_stand(self, accel):
+        """Rows settled only up to the chain's later nodes suffice."""
+        mod = _accel_module(accel)
         graph = generate_isp_topology(n=40, seed=3)
-        csr = shared_csr(graph)
-        view = as_view(csr)
-        chain = tuple(range(0, min(csr.n, 12)))
-        dist0, _, _ = pyk.dijkstra_canonical(view, chain[0])
-        cum = [0.0]
-        for k in range(1, len(chain)):
-            d = pyk.dijkstra_canonical(view, chain[k - 1], [chain[k]])[0]
-            cum.append(cum[-1] + d[chain[k]])
-        rows = {
-            j: pyk.dijkstra_canonical(view, chain[j])[0]
-            for j in range(len(chain))
-        }
-        ref_calls: list[int] = []
-        ref = pyk.decompose_flat(
-            chain, cum, lambda j: (ref_calls.append(j), rows[j])[1]
-        )
-        nat_calls: list[int] = []
-        nat = natk.decompose_flat(
-            chain, cum, lambda j: (nat_calls.append(j), rows[j])[1]
-        )
-        assert nat == ref
-        assert nat_calls == ref_calls
+        view = as_view(shared_csr(graph))
+        rng = random.Random(5)
+        for _, chain, cum in self._chains(graph, rng):
+            rows = [
+                pyk.dijkstra_canonical(view, chain[j], chain[j + 1:])[0]
+                for j in range(len(chain) - 2)
+            ]
+            assert mod.decompose_flat(chain, cum, rows) == pyk.decompose_flat(
+                chain, cum, rows
+            )
 
-    @requires_native
-    def test_native_propagates_row_callback_errors(self):
-        def boom(j):
-            raise ValueError("row fetch failed")
 
-        with pytest.raises(ValueError, match="row fetch failed"):
-            natk.decompose_flat((1, 2, 3, 4), [0.0, 1.0, 2.0, 3.0], boom)
+@requires_native
+class TestNativeValidation:
+    """Malformed buffers raise ValueError before any pointer reaches C;
+    read-only shared-memory rows are accepted and never written."""
+
+    def _setup(self):
+        graph = generate_isp_topology(n=40, seed=3)
+        view = as_view(shared_csr(graph))
+        dist, pred, _ = pyk.dijkstra_canonical(view, 0)
+        nodes = view.csr.nodes
+        failed = view.without(edges=[(nodes[pred[9]], nodes[9])])
+        return view, failed, dist, pred
+
+    def test_repair_rejects_a_short_row(self):
+        _, failed, dist, pred = self._setup()
+        children = natk.children_index(pred)
+        with pytest.raises(ValueError, match="dist"):
+            natk.repair_resettle(
+                failed, 0, dist[:-1], pred, children, 100.0, False
+            )
+        with pytest.raises(ValueError, match="pred"):
+            natk.repair_resettle(
+                failed, 0, dist, array("l", pred), children, 100.0, False
+            )
+        with pytest.raises(ValueError, match="dist"):
+            natk.repair_resettle(
+                failed, 0, list(dist), pred, children, 100.0, False
+            )
+
+    def test_repair_rejects_a_bad_children_index(self):
+        _, failed, dist, pred = self._setup()
+        offsets, kids = natk.children_index(pred)
+        with pytest.raises(ValueError, match="children offsets"):
+            natk.repair_resettle(
+                failed, 0, dist, pred, (offsets[:-1], kids), 100.0, False
+            )
+        with pytest.raises(ValueError, match="children index"):
+            natk.repair_resettle(
+                failed, 0, dist, pred, (offsets, kids[:-1]), 100.0, False
+            )
+
+    def test_repair_rejects_out_of_range_dead_indices(self):
+        view, _, dist, pred = self._setup()
+        n = view.csr.n
+        children = natk.children_index(pred)
+        from repro.graph.csr import CsrView
+
+        bad_node = CsrView(view.csr, frozenset(), frozenset({n}))
+        with pytest.raises(ValueError, match="dead node"):
+            natk.repair_resettle(bad_node, 0, dist, pred, children, 1e9, False)
+        bad_slot = CsrView(view.csr, frozenset({len(view.csr.indices)}))
+        with pytest.raises(ValueError, match="dead edge slot"):
+            natk.repair_resettle(bad_slot, 0, dist, pred, children, 1e9, False)
+
+    def test_dp_rejects_a_short_row_and_an_out_of_range_chain_index(self):
+        view, _, _, _ = self._setup()
+        n = view.csr.n
+        chain = (0, 1, 2, 3)
+        cum = [0.0, 1.0, 2.0, 3.0]
+        rows = [pyk.dijkstra_canonical(view, c)[0] for c in chain[:2]]
+        assert natk.decompose_flat(chain, cum, rows) == pyk.decompose_flat(
+            chain, cum, rows
+        )
+        with pytest.raises(ValueError, match="rows"):
+            natk.decompose_flat(chain, cum, [rows[0], rows[1][:-1]])
+        with pytest.raises(ValueError, match="chain index"):
+            natk.decompose_flat((0, 1, n), cum[:3], rows[:1])
+        with pytest.raises(ValueError, match="chain index"):
+            natk.decompose_flat((0, 1, -1), cum[:3], rows[:1])
+        with pytest.raises(ValueError, match="rows"):
+            natk.decompose_flat(chain, cum, rows[:1])
+
+    def test_read_only_shared_memory_rows_are_accepted_and_never_written(self):
+        from repro.graph import shm
+
+        if not shm.shm_enabled():
+            pytest.skip("shared memory disabled")
+        view, failed, dist, pred = self._setup()
+        n = view.csr.n
+        seg = shm.publish_rows("spt", n, True, None, {0: (dist, pred)})
+        if seg is None:
+            pytest.skip("shared memory unavailable")
+        try:
+            table, attached = shm.attach_rows(seg.name)
+            try:
+                ro_dist, ro_pred = table.row(0)
+                assert ro_dist.readonly and ro_pred.readonly
+                children = natk.children_index(ro_pred)
+                got = natk.repair_resettle(
+                    failed, 0, ro_dist, ro_pred, children, 2.0 * n, False
+                )
+                want = pyk.repair_resettle(
+                    failed, 0, dist, pred, pyk.children_index(pred),
+                    2.0 * n, False,
+                )
+                assert got == want and got[0] == REPAIRED
+                assert list(ro_dist) == list(dist)
+                assert list(ro_pred) == list(pred)
+                chain = tuple(range(6))
+                cum = [float(k) for k in range(6)]
+                rows = [ro_dist] * 4
+                assert natk.decompose_flat(chain, cum, rows) == (
+                    pyk.decompose_flat(chain, cum, rows)
+                )
+                assert list(ro_dist) == list(dist)
+            finally:
+                attached.close()
+        finally:
+            seg.close()
+            seg.unlink()
 
 
 class TestSelection:
@@ -435,6 +617,6 @@ class TestSelection:
     def test_reference_backend_has_the_full_interface(self):
         for attr in (
             "NAME", "dijkstra_canonical", "bfs", "rows_many",
-            "repair_resettle", "decompose_flat",
+            "children_index", "repair_resettle", "decompose_flat",
         ):
             assert hasattr(pyk, attr)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -109,6 +110,32 @@ class TestDiff:
             new = write_bench(tmp_path / "new.json", **{key: new_value})
             assert main(["diff", str(old), str(new)]) == 2
             assert "NOT COMPARABLE" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("key,value", [
+        ("ilm_accounting", "per-link"),
+        ("ilm_max_scenarios", 50),
+        ("modes", ["link", "router"]),
+    ])
+    def test_per_pair_vs_per_link_baseline_exit_2(
+        self, tmp_path, capsys, key, value
+    ):
+        # Regression: the diff gate used to lack modes / ilm_accounting
+        # (and ilm_max_scenarios), so two copies of the committed
+        # table2 baseline differing only there diffed with exit 0.
+        baseline = (
+            Path(__file__).resolve().parents[1]
+            / "benchmarks" / "baselines" / "table2-tiny-link.json"
+        )
+        payload = json.loads(baseline.read_text())
+        assert payload[key] != value
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(payload))
+        new = tmp_path / "new.json"
+        new.write_text(json.dumps(dict(payload, **{key: value})))
+        assert main(["diff", str(old), str(old)]) == 0
+        capsys.readouterr()
+        assert main(["diff", str(old), str(new)]) == 2
+        assert f"NOT COMPARABLE: {key} differs" in capsys.readouterr().out
 
     def test_policy_header_absent_in_old_still_compares(self, tmp_path):
         # Files predating the shm_enabled/jobs header fields diff as

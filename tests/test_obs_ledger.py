@@ -16,8 +16,8 @@ from repro.obs.ledger import (
     COMPARABILITY_KEYS,
     LEDGER_SCHEMA,
     append_entry,
-    comparability_key,
     comparable_history,
+    config_mismatch,
     git_sha,
     ledger_enabled,
     ledger_path_for,
@@ -135,31 +135,35 @@ class TestComparability:
     def test_same_config_is_comparable(self):
         a = make_entry("table2", PAYLOAD)
         b = make_entry("table2", dict(PAYLOAD, wall_clock_s=99.0))
-        assert comparability_key(a) == comparability_key(b)
+        assert config_mismatch(a["config"], b["config"]) is None
         assert comparable_history([a, b], b) == [a]
 
     @pytest.mark.parametrize("field,value", [
         ("scale", "small"), ("seed", 8), ("cases", 9),
         ("modes", ["link", "router"]), ("kernel_backend", "numpy"),
         ("jobs", 4), ("shm_enabled", False),
+        ("ilm_accounting", "per-link"), ("ilm_max_scenarios", 50),
     ])
     def test_policy_change_breaks_comparability(self, field, value):
-        a = make_entry("table2", PAYLOAD)
-        b = make_entry("table2", dict(PAYLOAD, **{field: value}))
-        assert comparability_key(a) != comparability_key(b)
+        a = make_entry("table2", dict(PAYLOAD, ilm_accounting="per-pair",
+                                      ilm_max_scenarios=200))
+        b = make_entry("table2", dict(a["config"], **{field: value}))
+        assert config_mismatch(a["config"], b["config"]) == field
         assert comparable_history([a, b], b) == []
 
     def test_different_name_not_comparable(self):
         a = make_entry("table2", PAYLOAD)
         b = make_entry("table3", PAYLOAD)
-        assert comparability_key(a) != comparability_key(b)
+        assert comparable_history([a, b], b) == []
 
     def test_absent_fields_compare_as_none(self):
-        # Entries predating a comparability field stay comparable.
+        # Entries predating a comparability field stay comparable, with
+        # each other and with entries that carry it.
         a = make_entry("x", {"scale": "tiny"})
         b = make_entry("x", {"scale": "tiny"})
-        assert comparability_key(a) == comparability_key(b)
-        assert len(comparability_key(a)) == len(COMPARABILITY_KEYS)
+        c = make_entry("x", {"scale": "tiny", "ilm_max_scenarios": 200})
+        assert comparable_history([a, b, c], c) == [a, b]
+        assert "ilm_max_scenarios" in COMPARABILITY_KEYS
 
 
 class TestProvenanceStamps:
