@@ -20,7 +20,11 @@ outputs while it measures:
   vs. the forward reference DP on long concatenation chains;
 * **per-call overhead** — what one restoration case pays around the
   C work at n=4000: a search toward an adjacent target and the repair
-  of a small leaf subtree, in microseconds per call.
+  of a small leaf subtree, in microseconds per call;
+* **shortest-path counts** — ``count_paths`` over each source's
+  canonical row (Table 2's multiplicity column) vs. the dict-walk DAG
+  it replaced (tight parents gathered per node from the adjacency, then
+  a DP in distance order), on the Internet graph.
 
 Emits ``results/BENCH_kernels.json`` in the established BENCH schema
 (per-section timings, per-backend speedup ratios, the work-counter
@@ -38,6 +42,7 @@ import statistics
 import time
 
 from repro.graph.csr import as_view, shared_csr
+from repro.graph.shortest_paths import EPSILON, costs_equal
 from repro.kernels import available_backends
 from repro.kernels import python_backend as pyk
 from repro.perf import COUNTERS
@@ -307,6 +312,53 @@ def _decompose_section(results, graph, anchors, repeat):
         )
 
 
+def _dict_dag_counts(graph, csr, source, row):
+    """Shortest-path counts the dict-walk way ``ShortestPathDag`` used
+    before ``count_paths``: dict labels from the row, every node's tight
+    parents from its adjacency, then a DP in distance order."""
+    inf = float("inf")
+    dist = {csr.nodes[i]: d for i, d in enumerate(row) if d != inf}
+    src = csr.nodes[source]
+    parents = {v: [] for v in dist}
+    for v in dist:
+        if v == src:
+            continue
+        for u, w in graph.adjacency(v):
+            if u in dist and costs_equal(dist[u] + w, dist[v]):
+                parents[v].append(u)
+    memo = {src: 1}
+    for v in sorted(dist, key=dist.__getitem__):
+        if v != src:
+            memo[v] = sum(memo[u] for u in parents[v])
+    return memo
+
+
+def _count_section(results, graph, n_sources, repeat):
+    """Shortest-path counts from *n_sources* sources, rows precomputed."""
+    csr = shared_csr(graph)
+    view = as_view(csr)
+    sources = list(range(min(n_sources, csr.n)))
+    rows = {s: pyk.dijkstra_canonical(view, s)[0] for s in sources}
+
+    def run(mod):
+        return [mod.count_paths(csr, s, rows[s], EPSILON) for s in sources]
+
+    def run_dict_dag():
+        return [_dict_dag_counts(graph, csr, s, rows[s]) for s in sources]
+
+    expected = run(pyk)
+    assert [
+        {csr.nodes[i]: c for i, c in enumerate(counts) if c}
+        for counts in expected
+    ] == run_dict_dag(), "counts: python disagrees with the dict-walk DAG"
+    results["spt_counts_sources"] = len(sources)
+    results["spt_counts_dict_dag_s"] = _timed(run_dict_dag, repeat)
+    results["spt_counts_python_s"] = _timed(lambda: run(pyk), repeat)
+    if natk is not None:
+        assert run(natk) == expected, "counts: native disagrees"
+        results["spt_counts_native_s"] = _timed(lambda: run(natk), repeat)
+
+
 def main(argv=None) -> None:
     from repro.experiments.bench import write_bench_json
 
@@ -331,14 +383,16 @@ def main(argv=None) -> None:
         sizes = {"isp": 120, "internet": 300, "as": 300,
                  "repair_isp": 400, "anchors": 6,
                  "single_sources": 8, "targeted_queries": 20,
-                 "overhead_isp": 300, "overhead_calls": 40}
+                 "overhead_isp": 300, "overhead_calls": 40,
+                 "count_sources": 10}
         args.repeat = min(args.repeat, 2)
         args.sources = min(args.sources, 60)
     else:
         sizes = {"isp": 200, "internet": 4000, "as": 2000,
                  "repair_isp": 2000, "anchors": 16,
                  "single_sources": 24, "targeted_queries": 120,
-                 "overhead_isp": 4000, "overhead_calls": 400}
+                 "overhead_isp": 4000, "overhead_calls": 400,
+                 "count_sources": 40}
 
     before = COUNTERS.snapshot()
     wall_start = time.perf_counter()
@@ -350,8 +404,9 @@ def main(argv=None) -> None:
                  args.sources, args.repeat)
     _row_section(results, "rows_isp_unit", isp_u, True,
                  args.sources, args.repeat)
-    _row_section(results, "rows_internet", generate_internet_graph(
-        n=sizes["internet"], seed=args.seed), True, args.sources, args.repeat)
+    internet = generate_internet_graph(n=sizes["internet"], seed=args.seed)
+    _row_section(results, "rows_internet", internet, True,
+                 args.sources, args.repeat)
     _row_section(results, "rows_as_graph", generate_as_graph(
         n=sizes["as"], seed=args.seed), True, args.sources, args.repeat)
     repair_graph = generate_isp_topology(n=sizes["repair_isp"], seed=args.seed)
@@ -364,6 +419,7 @@ def main(argv=None) -> None:
     _overhead_section(results, generate_isp_topology(
         n=sizes["overhead_isp"], seed=args.seed), sizes["overhead_calls"],
         args.repeat)
+    _count_section(results, internet, sizes["count_sources"], args.repeat)
 
     speedups: dict[str, dict[str, float]] = {name: {} for name in BACKENDS}
     for key in sorted(results):
@@ -374,6 +430,11 @@ def main(argv=None) -> None:
                 speedups[name][stem] = round(
                     results[f"{stem}_python_s"] / max(results[key], 1e-12), 2
                 )
+    if "spt_counts_native_s" in results:
+        speedups["native"]["spt_counts_vs_dict_dag"] = round(
+            results["spt_counts_dict_dag_s"]
+            / max(results["spt_counts_native_s"], 1e-12), 2
+        )
 
     payload = {
         "name": "kernels",

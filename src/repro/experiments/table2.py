@@ -19,7 +19,7 @@ from ..core.base_paths import UniqueShortestPathsBase
 from ..core.cache import shared_unique_base
 from ..failures.sampler import FAILURE_MODES, FailureCase, sample_pairs
 from ..graph.graph import Graph
-from ..graph.spt import ShortestPathDag
+from ..graph.spt import max_shortest_path_multiplicity
 from ..obs import TRACER, activate_from_args, add_obs_arguments, bench_observability
 from ..kernels import add_kernel_argument, apply_kernel
 from ..policies import (
@@ -217,16 +217,12 @@ def evaluate_network(
 
     max_multiplicity: Optional[int] = None
     if with_multiplicity:
-        max_multiplicity = 0
         with timer.stage("multiplicity"):
-            # One DAG + one batched counting DP per distinct source
-            # (sources repeat across sampled pairs).
-            for source in dict.fromkeys(s for s, _ in pairs):
-                dag = ShortestPathDag.compute(graph, source)
-                counts = dag.count_all_paths()
-                for target, count in counts.items():
-                    if target != source:
-                        max_multiplicity = max(max_multiplicity, count)
+            # One kernel counting pass per distinct source (sources
+            # repeat across sampled pairs).
+            max_multiplicity = max_shortest_path_multiplicity(
+                graph, list(dict.fromkeys(s for s, _ in pairs))
+            )
 
     rows: dict[str, TableTwoRow] = {}
     for mode in modes:

@@ -27,8 +27,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator
+from typing import Callable, Iterator
 
+from ..graph.connectivity import connected_components
 from ..graph.graph import Graph, Node
 from ..graph.paths import Path
 from ..graph.shortest_paths import reachable_from
@@ -59,7 +60,7 @@ def sample_pairs(
         raise ValueError("need at least two nodes to sample pairs")
     pairs: list[tuple[Node, Node]] = []
     seen: set[tuple[Node, Node]] = set()
-    reachability_cache: dict[Node, set[Node]] = {}
+    connected = _connectivity_test(graph) if require_connected else None
     attempts = 0
     max_attempts = max_attempts_factor * count
     while len(pairs) < count and attempts < max_attempts:
@@ -68,17 +69,37 @@ def sample_pairs(
         if (s, t) in seen:
             continue
         seen.add((s, t))
-        if require_connected:
-            if s not in reachability_cache:
-                reachability_cache[s] = reachable_from(graph, s)
-            if t not in reachability_cache[s]:
-                continue
+        if connected is not None and not connected(s, t):
+            continue
         pairs.append((s, t))
     if len(pairs) < count:
         raise ValueError(
             f"could only sample {len(pairs)}/{count} connected pairs"
         )
     return pairs
+
+
+def _connectivity_test(graph) -> Callable[[Node, Node], bool]:
+    """``connected(s, t)``: is there an s→t path in *graph*?
+
+    Undirected graphs label their components once and compare labels;
+    directed graphs keep one reachability DFS per distinct source.
+    """
+    if not getattr(graph, "directed", False):
+        label = {
+            v: i
+            for i, component in enumerate(connected_components(graph))
+            for v in component
+        }
+        return lambda s, t: label[s] == label[t]
+    reachable: dict[Node, set[Node]] = {}
+
+    def connected(s: Node, t: Node) -> bool:
+        if s not in reachable:
+            reachable[s] = reachable_from(graph, s)
+        return t in reachable[s]
+
+    return connected
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,12 @@
 
 Every hot loop of the reproduction — canonical Dijkstra/BFS row
 building (:mod:`repro.graph.csr`), decremental SPT re-settling
-(:mod:`repro.graph.incremental`), and the flat ILM decomposition DP
-(:mod:`repro.experiments.ilm_accounting`) — dispatches through the
-backend selected here.  Three backends ship:
+(:mod:`repro.graph.incremental`), the flat decomposition DP
+(:mod:`repro.core.decomposition`,
+:mod:`repro.experiments.ilm_accounting`), and shortest-path counting
+over a canonical row's tight-edge DAG (``count_paths``, behind
+:mod:`repro.graph.spt` and Table 2's multiplicity column) — dispatches
+through the backend selected here.  Three backends ship:
 
 ``python``
     The reference implementation: the original pure-Python loops over

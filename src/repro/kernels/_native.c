@@ -16,10 +16,11 @@
  * Counters are returned through out-parameters; the Python wrapper
  * flushes them into repro.perf.COUNTERS, keeping this file free of any
  * Python API dependency (it is plain C99, linked only against libm).
- * Functions return a non-negative status on success (0, or the repair
- * outcome) and a negative one on failure (-1 allocation, -2 malformed
- * input); the wrapper raises.  Inputs are validated by the wrapper
- * before any pointer crosses: these loops trust their indices.
+ * Functions return a non-negative status on success (0, the repair
+ * outcome, or the path-count status) and a negative one on failure
+ * (-1 allocation, -2 malformed input); the wrapper raises.  Inputs are
+ * validated by the wrapper before any pointer crosses: these loops
+ * trust their indices.
  */
 
 #include <math.h>
@@ -696,4 +697,73 @@ repro_decompose(i64 n, const i64 *chain, const double *cum,
     }
     *out_probes = probes;
     return 0;
+}
+
+/* ---------------------------------------------------------------- *
+ * Shortest-path counts over the tight-edge DAG of a canonical row —
+ * the reference count_paths loop with u64 counts.  The source goes
+ * first, then every other reached node in (dist, index) order: the
+ * order the packed heap keys pop in (a heapsort needs no comparator,
+ * so concurrent calls — ctypes drops the GIL — share no state).
+ * Statuses: 0 counted, 1 a count overflowed u64 (the wrapper reruns
+ * the exact reference), 2 the tight edge *out_u -> *out_v does not
+ * lead later in the order, -1 allocation failure.  Only status 0
+ * leaves `counts` meaningful.
+ * ---------------------------------------------------------------- */
+
+enum { COUNT_DONE = 0, COUNT_OVERFLOW = 1, COUNT_BAD_ORDER = 2 };
+
+int
+repro_count_paths(const i64 *indptr, const i64 *indices,
+                  const double *weights, i64 n, i64 source,
+                  const double *dist, double eps, uint64_t *counts,
+                  i64 *out_u, i64 *out_v)
+{
+    i64 *order = (i64 *)malloc(2 * (size_t)n * sizeof(i64));
+    if (order == NULL)
+        return -1;
+    i64 *pos = order + n;
+    heap h = {NULL, 0, 0};
+    for (i64 i = 0; i < n; i++) {
+        counts[i] = 0;
+        pos[i] = -1;
+        if (i != source && !isinf(dist[i]) && heap_push(&h, dist[i], i)) {
+            free(order);
+            free(h.a);
+            return -1;
+        }
+    }
+    i64 reached = 0;
+    order[reached++] = source;
+    while (h.len)
+        order[reached++] = hidx_of(heap_pop(&h));
+    free(h.a);
+    for (i64 k = 0; k < reached; k++)
+        pos[order[k]] = k;
+    counts[source] = 1;
+    int status = COUNT_DONE;
+    for (i64 k = 0; k < reached && status == COUNT_DONE; k++) {
+        i64 u = order[k];
+        uint64_t c = counts[u];
+        double d_u = dist[u];
+        i64 stop = indptr[u + 1];
+        for (i64 slot = indptr[u]; slot < stop; slot++) {
+            i64 v = indices[slot];
+            if (v == source ||
+                !costs_equal(d_u + weights[slot], dist[v], eps))
+                continue;
+            if (pos[v] <= k) {
+                *out_u = u;
+                *out_v = v;
+                status = COUNT_BAD_ORDER;
+                break;
+            }
+            if (__builtin_add_overflow(counts[v], c, &counts[v])) {
+                status = COUNT_OVERFLOW;
+                break;
+            }
+        }
+    }
+    free(order);
+    return status;
 }

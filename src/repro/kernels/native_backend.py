@@ -50,6 +50,7 @@ from typing import Iterable, Optional, Sequence
 from ..graph.shortest_paths import EPSILON
 from ..perf import COUNTERS
 from . import REPAIRED
+from . import python_backend as _py
 
 NAME = "native"
 INF = float("inf")
@@ -209,6 +210,13 @@ _LIB.repro_decompose.restype = ctypes.c_int
 _LIB.repro_decompose.argtypes = [
     _i64, _ptr, _ptr, _ptr, ctypes.c_double, _ptr, _ptr, _i64p,
 ]
+_LIB.repro_count_paths.restype = ctypes.c_int
+_LIB.repro_count_paths.argtypes = [
+    _ptr, _ptr, _ptr, _i64, _i64, _ptr, ctypes.c_double, _ptr, _i64p, _i64p,
+]
+
+#: ``repro_count_paths`` statuses besides 0 (counted).
+_COUNT_OVERFLOW, _COUNT_BAD_ORDER = 1, 2
 
 
 def library_path() -> Path:
@@ -607,3 +615,30 @@ def decompose_flat(
         best.buffer_info()[0], choice.buffer_info()[0], ctypes.byref(probes),
     ))
     return best.tolist(), choice.tolist(), probes.value
+
+
+def count_paths(csr, source: int, dist, eps: float) -> list[int]:
+    """Shortest-path counts over the tight-edge DAG of a canonical row.
+
+    The reference loop in C with u64 counts, reading *dist* in place
+    (validated first).  A count past 2**64 - 1 makes the call rerun
+    the exact reference for this source, so results are always exact.
+    """
+    n = csr.n
+    if not 0 <= source < n:
+        raise ValueError(f"source {source} outside [0, {n})")
+    dist_addr = _row_addr(dist, "d", n, "dist")
+    indptr, indices, weights, _keep = _graph_ptrs(csr)
+    counts = array("Q", bytes(8 * n))
+    bad_u = _i64()
+    bad_v = _i64()
+    status = _LIB.repro_count_paths(
+        indptr, indices, weights, n, source, dist_addr, eps,
+        counts.buffer_info()[0], ctypes.byref(bad_u), ctypes.byref(bad_v),
+    )
+    _check(status)
+    if status == _COUNT_OVERFLOW:
+        return _py.count_paths(csr, source, dist, eps)
+    if status == _COUNT_BAD_ORDER:
+        raise _py.tight_edge_error(csr, bad_u.value, bad_v.value)
+    return counts.tolist()

@@ -439,6 +439,10 @@ def rows_many(
 #: pass per cached source row).
 children_index = _py.children_index
 
+#: Shortest-path counting is one sequential pass in DAG order with exact
+#: (unbounded) integer counts — nothing to vectorize.
+count_paths = _py.count_paths
+
 
 def repair_resettle(
     view,

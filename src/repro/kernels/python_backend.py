@@ -37,6 +37,11 @@ memoryviews of the same formats (rows adopted from shared memory).
 ``decompose_flat(chain, cum, rows) -> (best, choice, probes)``
     The min-pieces decomposition DP over prefix sums and the warmed
     oracle rows of chain positions ``0 .. len(chain) - 3``.
+``count_paths(csr, source, dist, eps) -> counts``
+    Shortest-path counts from *source* over the tight-edge DAG of its
+    canonical ``dist`` row, one exact ``int`` per node index (0 for
+    unreached nodes); ``ValueError`` when a tight edge does not lead
+    later in ``(dist, index)`` order.
 """
 
 from __future__ import annotations
@@ -350,3 +355,52 @@ def decompose_flat(
         best[i] = bi
         choice[i] = cj
     return best, choice, probes
+
+
+def tight_edge_error(csr, u: int, v: int) -> ValueError:
+    """The error for a tight edge ``u -> v`` that does not lead later in
+    ``(dist, index)`` order (a zero-weight tie or a corrupt row)."""
+    return ValueError(
+        f"tight edge ({csr.nodes[u]!r}, {csr.nodes[v]!r}) does not lead "
+        "later in (dist, index) order: shortest paths are not a DAG here "
+        "(zero-weight edge?)"
+    )
+
+
+def count_paths(csr, source: int, dist, eps: float) -> list[int]:
+    """Shortest-path counts over the tight-edge DAG of a canonical row.
+
+    Visits the source, then every other reached node in ``(dist,
+    index)`` order; each node adds its count to every out-edge target
+    ``v`` with ``costs_equal(dist[u] + w, dist[v])`` (tolerance *eps*),
+    never into the source.  Python ints keep the counts exact at any
+    size.  A tight edge into a node not later in the order (possible
+    only through zero-weight ties) raises ``ValueError`` naming it.
+    """
+    indptr, indices, weights = csr.indptr, csr.indices, csr.weights
+    n = csr.n
+    order = [source]
+    order += sorted(
+        (i for i in range(n) if i != source and dist[i] != INF),
+        key=dist.__getitem__,
+    )
+    pos = [-1] * n
+    for k, v in enumerate(order):
+        pos[v] = k
+    counts = [0] * n
+    counts[source] = 1
+    for k, u in enumerate(order):
+        c = counts[u]
+        d_u = dist[u]
+        for slot in range(indptr[u], indptr[u + 1]):
+            v = indices[slot]
+            if v == source:
+                continue
+            a = d_u + weights[slot]
+            b = dist[v]
+            if not abs(a - b) <= eps * max(1.0, abs(a), abs(b)):
+                continue
+            if pos[v] <= k:
+                raise tight_edge_error(csr, u, v)
+            counts[v] += c
+    return counts

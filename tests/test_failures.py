@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.failures.generators import (
@@ -19,8 +21,10 @@ from repro.failures.sampler import (
     router_failure_cases,
     sample_pairs,
 )
-from repro.graph.graph import Graph
+from repro.graph.graph import DiGraph, Graph
 from repro.graph.paths import Path
+from repro.graph.shortest_paths import reachable_from
+from repro.topology import generate_isp_topology
 
 
 class TestScenario:
@@ -144,6 +148,79 @@ class TestSamplePairs:
         g.add_node(1)
         with pytest.raises(ValueError):
             sample_pairs(g, 1)
+
+
+def _per_source_dfs_pairs(graph, count, seed, max_attempts_factor=200):
+    """The sampler as it was before component labels: one reachability
+    DFS per sampled source (the oracle for the labelled version)."""
+    rng = random.Random(seed)
+    nodes = sorted(graph.nodes, key=repr)
+    pairs, seen, reachable = [], set(), {}
+    attempts = 0
+    while len(pairs) < count and attempts < max_attempts_factor * count:
+        attempts += 1
+        s, t = rng.sample(nodes, 2)
+        if (s, t) in seen:
+            continue
+        seen.add((s, t))
+        if s not in reachable:
+            reachable[s] = reachable_from(graph, s)
+        if t in reachable[s]:
+            pairs.append((s, t))
+    return pairs
+
+
+def _islands(seed):
+    """Three ISP islands of different sizes plus isolated nodes."""
+    g = Graph()
+    for k, n in enumerate((30, 12, 5)):
+        island = generate_isp_topology(n=max(n, 10), seed=seed + k)
+        for u, v, w in island.weighted_edges():
+            g.add_edge((k, u), (k, v), weight=w)
+    for i in range(4):
+        g.add_node(("lone", i))
+    return g
+
+
+def _random_digraph(seed, n=25, arcs=45):
+    rng = random.Random(seed)
+    g = DiGraph()
+    for v in range(n):
+        g.add_node(v)
+    for _ in range(arcs):
+        u, v = rng.sample(range(n), 2)
+        g.add_edge(u, v)
+    return g
+
+
+class TestSamplePairsMatchesPerSourceDfs:
+    """Component labels pick exactly the pairs the per-source DFS did."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_multi_component_graphs(self, seed):
+        g = _islands(seed)
+        for count in (5, 40, 150):
+            want = _per_source_dfs_pairs(g, count, seed)
+            assert len(want) == count
+            assert sample_pairs(g, count, seed=seed) == want
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_digraph_keeps_directed_reachability(self, seed):
+        g = _random_digraph(seed)
+        for count in (5, 30):
+            want = _per_source_dfs_pairs(g, count, seed)
+            if len(want) < count:
+                with pytest.raises(ValueError):
+                    sample_pairs(g, count, seed=seed)
+            else:
+                assert sample_pairs(g, count, seed=seed) == want
+
+    def test_digraph_pairs_are_one_way_when_the_arcs_are(self):
+        g = DiGraph()
+        g.add_edge(1, 2)
+        g.add_edge(2, 3)
+        pairs = sample_pairs(g, 3, seed=1)
+        assert sorted(pairs) == [(1, 2), (1, 3), (2, 3)]
 
 
 class TestCaseGeneration:

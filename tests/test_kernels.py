@@ -15,9 +15,11 @@ The numpy vectorized stages are called directly
 — which route small inputs to the reference loops — cannot hide a
 divergence; the native backend has no gates, so its public entry
 points are exercised at every input size: the fused repair through all
-four outcomes, and the decomposition DP over row buffers it reads in
+four outcomes, the decomposition DP over row buffers it reads in
 place (validated first — a malformed buffer raises ``ValueError``
-instead of reaching C).
+instead of reaching C), and shortest-path counting from every source,
+including counts past u64 (rerun exactly by the reference) and the
+zero-weight tie every backend rejects.
 
 Tie-heavy graphs matter most here: on unit-weight topologies (grid,
 cycle, comb) nearly every node has several tight parents, so any
@@ -35,6 +37,9 @@ from array import array
 import pytest
 
 from repro.graph.csr import as_view, shared_csr
+from repro.graph.graph import Graph
+from repro.graph.shortest_paths import EPSILON
+from repro.graph.spt import ShortestPathDag
 from repro.kernels import (
     KERNEL_CHOICES,
     OVER_THRESHOLD,
@@ -452,6 +457,82 @@ class TestDecomposeBitIdentity:
             )
 
 
+def _diamond_chain(k):
+    """*k* diamonds in series: 2**k shortest paths from 0 to the last
+    node, which is returned with the graph."""
+    graph = Graph()
+    for i in range(k):
+        a, b, c, d = 3 * i, 3 * i + 1, 3 * i + 2, 3 * i + 3
+        graph.add_edge(a, b)
+        graph.add_edge(a, c)
+        graph.add_edge(b, d)
+        graph.add_edge(c, d)
+    return graph, 3 * k
+
+
+def _zero_weight_tie():
+    """``a-b (1), b-c (0), a-c (1)``: b and c are tight parents of each
+    other, so the tight edges from a form no DAG."""
+    return Graph.from_edges([("a", "b", 1), ("b", "c", 0), ("a", "c", 1)])
+
+
+class TestCountPaths:
+    """``count_paths``: every backend equals the reference, exactly."""
+
+    @ACCEL_PARAMS
+    @FAMILY_PARAMS
+    def test_counts_match_for_every_source(self, family, accel):
+        mod = _accel_module(accel)
+        csr = shared_csr(family())
+        view = as_view(csr)
+        for s in range(csr.n):
+            dist = pyk.dijkstra_canonical(view, s)[0]
+            before = COUNTERS.snapshot()
+            ref = pyk.count_paths(csr, s, dist, EPSILON)
+            got = mod.count_paths(csr, s, dist, EPSILON)
+            assert not any(COUNTERS.delta(before).as_dict().values())
+            assert got == ref
+            assert ref[s] == 1
+            # 0 marks exactly the unreached nodes.
+            assert [c > 0 for c in ref] == [d != float("inf") for d in dist]
+
+    @pytest.mark.parametrize("k", [63, 64, 70])
+    def test_counts_past_u64_stay_exact(self, k):
+        """2**63 fits a u64 count; 2**64 and 2**70 overflow it, and the
+        native backend reruns the exact reference."""
+        graph, end = _diamond_chain(k)
+        csr = shared_csr(graph)
+        dist = pyk.dijkstra_canonical(as_view(csr), 0)[0]
+        want = 2 ** k
+        assert pyk.count_paths(csr, 0, dist, EPSILON)[csr.index[end]] == want
+        if not native_missing:
+            got = natk.count_paths(csr, 0, dist, EPSILON)
+            assert got[csr.index[end]] == want
+            assert got == pyk.count_paths(csr, 0, dist, EPSILON)
+
+    @pytest.mark.parametrize("name", ["python", "numpy", "native"])
+    def test_zero_weight_tie_raises_value_error_naming_the_edge(self, name):
+        mod = pyk if name == "python" else _accel_module(name)
+        csr = shared_csr(_zero_weight_tie())
+        source = csr.index["a"]
+        dist = pyk.dijkstra_canonical(as_view(csr), source)[0]
+        with pytest.raises(ValueError, match=r"tight edge \('c', 'b'\)"):
+            mod.count_paths(csr, source, dist, EPSILON)
+
+    def test_modulo_reduces_the_exact_counts(self):
+        graph, end = _diamond_chain(70)
+        dag = ShortestPathDag.compute(graph, 0)
+        exact = dag.count_all_paths()
+        assert exact[end] == 2 ** 70
+        for modulo in (2, 7, 1000003):
+            reduced = dag.count_all_paths(modulo=modulo)
+            assert reduced[0] == 1  # the source's own count is not reduced
+            assert reduced == {
+                v: c if v == 0 else c % modulo for v, c in exact.items()
+            }
+            assert dag.count_paths_to(end, modulo=modulo) == 2 ** 70 % modulo
+
+
 @requires_native
 class TestNativeValidation:
     """Malformed buffers raise ValueError before any pointer reaches C;
@@ -523,6 +604,21 @@ class TestNativeValidation:
             natk.decompose_flat((0, 1, -1), cum[:3], rows[:1])
         with pytest.raises(ValueError, match="rows"):
             natk.decompose_flat(chain, cum, rows[:1])
+
+    def test_count_paths_rejects_a_short_or_mistyped_row(self):
+        view, _, dist, _ = self._setup()
+        csr = view.csr
+        assert natk.count_paths(csr, 0, dist, EPSILON) == pyk.count_paths(
+            csr, 0, dist, EPSILON
+        )
+        with pytest.raises(ValueError, match="dist"):
+            natk.count_paths(csr, 0, dist[:-1], EPSILON)
+        with pytest.raises(ValueError, match="dist"):
+            natk.count_paths(csr, 0, list(dist), EPSILON)
+        with pytest.raises(ValueError, match="dist"):
+            natk.count_paths(csr, 0, array("f", dist), EPSILON)
+        with pytest.raises(ValueError, match="source"):
+            natk.count_paths(csr, csr.n, dist, EPSILON)
 
     def test_read_only_shared_memory_rows_are_accepted_and_never_written(self):
         from repro.graph import shm
@@ -618,5 +714,6 @@ class TestSelection:
         for attr in (
             "NAME", "dijkstra_canonical", "bfs", "rows_many",
             "children_index", "repair_resettle", "decompose_flat",
+            "count_paths",
         ):
             assert hasattr(pyk, attr)

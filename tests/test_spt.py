@@ -130,3 +130,128 @@ def test_every_enumerated_path_is_shortest(g):
         for path in dag.iter_paths_to(target, limit=10):
             assert path.cost(g) == best
             assert path.is_simple()
+
+
+class TestDirected:
+    """Tight predecessors on a DiGraph are in-neighbors, not out-neighbors."""
+
+    @pytest.fixture
+    def directed_diamond(self):
+        from repro.graph.graph import DiGraph
+
+        g = DiGraph()
+        for u, v in [(1, 2), (2, 3), (1, 4), (4, 3)]:
+            g.add_edge(u, v)
+        return g
+
+    def test_counts_parents_and_enumeration(self, directed_diamond):
+        dag = ShortestPathDag.compute(directed_diamond, 1)
+        assert dag.count_all_paths()[3] == 2
+        assert dag.parents(3) == [2, 4]
+        paths = all_shortest_paths(directed_diamond, 1, 3)
+        assert sorted(p.nodes for p in paths) == [(1, 2, 3), (1, 4, 3)]
+
+    def test_a_view_of_a_digraph_takes_the_dict_path(self, directed_diamond):
+        view = directed_diamond.without(edges=[(2, 3)])
+        dag = ShortestPathDag.compute(view, 1)
+        assert dag.count_all_paths() == {1: 1, 2: 1, 3: 1, 4: 1}
+        assert dag.parents(3) == [4]
+        assert dag.first_path_to(3).nodes == (1, 4, 3)
+
+
+@st.composite
+def random_digraphs(draw):
+    from repro.graph.graph import DiGraph
+
+    n = draw(st.integers(2, 9))
+    g = DiGraph()
+    for v in range(n):
+        g.add_node(v)
+    arcs = draw(
+        st.lists(
+            st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(1, 3)),
+            max_size=30,
+        )
+    )
+    for u, v, w in arcs:
+        if u < n and v < n and u != v:
+            g.add_edge(u, v, weight=float(w))
+    return g
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_digraphs())
+def test_directed_dag_matches_networkx(g):
+    gx = nx.DiGraph()
+    gx.add_nodes_from(g.nodes)
+    for u, v in g.edges():
+        gx.add_edge(u, v, weight=g.weight(u, v))
+    dag = ShortestPathDag.compute(g, 0)
+    reachable = set(nx.descendants(gx, 0)) | {0}
+    assert set(dag.count_all_paths()) == reachable == set(dag.dist)
+    for target in g.nodes:
+        if target not in reachable:
+            assert not dag.reaches(target)
+            with pytest.raises(NoPath):
+                dag.count_paths_to(target)
+            continue
+        expected = sorted(
+            tuple(p) for p in nx.all_shortest_paths(gx, 0, target, weight="weight")
+        )
+        assert dag.count_paths_to(target) == len(expected)
+        assert sorted(p.nodes for p in dag.iter_paths_to(target)) == expected
+        assert all(dag.contains_path(Path(list(p))) for p in expected)
+
+
+class TestLazyView:
+    """The flat-row DAG builds its dict views on demand, in the order
+    the eager dict DAG used."""
+
+    def test_dist_order_and_first_path_match_the_eager_construction(self):
+        from repro.graph.shortest_paths import costs_equal, dijkstra
+        from repro.topology import generate_isp_topology
+
+        g = generate_isp_topology(n=40, seed=3)
+        for source in list(g.nodes)[:8]:
+            dag = ShortestPathDag.compute(g, source)
+            dist, _ = dijkstra(g, source)
+            # Node (interning) order, restricted to reached nodes.
+            assert list(dag.dist) == [v for v in g.nodes if v in dist]
+            for target in dag.dist:
+                nodes, node = [target], target
+                while node != source:
+                    node = next(
+                        u for u, w in g.adjacency(node)
+                        if costs_equal(dist[u] + w, dist[node])
+                    )
+                    nodes.append(node)
+                assert dag.first_path_to(target).nodes == tuple(reversed(nodes))
+
+    def test_counts_are_memoized(self, monkeypatch):
+        from repro import kernels
+
+        g = Graph.from_edges([(1, 2), (2, 4), (1, 3), (3, 4)])
+        dag = ShortestPathDag.compute(g, 1)
+        backend = kernels.kernel_backend()
+        calls = []
+        real = backend.count_paths
+        monkeypatch.setattr(
+            backend, "count_paths", lambda *a: calls.append(a) or real(*a)
+        )
+        assert [dag.count_paths_to(t) for t in (1, 2, 3, 4)] == [1, 1, 1, 2]
+        assert dag.count_all_paths() == {1: 1, 2: 1, 3: 1, 4: 2}
+        assert len(calls) == 1
+
+    def test_zero_weight_tie_raises_value_error(self):
+        g = Graph.from_edges([("a", "b", 1), ("b", "c", 0), ("a", "c", 1)])
+        with pytest.raises(ValueError, match="tight edge"):
+            ShortestPathDag.compute(g, "a").count_all_paths()
+        with pytest.raises(ValueError, match="tight edge"):
+            ShortestPathDag.compute(g.without(), "a").count_all_paths()
+
+    def test_a_view_matches_its_graph(self, diamond):
+        flat = ShortestPathDag.compute(diamond, 1)
+        view = ShortestPathDag.compute(diamond.without(), 1)
+        assert view.count_all_paths() == flat.count_all_paths()
+        assert view.dist == flat.dist
+        assert all(view.parents(v) == flat.parents(v) for v in diamond.nodes)
