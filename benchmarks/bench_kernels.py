@@ -1,4 +1,4 @@
-"""Kernel backend benchmarks: numpy and native vs. the reference loops.
+"""Kernel backend benchmarks: native vs. the reference loops.
 
 Times the dispatch points of :mod:`repro.kernels` head to head on the
 experiment suite's own topology generators, asserting bit-identical
@@ -9,10 +9,9 @@ outputs while it measures:
   frontier BFS on unit graphs), on the ISP, Internet, and AS families;
 * **single-source full rows** — one exhaustive ``dijkstra_canonical``
   call at a time, the shape ``SptCache`` misses and oracle promotions
-  pay for (numpy's ``SINGLE_MIN_N`` gate applies; native has none);
+  pay for;
 * **targeted early-exit searches** — ``dijkstra_canonical`` with a
-  small target set, the ``fast_shortest_path`` probe shape numpy hands
-  back to the reference loop by design;
+  small target set, the ``fast_shortest_path`` probe shape;
 * **SPT repair** — the fused ``repair_resettle`` (subtree discovery,
   fallback threshold, Ramalingam–Reps re-settle) vs. the reference,
   on hub failures with large affected subtrees;
@@ -27,11 +26,12 @@ outputs while it measures:
   a DP in distance order), on the Internet graph.
 
 Emits ``results/BENCH_kernels.json`` in the established BENCH schema
-(per-section timings, per-backend speedup ratios, the work-counter
-delta).  ``--smoke`` shrinks sizes and repeats to a CI-friendly run
-that still asserts every equivalence.  Backends that cannot load are
-skipped with a note in the payload (``backends_skipped``) — a fresh
-clone without numpy or a C toolchain must pass every CLI.
+(per-section timings, native-vs-python speedup ratios, the
+work-counter delta).  ``--smoke`` shrinks sizes and repeats to a
+CI-friendly run that still asserts every equivalence.  Without a C
+toolchain the native sections are skipped with a note in the payload
+(``backends_skipped``) — a fresh clone without a compiler must pass
+every CLI.
 """
 
 from __future__ import annotations
@@ -52,22 +52,11 @@ from repro.topology import (
     generate_isp_topology,
 )
 
-#: Accelerated backends measured this run, and why any were skipped.
-BACKENDS: dict = {}
+#: Why the native backend was skipped, if it was.
 SKIPPED: dict[str, str] = {}
 
 try:
-    from repro.kernels import numpy_backend as npk
-
-    BACKENDS["numpy"] = npk
-except ImportError:  # pragma: no cover - exercised on clones without numpy
-    npk = None
-    SKIPPED["numpy"] = "numpy not importable ([accel] extra)"
-
-try:
     from repro.kernels import native_backend as natk
-
-    BACKENDS["native"] = natk
 except ImportError as exc:  # pragma: no cover - exercised without a toolchain
     natk = None
     SKIPPED["native"] = str(exc).splitlines()[0][:200]
@@ -102,11 +91,12 @@ def _row_section(results, label, graph, unit, n_sources, repeat):
     results[f"{label}_python_s"] = _timed(
         lambda: _reference_rows(view, sources, unit), repeat
     )
-    for name, mod in BACKENDS.items():
-        got = mod.rows_many(view, sources, unit)
-        assert got == expected, f"{label}: {name} disagrees"
-        results[f"{label}_{name}_s"] = _timed(
-            lambda mod=mod: mod.rows_many(view, sources, unit), repeat
+    if natk is not None:
+        assert natk.rows_many(view, sources, unit) == expected, (
+            f"{label}: native disagrees"
+        )
+        results[f"{label}_native_s"] = _timed(
+            lambda: natk.rows_many(view, sources, unit), repeat
         )
 
 
@@ -120,11 +110,9 @@ def _single_source_section(results, label, graph, n_sources, repeat):
         return [mod.dijkstra_canonical(view, s) for s in sources]
 
     results[f"{label}_python_s"] = _timed(lambda: run(pyk), repeat)
-    for name, mod in BACKENDS.items():
-        assert run(mod) == expected, f"{label}: {name} disagrees"
-        results[f"{label}_{name}_s"] = _timed(
-            lambda mod=mod: run(mod), repeat
-        )
+    if natk is not None:
+        assert run(natk) == expected, f"{label}: native disagrees"
+        results[f"{label}_native_s"] = _timed(lambda: run(natk), repeat)
 
 
 def _targeted_section(results, label, graph, n_queries, repeat):
@@ -145,11 +133,9 @@ def _targeted_section(results, label, graph, n_queries, repeat):
         ]
 
     results[f"{label}_python_s"] = _timed(lambda: run(pyk), repeat)
-    for name, mod in BACKENDS.items():
-        assert run(mod) == expected, f"{label}: {name} disagrees"
-        results[f"{label}_{name}_s"] = _timed(
-            lambda mod=mod: run(mod), repeat
-        )
+    if natk is not None:
+        assert run(natk) == expected, f"{label}: native disagrees"
+        results[f"{label}_native_s"] = _timed(lambda: run(natk), repeat)
 
 
 def _subtree_walker(children):
@@ -190,9 +176,9 @@ def _repair_section(results, graph, repeat):
 
     ref = run(pyk)
     results["repair_python_s"] = _timed(lambda: run(pyk), repeat)
-    for name, mod in BACKENDS.items():
-        assert run(mod) == ref, f"repair: {name} disagrees"
-        results[f"repair_{name}_s"] = _timed(lambda mod=mod: run(mod), repeat)
+    if natk is not None:
+        assert run(natk) == ref, "repair: native disagrees"
+        results["repair_native_s"] = _timed(lambda: run(natk), repeat)
 
 
 def _overhead_section(results, graph, calls, repeat):
@@ -250,25 +236,19 @@ def _overhead_section(results, graph, calls, repeat):
     results["overhead_repair_python_s"] = (
         _timed(lambda: repair(pyk), repeat) / len(cuts)
     )
-    for name, mod in BACKENDS.items():
-        assert outputs(mod) == expected, f"overhead: {name} disagrees"
-        results[f"overhead_search_{name}_s"] = (
-            _timed(lambda mod=mod: search(mod), repeat) / len(searches)
+    if natk is not None:
+        assert outputs(natk) == expected, "overhead: native disagrees"
+        results["overhead_search_native_s"] = (
+            _timed(lambda: search(natk), repeat) / len(searches)
         )
-        results[f"overhead_repair_{name}_s"] = (
-            _timed(lambda mod=mod: repair(mod), repeat) / len(cuts)
+        results["overhead_repair_native_s"] = (
+            _timed(lambda: repair(natk), repeat) / len(cuts)
         )
-
-
-def _decompose_entry(name, mod):
-    return mod._decompose_flat_vec if name == "numpy" else mod.decompose_flat
 
 
 def _decompose_section(results, graph, anchors, repeat):
     """A concatenation of shortest paths — the chain shape per-link ILM
-    accounting actually decomposes (few pieces, long spans); a random
-    walk would be adversarial instead (one piece per hop, so the matrix
-    DP's min-plus fixpoint needs ~len(chain) rounds)."""
+    accounting actually decomposes (few pieces, long spans)."""
     csr = shared_csr(graph)
     view = as_view(csr)
     indptr, indices, weights = csr.indptr, csr.indices, csr.weights
@@ -304,11 +284,12 @@ def _decompose_section(results, graph, anchors, repeat):
     results["decompose_python_s"] = _timed(
         lambda: pyk.decompose_flat(chain, cum, rows), repeat
     )
-    for name, mod in BACKENDS.items():
-        entry = _decompose_entry(name, mod)
-        assert entry(chain, cum, rows) == ref, f"decompose: {name} disagrees"
-        results[f"decompose_{name}_s"] = _timed(
-            lambda entry=entry: entry(chain, cum, rows), repeat
+    if natk is not None:
+        assert natk.decompose_flat(chain, cum, rows) == ref, (
+            "decompose: native disagrees"
+        )
+        results["decompose_native_s"] = _timed(
+            lambda: natk.decompose_flat(chain, cum, rows), repeat
         )
 
 
@@ -370,7 +351,7 @@ def main(argv=None) -> None:
     parser.add_argument(
         "--smoke", action="store_true",
         help="CI smoke mode: tiny graphs, fewer repeats; every "
-             "backend-vs-python equivalence assertion still runs",
+             "native-vs-python equivalence assertion still runs",
     )
     parser.add_argument(
         "--bench-json", type=str, default=None,
@@ -421,16 +402,19 @@ def main(argv=None) -> None:
         args.repeat)
     _count_section(results, internet, sizes["count_sources"], args.repeat)
 
-    speedups: dict[str, dict[str, float]] = {name: {} for name in BACKENDS}
-    for key in sorted(results):
-        for name in BACKENDS:
-            suffix = f"_{name}_s"
-            if key.endswith(suffix):
-                stem = key[: -len(suffix)]
-                speedups[name][stem] = round(
-                    results[f"{stem}_python_s"] / max(results[key], 1e-12), 2
-                )
-    if "spt_counts_native_s" in results:
+    speedups: dict[str, dict[str, float]] = {}
+    if natk is not None:
+        stems = [
+            key[: -len("_native_s")] for key in sorted(results)
+            if key.endswith("_native_s")
+        ]
+        speedups["native"] = {
+            stem: round(
+                results[f"{stem}_python_s"]
+                / max(results[f"{stem}_native_s"], 1e-12), 2
+            )
+            for stem in stems
+        }
         speedups["native"]["spt_counts_vs_dict_dag"] = round(
             results["spt_counts_dict_dag_s"]
             / max(results["spt_counts_native_s"], 1e-12), 2

@@ -229,9 +229,9 @@ class LazyDistanceOracle:
         """Batch-build full rows for every source with no cached row yet.
 
         Hands the whole batch to the active kernel backend's
-        ``rows_many`` — one vectorized multi-source settle under numpy;
-        a no-op under the reference backend (``None`` return), where
-        rows keep materializing lazily through :meth:`_ensure`.  Either
+        ``rows_many`` — batched C calls under native; a no-op under
+        the reference backend (``None`` return), where rows keep
+        materializing lazily through :meth:`_ensure`.  Either
         way the rows, their flavors, and the oracle counters end up
         identical: only sources with *no* row are batched (truncated
         rows still promote through :meth:`_ensure`, preserving

@@ -22,15 +22,11 @@ Path contract (pinned by ``tests/test_csr.py`` and
   what licenses decremental repair (:mod:`repro.graph.incremental`)
   and weighted repaired rows — the restorable-tiebreaking property of
   Bodwin–Parter (arXiv:2102.10174).
-* :func:`dijkstra_csr` and :func:`bfs_csr` route to the canonical
-  order by default.  With ``legacy=True`` they instead **emulate** the
-  classic dict kernels (:func:`repro.graph.shortest_paths.dijkstra` /
-  ``bfs_shortest_paths``) operation-for-operation — heap-history tie
-  behaviour included — as an audit mode for the equivalence suites:
-  it proves the refactor changed the tie contract deliberately, not
-  accidentally.  Canonical BFS processes each frontier in index order,
-  so its predecessor of ``v`` is the least-index neighbor one level
-  up — exactly what canonical Dijkstra produces on unit weights.
+* :func:`dijkstra_csr` is a thin façade over it, and :func:`bfs_csr`
+  is its unit-weight twin: canonical BFS processes each frontier in
+  index order, so its predecessor of ``v`` is the least-index neighbor
+  one level up — exactly what canonical Dijkstra produces on unit
+  weights.
 
 Kernels report to ``COUNTERS.csr_relaxations`` / ``csr_settled`` rather
 than the ``dijkstra_*`` counters, so ``repro.obs diff`` shows work
@@ -48,7 +44,6 @@ from ..exceptions import NodeNotFound
 from ..kernels import kernel_backend
 from ..perf import COUNTERS
 from .graph import Edge, Node
-from .heap import AddressableHeap
 
 INF = float("inf")
 
@@ -60,9 +55,10 @@ class CsrGraph:
     graph's ``nodes`` iteration order, which also fixes tie-breaking);
     slots ``indptr[i]:indptr[i+1]`` of ``indices`` / ``weights`` hold
     ``i``'s neighbors in adjacency order.  The buffers are
-    :class:`array.array` instances (exposable as memoryviews) so a
-    future shared-memory or C-accelerated kernel can adopt them
-    unchanged.
+    :class:`array.array` instances (exposable as memoryviews), which
+    shared-memory publication and the native kernels adopt unchanged;
+    ``native_state`` caches the native backend's addresses of them, as
+    :attr:`CsrView.native_state` does for a view's masks.
     """
 
     __slots__ = (
@@ -76,13 +72,13 @@ class CsrGraph:
         "source_version",
         "keepalive",
         "_zero_masks",
-        "np_cache",
+        "native_state",
     )
 
     def __init__(self, graph) -> None:
         self.keepalive = None
         self._zero_masks = None
-        self.np_cache = None
+        self.native_state = None
         self.directed = bool(getattr(graph, "directed", False))
         self.source_version = getattr(graph, "version", None)
         nodes = list(graph.nodes)
@@ -135,7 +131,7 @@ class CsrGraph:
         self.source_version = source_version
         self.keepalive = keepalive
         self._zero_masks = None
-        self.np_cache = None
+        self.native_state = None
         return self
 
     def zero_masks(self) -> tuple[bytearray, bytearray]:
@@ -214,13 +210,13 @@ class CsrView:
     The dead sets are canonical (hashable, cheap to union/stack); the
     kernels probe their flat bytearray projection (:meth:`masks`)
     instead — an index costs what an empty-frozenset probe used to and
-    skips hashing whenever failures are present, and the same buffers
-    cast zero-copy into ndarrays for the vectorized backend.
+    skips hashing whenever failures are present, and the native kernels
+    read the same buffers through pointers cached in ``native_state``.
     """
 
     __slots__ = (
         "csr", "dead_edges", "dead_nodes", "_edge_mask", "_node_mask",
-        "np_state", "native_state",
+        "native_state",
     )
 
     def __init__(
@@ -234,7 +230,6 @@ class CsrView:
         self.dead_nodes = dead_nodes
         self._edge_mask: Optional[bytearray] = None
         self._node_mask: Optional[bytearray] = None
-        self.np_state = None
         self.native_state = None
 
     def masks(self) -> tuple[bytearray, bytearray]:
@@ -337,59 +332,21 @@ def _require_alive(view: CsrView, src: int) -> None:
 
 
 def dijkstra_csr(
-    view: CsrView, source: int, target: int = -1, legacy: bool = False
-) -> tuple:
-    """Dijkstra on CSR buffers — canonical tie order by default.
+    view: CsrView, source: int, target: int = -1
+) -> tuple[array, array]:
+    """Dijkstra on CSR buffers in the canonical tie order.
 
     Returns ``(dist, pred)`` rows indexed by node index (``inf`` /
-    ``-1`` for unreached): ``array('d')`` / ``array('q')`` from the
-    canonical kernel, plain lists in the legacy audit mode.  With
+    ``-1`` for unreached) as ``array('d')`` / ``array('q')``.  With
     ``target >= 0`` stops as soon as the target settles; the settled
     prefix (and hence the source→target predecessor chain) is identical
-    to an exhaustive run's.
-
-    By default this is a thin façade over
+    to an exhaustive run's.  A thin façade over
     :func:`dijkstra_csr_canonical` — one kernel, one tie order, across
-    the whole library.  ``legacy=True`` switches to the classic-heap
-    **audit mode**: it drives the same :class:`AddressableHeap`
-    relaxation sequence as :func:`repro.graph.shortest_paths.dijkstra`
-    (priorities and operation order are identical), so settle order
-    and predecessor assignments match the dict implementation exactly,
-    ties included.  Production code never passes ``legacy=True``; the
-    equivalence suites do, to pin the historical contract.
+    the whole library.
     """
-    if not legacy:
-        dist, pred, _ = dijkstra_csr_canonical(
-            view, source, targets=None if target < 0 else (target,)
-        )
-        return dist, pred
-    csr = view.csr
-    _require_alive(view, source)
-    indptr, indices, weights = csr.indptr, csr.indices, csr.weights
-    edge_dead, node_dead = view.masks()
-    dist = [INF] * csr.n
-    pred = [-1] * csr.n
-    settled = 0
-    heap: AddressableHeap[int] = AddressableHeap()
-    heap.push(source, 0.0)
-    relaxations = 0
-    while heap:
-        u, d_u = heap.pop()
-        dist[u] = d_u  # type: ignore[assignment]
-        settled += 1
-        if u == target:
-            break
-        for slot in range(indptr[u], indptr[u + 1]):
-            v = indices[slot]
-            if node_dead[v] or edge_dead[slot]:
-                continue
-            relaxations += 1
-            if dist[v] != INF:
-                continue
-            if heap.push_or_decrease(v, d_u + weights[slot]):
-                pred[v] = u
-    COUNTERS.csr_relaxations += relaxations
-    COUNTERS.csr_settled += settled
+    dist, pred, _ = dijkstra_csr_canonical(
+        view, source, targets=None if target < 0 else (target,)
+    )
     return dist, pred
 
 
@@ -405,9 +362,7 @@ def dijkstra_csr_canonical(
     predecessor of ``v`` is the tight parent minimizing
     ``(dist[parent], parent index)`` — a *local* property of the final
     distance labels, which is what makes this tree repairable by
-    :mod:`repro.graph.incremental` without heap-history replay.  On
-    tie-free graphs it is bit-identical to the classic audit mode
-    (``dijkstra_csr(..., legacy=True)``).
+    :mod:`repro.graph.incremental` without heap-history replay.
 
     With *targets*, stops once every live target is settled; returns
     ``(dist, pred, exhausted)`` where *exhausted* mirrors
@@ -424,67 +379,23 @@ def dijkstra_csr_canonical(
 
 
 def bfs_csr(
-    view: CsrView, source: int, target: int = -1, legacy: bool = False
-) -> tuple:
+    view: CsrView, source: int, target: int = -1
+) -> tuple[array, array]:
     """BFS on CSR buffers (unweighted shortest paths), canonical order.
 
-    By default each frontier is processed in **index order**, so the
-    predecessor of ``v`` is the least-index neighbor one level up —
-    exactly the tree :func:`dijkstra_csr_canonical` produces on unit
-    weights, and the tree decremental repair maintains with
-    ``unit=True``.  Early return the moment *target* is discovered
-    (the predecessor chain back to the source is already final: every
-    earlier level was fully assigned, and within the current level
-    parents are scanned in index order, so the first discoverer is the
-    canonical one).
-
-    ``legacy=True`` emulates
-    :func:`repro.graph.shortest_paths.bfs_shortest_paths` instead —
-    discovery-ordered frontier, predecessor = first discoverer in
-    adjacency order — the audit mode the equivalence suite pins.
-    Distances are floats for interchangeability with the Dijkstra
-    kernels.  The canonical mode dispatches to the active kernel
-    backend (:mod:`repro.kernels`); the audit mode is reference-only
-    and stays pinned to this loop.
+    Each frontier is processed in **index order**, so the predecessor
+    of ``v`` is the least-index neighbor one level up — exactly the
+    tree :func:`dijkstra_csr_canonical` produces on unit weights, and
+    the tree decremental repair maintains with ``unit=True``.  Early
+    return the moment *target* is discovered (the predecessor chain
+    back to the source is already final: every earlier level was fully
+    assigned, and within the current level parents are scanned in index
+    order, so the first discoverer is the canonical one).  Distances
+    are floats for interchangeability with the Dijkstra kernels.
+    Dispatches to the active kernel backend (:mod:`repro.kernels`).
     """
-    csr = view.csr
     _require_alive(view, source)
-    if not legacy:
-        return kernel_backend().bfs(view, source, target)
-    indptr, indices = csr.indptr, csr.indices
-    edge_dead, node_dead = view.masks()
-    dist = [INF] * csr.n
-    pred = [-1] * csr.n
-    dist[source] = 0.0
-    settled = 1
-    relaxations = 0
-    if source == target:
-        COUNTERS.csr_relaxations += relaxations
-        COUNTERS.csr_settled += settled
-        return dist, pred
-    frontier = [source]
-    while frontier:
-        next_frontier = []
-        for u in frontier:
-            d_next = dist[u] + 1.0
-            for slot in range(indptr[u], indptr[u + 1]):
-                v = indices[slot]
-                if node_dead[v] or edge_dead[slot]:
-                    continue
-                relaxations += 1
-                if dist[v] == INF:
-                    dist[v] = d_next
-                    pred[v] = u
-                    settled += 1
-                    if v == target:
-                        COUNTERS.csr_relaxations += relaxations
-                        COUNTERS.csr_settled += settled
-                        return dist, pred
-                    next_frontier.append(v)
-        frontier = next_frontier
-    COUNTERS.csr_relaxations += relaxations
-    COUNTERS.csr_settled += settled
-    return dist, pred
+    return kernel_backend().bfs(view, source, target)
 
 
 def dicts_from_arrays(

@@ -516,7 +516,7 @@ class SptCache:
         call directly — no Node round-trips.  Dead sources are omitted.
 
         Besides the shared scenario view, the batch stages its work for
-        the vectorized backends: missing pre-failure rows are built in
+        the native backend: missing pre-failure rows are built in
         one :meth:`warm_rows` call, and the sources whose repair trips
         the fallback policy are recomputed together through
         ``rows_many`` on the masked view.  Rows and counters are

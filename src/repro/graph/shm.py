@@ -8,10 +8,10 @@ This module publishes one snapshot's ``indptr`` / ``indices`` /
 single :mod:`multiprocessing.shared_memory` segment; workers attach
 **read-only memoryview casts** over the same pages, so the per-worker
 cost drops to an ``mmap`` + header parse and the graph payload exists
-once system-wide.  The casts honor the buffer protocol, so the
-vectorized kernel backend (:mod:`repro.kernels.numpy_backend`) wraps
-attached segments in ndarrays zero-copy too — a worker running under
-``REPRO_KERNEL=numpy`` vectorizes directly over the shared pages.
+once system-wide.  The casts honor the buffer protocol, so the native
+kernel backend (:mod:`repro.kernels.native_backend`) reads attached
+segments through raw pointers zero-copy too — a worker running under
+``REPRO_KERNEL=native`` settles directly over the shared pages.
 
 Segment layout (little-endian)::
 

@@ -7,24 +7,12 @@ building (:mod:`repro.graph.csr`), decremental SPT re-settling
 :mod:`repro.experiments.ilm_accounting`), and shortest-path counting
 over a canonical row's tight-edge DAG (``count_paths``, behind
 :mod:`repro.graph.spt` and Table 2's multiplicity column) — dispatches
-through the backend selected here.  Three backends ship:
+through the backend selected here.  Two backends ship:
 
 ``python``
     The reference implementation: the original pure-Python loops over
     flat buffers, unchanged in behaviour and counter accounting.  Zero
     dependencies — a fresh clone runs on it out of the box.
-
-``numpy``
-    Vectorized kernels over ndarray casts of the same CSR buffers
-    (zero-copy via the buffer protocol, including shared-memory
-    segments attached by :mod:`repro.graph.shm`).  Distances are
-    computed by batched Bellman–Ford relaxation to fixpoint and
-    predecessors by a vectorized canonical tight-parent extraction —
-    legal because the library-wide ``(dist, index)`` tie contract makes
-    both a pure function of the final labels (see
-    ``docs/performance.md``).  Outputs and perf counters are
-    bit-for-bit identical to the reference backend; the equivalence is
-    pinned by ``tests/test_kernels.py``.
 
 ``native``
     The reference loops compiled: C kernels built at first use with the
@@ -32,8 +20,7 @@ through the backend selected here.  Three backends ship:
     and driven through ``ctypes`` over the same CSR buffers and masks.
     Runs the *same algorithm* as the reference backend instruction for
     instruction, so outputs and counters stay bit-identical at every
-    input size — including the targeted searches, single-source rows,
-    and small repairs the numpy backend gates back to Python.
+    input size; the equivalence is pinned by ``tests/test_kernels.py``.
 
 Rows cross every layer as flat buffers: each backend returns ``dist``
 as ``array('d')`` and ``pred`` as ``array('q')``, and the caches
@@ -45,22 +32,22 @@ subtree, applies the fallback threshold and re-settles in one call, and
 ``decompose_flat`` reads the warmed oracle rows in place.
 
 Selection: the ``REPRO_KERNEL`` environment variable (``python``,
-``numpy``, ``native``, or ``auto`` — the default), or ``--kernel`` on
-every experiment CLI (:func:`add_kernel_argument` / :func:`apply_kernel`).
-``auto`` prefers native when a C toolchain is present, then numpy when
-it imports, and silently falls back to the reference backend otherwise
-— both accelerated backends stay optional, never dependencies.  The
-active backend name is stamped into every ``BENCH_*.json`` header as
-``kernel_backend`` and treated as an obs-diff comparability key.
+``native``, or ``auto`` — the default), or ``--kernel`` on every
+experiment CLI (:func:`add_kernel_argument` / :func:`apply_kernel`).
+``auto`` prefers native when a C toolchain is present and silently
+falls back to the reference backend otherwise — the compiled backend
+stays optional, never a dependency.  The active backend name is
+stamped into every ``BENCH_*.json`` header as ``kernel_backend`` and
+treated as an obs-diff comparability key.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Any, Optional
+from typing import Any
 
 #: Recognized values for REPRO_KERNEL / --kernel.
-KERNEL_CHOICES = ("auto", "python", "numpy", "native")
+KERNEL_CHOICES = ("auto", "python", "native")
 
 #: ``repair_resettle`` outcomes (the same codes ``_native.c`` returns):
 #: the row was repaired; no deletion cut the tree, so the cached row
@@ -74,92 +61,77 @@ _BACKEND = None  # resolved backend module, cached per process
 def _resolve(name: str):
     """Import and return the backend module for *name*.
 
-    Explicit names fail loudly (``native`` without a toolchain, or
-    ``numpy`` without numpy, raise ``ImportError``); ``auto`` walks
-    native → numpy → python, taking the first backend that imports.
+    An explicit ``native`` without a toolchain raises ``ImportError``;
+    ``auto`` takes native when it imports and the reference otherwise.
     """
-    if name == "python":
-        from . import python_backend
-
-        return python_backend
-    if name == "numpy":
-        from . import numpy_backend
-
-        return numpy_backend
-    if name == "native":
-        from . import native_backend
-
-        return native_backend
-    if name == "auto":
+    if name not in KERNEL_CHOICES:
+        raise ValueError(
+            f"unknown kernel backend {name!r}; choose from {KERNEL_CHOICES}"
+        )
+    if name != "python":
         try:
             from . import native_backend
 
             return native_backend
         except ImportError:
-            pass
-        try:
-            from . import numpy_backend
+            if name == "native":
+                raise
+    from . import python_backend
 
-            return numpy_backend
-        except ImportError:
-            from . import python_backend
+    return python_backend
 
-            return python_backend
-    raise ValueError(
-        f"unknown kernel backend {name!r}; choose from {KERNEL_CHOICES}"
-    )
+
+def _requested() -> str:
+    """The ``REPRO_KERNEL`` request (default ``auto``), not yet resolved."""
+    return os.environ.get("REPRO_KERNEL", "auto").strip().lower() or "auto"
 
 
 def kernel_backend():
     """The active backend module (resolved once per process).
 
     First call reads ``REPRO_KERNEL`` (default ``auto``); later calls
-    return the cached resolution.  ``REPRO_KERNEL=numpy`` without numpy
-    installed raises ``ImportError`` — an explicit request must not
+    return the cached resolution.  ``REPRO_KERNEL=native`` without a C
+    toolchain raises ``ImportError`` — an explicit request must not
     silently degrade; only ``auto`` falls back.
     """
     global _BACKEND
     if _BACKEND is None:
-        name = os.environ.get("REPRO_KERNEL", "auto").strip().lower() or "auto"
-        _BACKEND = _resolve(name)
+        _BACKEND = _resolve(_requested())
     return _BACKEND
 
 
 def backend_name() -> str:
-    """Name of the active backend (``python``/``numpy``/``native``)."""
+    """Name of the active backend (``python``/``native``)."""
     return kernel_backend().NAME
 
 
 def set_backend(name: str) -> str:
-    """Select a backend process-wide; returns the previously active name.
+    """Select a backend process-wide; returns the previous selection.
 
-    Accepts any of :data:`KERNEL_CHOICES`.  Also exports the *resolved*
-    name into ``REPRO_KERNEL`` so worker processes — forked or spawned —
-    inherit a deterministic choice rather than re-running ``auto``.
+    Accepts any of :data:`KERNEL_CHOICES`.  The requested backend is
+    resolved first, so an explicit choice wins over a ``REPRO_KERNEL``
+    value that cannot load; the returned previous selection is the
+    active backend's name, or — when no kernel has been resolved yet —
+    the raw ``REPRO_KERNEL`` request, which is never loaded here.  Also
+    exports the *resolved* name into ``REPRO_KERNEL`` so worker
+    processes — forked or spawned — inherit a deterministic choice
+    rather than re-running ``auto``.
     """
     global _BACKEND
-    old = backend_name()
-    _BACKEND = _resolve(name)
-    os.environ["REPRO_KERNEL"] = _BACKEND.NAME
-    return old
+    backend = _resolve(name)
+    previous = _BACKEND.NAME if _BACKEND is not None else _requested()
+    _BACKEND = backend
+    os.environ["REPRO_KERNEL"] = backend.NAME
+    return previous
 
 
 def available_backends() -> list[str]:
     """Backends importable in this environment, reference first."""
-    names = ["python"]
-    try:
-        from . import numpy_backend  # noqa: F401
-
-        names.append("numpy")
-    except ImportError:
-        pass
     try:
         from . import native_backend  # noqa: F401
-
-        names.append("native")
     except ImportError:
-        pass
-    return names
+        return ["python"]
+    return ["python", "native"]
 
 
 def add_kernel_argument(parser: Any) -> None:
@@ -168,8 +140,8 @@ def add_kernel_argument(parser: Any) -> None:
         "--kernel", choices=list(KERNEL_CHOICES), default=None,
         help="kernel backend for the canonical path engine (default: env "
              "REPRO_KERNEL or 'auto' — native when a C toolchain is "
-             "present, else numpy when importable, else the pure-python "
-             "reference; outputs are bit-identical in every case)",
+             "present, else the pure-python reference; outputs are "
+             "bit-identical either way)",
     )
 
 

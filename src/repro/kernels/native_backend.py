@@ -1,18 +1,14 @@
 """Native C kernels for the canonical path engine (``REPRO_KERNEL=native``).
 
-**Why this is legal.**  Unlike the numpy backend — which recomputes the
-canonical labels by a different (vectorized) algorithm and argues
-fixpoint equality — this backend runs *the same algorithm* as the
+**Why this is legal.**  This backend runs *the same algorithm* as the
 pure-Python reference (:mod:`repro.kernels.python_backend`), compiled:
 the same lazy binary heap keyed by ``(distance, node index)``, the same
 canonical tie rules, the same relaxation order, and counter
 accumulation at the same program points, over IEEE-754 doubles with FP
 contraction disabled.  Outputs and perf counters are therefore bitwise
-identical to the reference backend at **every** input size — there are
-no eligibility gates here, which is the point: the single-source rows,
-targeted early-exit searches, small Ramalingam–Reps repairs, and short
-decomposition chains that the numpy backend hands back to the Python
-loops (``SINGLE_MIN_N``/``REPAIR_MIN_AFFECTED``/``DECOMPOSE_MIN_CHAIN``)
+identical to the reference backend at **every** input size, so there
+are no eligibility gates: single-source rows, targeted early-exit
+searches, small Ramalingam–Reps repairs and short decomposition chains
 all run native.
 
 **No new dependencies.**  The kernels live in ``_native.c`` next to
@@ -23,15 +19,14 @@ shared object cached under ``~/.cache/repro/`` (override with
 the compiler's version banner — editing the source or switching
 toolchains recompiles, everything else reuses the cached build.
 Importing this module raises :class:`ImportError` when no toolchain is
-available, so ``REPRO_KERNEL=auto`` silently degrades to the numpy or
-reference backend while an explicit ``REPRO_KERNEL=native`` fails
-loudly.
+available, so ``REPRO_KERNEL=auto`` silently degrades to the reference
+backend while an explicit ``REPRO_KERNEL=native`` fails loudly.
 
 **Zero-copy.**  The C entry points take raw pointers into the existing
 CSR buffers — ``array.array`` snapshots or shared-memory memoryview
 casts from :mod:`repro.graph.shm` — and the per-view dead masks;
 addresses are resolved once and cached on the snapshot
-(``CsrGraph.np_cache``) and view (``CsrView.native_state``).  Calls
+(``CsrGraph.native_state``) and view (``CsrView.native_state``).  Calls
 release the GIL (plain ``ctypes`` foreign calls), so ``--jobs`` workers
 and threads overlap native settles.
 """
@@ -351,15 +346,12 @@ def _row_addr(buf, typecode: str, n: int, what: str) -> int:
 
 def _graph_ptrs(csr) -> tuple[int, int, int, object]:
     """``(indptr, indices, weights)`` addresses, cached per snapshot."""
-    cache = csr.np_cache
-    if cache is None:
-        cache = csr.np_cache = {}
-    ptrs = cache.get("native")
+    ptrs = csr.native_state
     if ptrs is None:
         indptr, k1 = _addr_of(csr.indptr)
         indices, k2 = _addr_of(csr.indices)
         weights, k3 = _addr_of(csr.weights)
-        ptrs = cache["native"] = (indptr, indices, weights, (k1, k2, k3))
+        ptrs = csr.native_state = (indptr, indices, weights, (k1, k2, k3))
     return ptrs
 
 
@@ -473,8 +465,8 @@ def rows_many(
     """Batched exhaustive rows, one C call per source chunk.
 
     Equivalent to the caller's per-source reference loop (same per-row
-    algorithm, counters summed instead of flushed per source), so —
-    unlike the numpy backend — it also serves directed snapshots.
+    algorithm, counters summed instead of flushed per source), directed
+    snapshots included.
     """
     out: dict[int, tuple[array, array]] = {}
     if not sources:

@@ -28,7 +28,6 @@ from repro.graph.csr import (
     CsrGraph,
     as_view,
     bfs_csr,
-    dijkstra_csr,
     dijkstra_csr_canonical,
 )
 from repro.graph.graph import Graph
@@ -38,6 +37,8 @@ from repro.graph.incremental import (
     repair_spt,
     set_repair_fallback_fraction,
 )
+
+from .legacy_kernels import dijkstra_csr_legacy
 
 
 def tie_heavy_graph(rng: random.Random, n: int = 36, extra: int = 40) -> Graph:
@@ -105,17 +106,18 @@ class TestHistoryInvariance:
             assert bfs_csr(as_view(CsrGraph(h)), src) == want
 
     def test_legacy_mode_is_history_dependent_by_design(self):
-        # The audit mode replays adjacency order; a shuffle that flips
-        # which equal-cost parent is relaxed first flips its tree.  We
-        # only assert legacy stays self-consistent and distance-equal —
-        # its *pred* arrays carry no cross-build guarantee.
+        # The dict kernels' heap-history order replays adjacency order; a
+        # shuffle that flips which equal-cost parent is relaxed first
+        # flips its tree.  We only assert the replay stays self-consistent
+        # and distance-equal — its *pred* arrays carry no cross-build
+        # guarantee.
         rng = random.Random(11)
         g = tie_heavy_graph(rng)
         h = shuffled_copy(g, random.Random(12))
         ga, ha = CsrGraph(g), CsrGraph(h)
         for s in range(0, 36, 9):
-            d1, _ = dijkstra_csr(as_view(ga), s, legacy=True)
-            d2, _ = dijkstra_csr(as_view(ha), s, legacy=True)
+            d1, _ = dijkstra_csr_legacy(as_view(ga), s)
+            d2, _ = dijkstra_csr_legacy(as_view(ha), s)
             assert d1 == d2  # distances are tie-invariant
 
 

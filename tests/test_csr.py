@@ -1,16 +1,15 @@
 """CSR snapshot + array-kernel equivalence vs. the dict implementations.
 
-Two contracts are pinned here.  The **legacy audit mode**
-(``dijkstra_csr(..., legacy=True)`` / ``bfs_csr(..., legacy=True)``)
-still emulates the classic dict kernels exactly (settle order,
-predecessor choices, ties included) — proving the canonical switch
-changed the contract deliberately, not accidentally.  The **production
-canonical kernels** (``dijkstra_csr_canonical``, and the default
-``dijkstra_csr`` / ``bfs_csr`` which now route to the canonical tie
-order) match the dict kernels wherever results are tie-invariant
-(distances always; full trees on tie-free graphs) and are themselves
-pinned by :mod:`tests.test_canonical_contract`.  Every topology family
-in :mod:`repro.topology` is exercised.
+Two contracts are pinned here.  The dict kernels keep their
+**historical tie order**: the heap-history replays of
+:mod:`tests.legacy_kernels` reproduce them exactly (settle order,
+predecessor choices, ties included) — the canonical CSR order differs
+from them deliberately, not accidentally.  The **canonical kernels**
+(``dijkstra_csr_canonical``, and ``dijkstra_csr`` / ``bfs_csr``, which
+route to the same tie order) match the dict kernels wherever results
+are tie-invariant (distances always) and are themselves pinned by
+:mod:`tests.test_canonical_contract`.  Every topology family in
+:mod:`repro.topology` is exercised.
 """
 
 from __future__ import annotations
@@ -51,6 +50,8 @@ from repro.topology import (
     weighted_comb_graph,
 )
 from repro.graph.shortest_paths import bfs_shortest_paths, dijkstra
+
+from .legacy_kernels import bfs_csr_legacy, dijkstra_csr_legacy
 
 TOPOLOGIES = {
     "path": lambda: path_graph(8),
@@ -162,12 +163,12 @@ class TestSharedCsrCache:
 
 class TestKernelEquivalence:
     def test_legacy_dijkstra_exact_match(self, topo):
-        """legacy=True still reproduces the dict kernel byte-identically."""
+        """The heap-history replay reproduces the dict kernel exactly."""
         csr = CsrGraph(topo)
         view = as_view(csr)
         for src in sources_of(topo):
             dist_d, pred_d = dijkstra(topo, src)
-            dist, pred = dijkstra_csr(view, csr.index[src], legacy=True)
+            dist, pred = dijkstra_csr_legacy(view, csr.index[src])
             got_dist, got_pred = dicts_from_arrays(csr, dist, pred)
             assert got_dist == dist_d
             assert got_pred == pred_d
@@ -179,7 +180,7 @@ class TestKernelEquivalence:
         view = as_view(csr)
         for src in sources_of(topo):
             dist_d, pred_d = bfs_shortest_paths(topo, src)
-            dist, pred = bfs_csr(view, csr.index[src], legacy=True)
+            dist, pred = bfs_csr_legacy(view, csr.index[src])
             got_dist, got_pred = dicts_from_arrays(csr, dist, pred)
             assert got_dist == dist_d
             assert got_pred == pred_d
@@ -234,7 +235,7 @@ class TestKernelEquivalence:
             view = mask_from_view(csr, fv)
             src = next(n for n in topo.nodes if fv.has_node(n))
             dist_d, _ = dijkstra(fv, src)
-            dist, _ = dijkstra_csr(view, csr.index[src], legacy=True)
+            dist, _ = dijkstra_csr_legacy(view, csr.index[src])
             assert dicts_from_arrays(csr, dist, [-1] * csr.n)[0] == dist_d
             c_dist, _ = dijkstra_csr(view, csr.index[src])
             assert dicts_from_arrays(csr, c_dist, [-1] * csr.n)[0] == dist_d

@@ -1,38 +1,46 @@
-"""Kernel backend equivalence: the accelerated backends vs. the reference.
+"""Kernel equivalence: the native backend and the numpy oracle vs. the
+reference.
 
-The backend contract (:mod:`repro.kernels`) is that every backend is a
-drop-in for the pure-Python reference — same rows, same repaired SPTs,
-same decomposition columns, same perf counters, bit for bit.  This
-suite pins that contract over a representative of every topology
-family the repo generates (the same 13-family sweep as
+The backend contract (:mod:`repro.kernels`) is that the compiled
+backend is a drop-in for the pure-Python reference — same rows, same
+repaired SPTs, same decomposition columns, same perf counters, bit for
+bit.  This suite pins that contract over a representative of every
+topology family the repo generates (the same 13-family sweep as
 ``tests/test_shm.py``), for clean views and for views with dead edges
-and dead nodes, for **both** accelerated backends: ``numpy`` (under
-the scipy settle stage *and* the Bellman–Ford fallback it uses when
-scipy is absent) and ``native`` (the compiled C kernels).
+and dead nodes.  Each case also runs against
+:mod:`tests.numpy_kernels`, a test-only vectorized fixpoint
+re-derivation of the same interface (under the scipy settle stage
+*and* the Bellman–Ford fallback it uses when scipy is absent): it
+shares no control flow with the heap loops, so agreement shows the
+reference's output is a function of the final labels alone.
 
-The numpy vectorized stages are called directly
-(``_repair_resettle_vec``, ``_decompose_flat_vec``) so the size gates
-— which route small inputs to the reference loops — cannot hide a
-divergence; the native backend has no gates, so its public entry
-points are exercised at every input size: the fused repair through all
-four outcomes, the decomposition DP over row buffers it reads in
-place (validated first — a malformed buffer raises ``ValueError``
-instead of reaching C), and shortest-path counting from every source,
-including counts past u64 (rerun exactly by the reference) and the
-zero-weight tie every backend rejects.
+The oracle's vectorized stages are called directly
+(``_repair_resettle_vec``, ``_decompose_flat_vec``) so its size gates
+cannot hide a divergence; the native backend has no gates, so its
+public entry points are exercised at every input size: the fused
+repair through all four outcomes, the decomposition DP over row
+buffers it reads in place (validated first — a malformed buffer raises
+``ValueError`` instead of reaching C), and shortest-path counting from
+every source, including counts past u64 (rerun exactly by the
+reference) and the zero-weight tie every backend rejects.
 
 Tie-heavy graphs matter most here: on unit-weight topologies (grid,
 cycle, comb) nearly every node has several tight parents, so any
 deviation from the canonical ``(dist[parent], parent index)`` rule
-shows up immediately.  Backend-specific cases are skipped when that
-backend is unavailable (numpy not installed / no C toolchain); the
-selection tests below run regardless.
+shows up immediately.  Oracle cases are skipped without numpy and
+native cases without a C toolchain; the selection and import-hygiene
+tests run regardless.
 """
 
 from __future__ import annotations
 
+import os
 import random
+import re
+import subprocess
+import sys
 from array import array
+from pathlib import Path
 
 import pytest
 
@@ -70,7 +78,7 @@ from repro.topology.classic import (
 from repro.topology.powerlaw import preferential_attachment
 
 try:  # try/except, not find_spec: a broken numpy must also skip
-    from repro.kernels import numpy_backend as npk
+    from . import numpy_kernels as npk
 
     numpy_missing = False
 except ImportError:
@@ -86,21 +94,23 @@ except ImportError:
     native_missing = True
 
 requires_numpy = pytest.mark.skipif(
-    numpy_missing, reason="numpy not installed ([accel] extra)"
+    numpy_missing, reason="numpy not installed"
 )
 requires_native = pytest.mark.skipif(
     native_missing, reason="no C toolchain for the native backend"
 )
 
-#: The accelerated backends every bit-identity case runs against.
+#: What every bit-identity case checks against the reference: the numpy
+#: oracle and the native backend.
 ACCEL_PARAMS = pytest.mark.parametrize("accel", ["numpy", "native"])
 
 
 def _accel_module(accel):
-    """The backend module for *accel*, skipping when unavailable."""
+    """The oracle or backend module for *accel*, skipping when
+    unavailable."""
     if accel == "numpy":
         if numpy_missing:
-            pytest.skip("numpy not installed ([accel] extra)")
+            pytest.skip("numpy not installed")
         return npk
     if native_missing:
         pytest.skip("no C toolchain for the native backend")
@@ -670,7 +680,7 @@ class TestSelection:
         set_backend(previous)
 
     def test_choices_cover_all_backends(self):
-        assert set(KERNEL_CHOICES) == {"auto", "python", "numpy", "native"}
+        assert KERNEL_CHOICES == ("auto", "python", "native")
         assert available_backends()[0] == "python"
 
     def test_set_backend_round_trips_and_exports(self, monkeypatch):
@@ -688,27 +698,18 @@ class TestSelection:
         set_backend("auto")
         assert backend_name() == "native"
 
-    @requires_numpy
-    def test_auto_prefers_numpy_over_python(self):
-        # auto's full precedence chain (native → numpy → python) with a
-        # simulated missing toolchain lives in tests/test_native_backend.py;
-        # here we only pin that numpy outranks the reference.
-        set_backend("auto")
-        assert backend_name() in ("native", "numpy")
-
-    @requires_numpy
-    def test_explicit_numpy_resolves(self):
-        set_backend("numpy")
-        assert backend_name() == "numpy"
-
     @requires_native
     def test_explicit_native_resolves(self):
         set_backend("native")
         assert backend_name() == "native"
 
     def test_unknown_backend_is_rejected(self):
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            set_backend("fortran")
+        choices = re.escape("choose from ('auto', 'python', 'native')")
+        for name in ("fortran", "numpy"):
+            with pytest.raises(
+                ValueError, match=f"unknown kernel backend.*{choices}"
+            ):
+                set_backend(name)
 
     def test_reference_backend_has_the_full_interface(self):
         for attr in (
@@ -717,3 +718,30 @@ class TestSelection:
             "count_paths",
         ):
             assert hasattr(pyk, attr)
+
+
+def test_no_module_imports_numpy_or_scipy():
+    """Every module under ``repro`` imports in a fresh interpreter without
+    pulling in numpy or scipy: the library has no runtime dependencies."""
+    code = """
+import importlib, pkgutil, sys
+import repro
+for info in pkgutil.walk_packages(repro.__path__, "repro."):
+    if info.name.endswith(".__main__"):
+        continue  # running a CLI is not importing it
+    try:
+        importlib.import_module(info.name)
+    except ImportError:
+        if info.name != "repro.kernels.native_backend":
+            raise  # only the compiled backend may be unavailable
+print(sorted(m for m in ("numpy", "scipy") if m in sys.modules))
+"""
+    src_dir = str(Path(pyk.__file__).resolve().parents[2])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -6,13 +6,17 @@ bit-identity sweep in ``tests/test_kernels.py``:
 * **Build cache** — the compiled shared object is keyed by source hash
   (plus compiler banner), lives under ``~/.cache/repro/`` or the
   ``REPRO_NATIVE_CACHE`` override, is reused byte-for-byte for
-  unchanged source, and recompiles when the source changes.
-* **Selection** — ``auto`` resolves native → numpy → python: with the
-  toolchain monkeypatched away it silently degrades to today's
-  behaviour, while an explicit ``REPRO_KERNEL=native`` raises
-  ``ImportError``.  ``set_backend`` exports the *resolved* name into
-  the environment pre-fork, so ``--jobs`` workers and spawned
-  subprocesses make the same deterministic choice.
+  unchanged source, and recompiles when the source changes.  Its
+  failure paths hold too: a truncated object at the cache key is
+  rebuilt once, a failing compiler leaves no temp file behind, and
+  concurrent builders publish one object.
+* **Selection** — ``auto`` resolves native → python: with the
+  toolchain monkeypatched away (or failing) it silently degrades to
+  the reference, while an explicit ``REPRO_KERNEL=native`` raises
+  ``ImportError``.  An explicit ``set_backend`` wins over a
+  ``REPRO_KERNEL`` value that cannot load, and exports the *resolved*
+  name into the environment pre-fork, so ``--jobs`` workers and
+  spawned subprocesses make the same deterministic choice.
 * **End-to-end parity** — the table2 per-link ILM pipeline produces
   byte-identical payload rows and perf-counter deltas under
   ``REPRO_KERNEL=native`` and the python reference, at ``--jobs`` 1
@@ -39,13 +43,6 @@ from repro.kernels import backend_name, set_backend
 from repro.perf import COUNTERS
 
 try:
-    from repro.kernels import numpy_backend  # noqa: F401
-
-    numpy_missing = False
-except ImportError:
-    numpy_missing = True
-
-try:
     from repro.kernels import native_backend as natk
 
     native_missing = False
@@ -56,6 +53,9 @@ except ImportError:
 requires_native = pytest.mark.skipif(
     native_missing, reason="no C toolchain for the native backend"
 )
+
+#: The ``src`` directory, for subprocesses that import ``repro``.
+SRC_DIR = str(Path(kernels.__file__).resolve().parents[2])
 
 
 @pytest.fixture(autouse=True)
@@ -110,20 +110,83 @@ class TestBuildCache:
         assert path.exists()
         assert path.name.startswith("repro_native-")
 
+    def test_truncated_object_is_rebuilt_once_and_loads(
+        self, tmp_path, monkeypatch
+    ):
+        log = tmp_path / "builds.log"
+        logging_cc = _cc_script(tmp_path, f"""
+case " $* " in *" -shared "*) echo build >> {log} ;; esac
+exec {natk.find_compiler()} "$@"
+""")
+        monkeypatch.setenv("CC", str(logging_cc))
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(cache))
+        so = natk.build_library()
+        so.write_bytes(so.read_bytes()[:64])  # a copy cut off mid-write
+        lib = natk._load()
+        assert Path(lib._name) == so
+        assert lib.repro_dijkstra is not None
+        assert log.read_text().split() == ["build", "build"]  # one rebuild
+        assert [p.name for p in cache.iterdir()] == [so.name]
+
+    def test_concurrent_builders_publish_one_object(self, tmp_path):
+        cache = tmp_path / "cache"
+        env = dict(os.environ, REPRO_NATIVE_CACHE=str(cache))
+        env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+        code = "from repro.kernels import native_backend as n; print(n.library_path())"
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", code], env=env, text=True,
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            )
+            for _ in range(2)
+        ]
+        outputs = [proc.communicate(timeout=300) for proc in procs]
+        assert [proc.returncode for proc in procs] == [0, 0], outputs
+        paths = {out.strip() for out, _ in outputs}
+        assert len(paths) == 1
+        assert [p.name for p in cache.iterdir()] == [Path(paths.pop()).name]
+
+
+def _cc_script(tmp_path: Path, body: str) -> Path:
+    """An executable shell script to stand in for ``$CC``."""
+    script = tmp_path / "cc.sh"
+    script.write_text("#!/bin/sh\n" + body.lstrip())
+    script.chmod(0o755)
+    return script
+
+
+def _failing_cc(tmp_path: Path) -> Path:
+    """A compiler that writes part of its output, then fails."""
+    return _cc_script(tmp_path, """
+out=
+while [ $# -gt 0 ]; do
+  [ "$1" = -o ] && out=$2
+  shift
+done
+[ -n "$out" ] && printf partial > "$out"
+echo "cc: internal compiler error" >&2
+exit 1
+""")
+
 
 # -- selection and the pre-fork export -------------------------------------------
+
+
+def _forget_native(monkeypatch):
+    """Force ``_resolve`` to re-import the backend module from scratch."""
+    monkeypatch.delitem(
+        sys.modules, "repro.kernels.native_backend", raising=False
+    )
+    if hasattr(kernels, "native_backend"):
+        monkeypatch.delattr(kernels, "native_backend")
 
 
 def _hide_toolchain(monkeypatch):
     """Make this process look like a machine without a C compiler."""
     monkeypatch.delenv("CC", raising=False)
     monkeypatch.setattr(shutil, "which", lambda *args, **kwargs: None)
-    # Force _resolve to re-import the backend module from scratch.
-    monkeypatch.delitem(
-        sys.modules, "repro.kernels.native_backend", raising=False
-    )
-    if hasattr(kernels, "native_backend"):
-        monkeypatch.delattr(kernels, "native_backend")
+    _forget_native(monkeypatch)
 
 
 class TestToolchainFallback:
@@ -136,14 +199,44 @@ class TestToolchainFallback:
 
     def test_auto_degrades_silently_without_a_compiler(self, monkeypatch):
         _hide_toolchain(monkeypatch)
-        resolved = kernels._resolve("auto")
-        expected = "python" if numpy_missing else "numpy"
-        assert resolved.NAME == expected  # exactly today's behaviour
+        assert kernels._resolve("auto").NAME == "python"
 
     def test_explicit_native_without_a_toolchain_raises(self, monkeypatch):
         _hide_toolchain(monkeypatch)
         with pytest.raises(ImportError, match="C compiler"):
             kernels._resolve("native")
+
+    @requires_native
+    def test_failing_compiler_leaves_no_temp_file_and_auto_degrades(
+        self, tmp_path, monkeypatch
+    ):
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("CC", str(_failing_cc(tmp_path)))
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(cache))
+        with pytest.raises(natk.NativeUnavailable, match="compilation failed"):
+            natk.build_library()
+        assert list(cache.iterdir()) == []  # no *.tmp.so, no object
+        _forget_native(monkeypatch)
+        assert kernels._resolve("auto").NAME == "python"
+        with pytest.raises(ImportError, match="compilation failed"):
+            kernels._resolve("native")
+        assert list(cache.iterdir()) == []
+
+    @pytest.mark.parametrize("stale", ["bogus", "native"])
+    def test_explicit_choice_overrides_an_env_value_that_cannot_load(
+        self, stale, tmp_path, monkeypatch
+    ):
+        """``--kernel python`` must install even when ``REPRO_KERNEL``
+        names an unknown backend or native on a broken compiler; the
+        returned previous selection is the unresolved request."""
+        monkeypatch.setenv("REPRO_KERNEL", stale)
+        monkeypatch.setenv("CC", str(_failing_cc(tmp_path)))
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path / "cache"))
+        _forget_native(monkeypatch)
+        monkeypatch.setattr(kernels, "_BACKEND", None)  # nothing resolved yet
+        assert set_backend("python") == stale
+        assert backend_name() == "python"
+        assert os.environ["REPRO_KERNEL"] == "python"
 
     @requires_native
     def test_set_backend_exports_the_resolved_name(self, monkeypatch):
@@ -155,9 +248,8 @@ class TestToolchainFallback:
     @requires_native
     def test_spawned_interpreter_inherits_the_exported_choice(self):
         set_backend("native")
-        src_dir = str(Path(kernels.__file__).resolve().parents[2])
         env = dict(os.environ)
-        env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+        env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
         proc = subprocess.run(
             [
                 sys.executable,
