@@ -107,7 +107,7 @@ def main(argv=None) -> None:
     import argparse
 
     from repro.experiments.bench import write_bench_json
-    from repro.kernels import add_kernel_argument, apply_kernel
+    from repro.runconfig import RunConfig, add_arguments
     from repro.topology.isp import generate_isp_topology
 
     parser = argparse.ArgumentParser(description=__doc__)
@@ -124,9 +124,9 @@ def main(argv=None) -> None:
         help="path for the BENCH JSON (default results/BENCH_csr.json; "
              "'-' disables)",
     )
-    add_kernel_argument(parser)
+    add_arguments(parser, ("kernel_backend",))
     args = parser.parse_args(argv)
-    apply_kernel(args)
+    RunConfig.from_args(args, ("kernel_backend",))  # installs --kernel
     if args.smoke:
         args.n = min(args.n, 60)
         args.repeat = min(args.repeat, 2)

@@ -159,7 +159,7 @@ def _one_worker(fn, *args) -> dict:
 
 def main(argv=None) -> None:
     from repro.experiments.bench import write_bench_json
-    from repro.kernels import add_kernel_argument, apply_kernel
+    from repro.runconfig import RunConfig, add_arguments
 
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n", type=int, default=200, help="ISP size")
@@ -175,9 +175,9 @@ def main(argv=None) -> None:
         help="path for the BENCH JSON (default results/BENCH_shm.json; "
              "'-' disables)",
     )
-    add_kernel_argument(parser)
+    add_arguments(parser, ("kernel_backend",))
     args = parser.parse_args(argv)
-    apply_kernel(args)
+    RunConfig.from_args(args, ("kernel_backend",))  # installs --kernel
     if args.smoke:
         args.n = min(args.n, 60)
         args.repeat = min(args.repeat, 2)

@@ -15,7 +15,6 @@ Run with ``python -m repro.experiments.ablation [--size 80] [--seed 1]``.
 
 from __future__ import annotations
 
-import argparse
 import time
 
 from ..core.base_paths import (
@@ -28,25 +27,18 @@ from ..core.decomposition import greedy_decompose, min_pieces_decompose
 from ..core.restoration import SourceRouterRbpc, plan_restoration
 from ..exceptions import NoPath, NoRestorationPath
 from ..failures.models import FailureScenario
-from ..kernels import add_kernel_argument, apply_kernel
 from ..failures.sampler import sample_pairs
 from ..graph.shortest_paths import shortest_path
 from ..mpls.merging import provision_all_trees, provision_edge_lsps
 from ..mpls.network import MplsNetwork
-from ..obs import activate_from_args, add_obs_arguments, bench_observability
-from ..perf import COUNTERS
 from ..policies import (
     DEFAULT_POLICY,
-    active_failure_model_name,
-    active_policy_name,
-    add_policy_arguments,
-    apply_policy_arguments,
     make_failure_model,
     make_policy,
     policy_names,
 )
 from ..topology.isp import generate_isp_topology
-from .bench import StageTimer, write_bench_json
+from .bench import ExperimentRun
 from .reporting import format_table
 
 
@@ -234,34 +226,19 @@ def baseline_report(graph, base, pairs, model=None) -> str:
     )
 
 
+#: The RunConfig fields this CLI reads (and stamps).
+CONFIG_FIELDS = ("size", "pairs", "seed", "failure_model", "kernel_backend")
+
+
 def main(argv: list[str] | None = None) -> str:
     """CLI entry point; prints and returns the report."""
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--size", type=int, default=80)
-    parser.add_argument("--pairs", type=int, default=20)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument(
-        "--bench-json", type=str, default=None,
-        help="path for the BENCH JSON (default results/BENCH_ablation.json; "
-             "'-' disables)",
-    )
-    add_kernel_argument(parser)
-    add_policy_arguments(parser)
-    add_obs_arguments(parser)
-    args = parser.parse_args(argv)
-    apply_kernel(args)
-    apply_policy_arguments(args)
-    activate_from_args(args)
-
-    timer = StageTimer(prefix="ablation")
-    before = COUNTERS.snapshot()
-    with timer.stage("workload"):
-        graph = generate_isp_topology(n=args.size, seed=args.seed)
+    cli = ExperimentRun("ablation", __doc__, CONFIG_FIELDS, argv)
+    config = cli.config
+    with cli.timer.stage("workload"):
+        graph = generate_isp_topology(n=config.size, seed=config.seed)
         base = UniqueShortestPathsBase(graph)
-        model = make_failure_model(
-            active_failure_model_name(), graph, seed=args.seed
-        )
-        pairs = sample_pairs(graph, args.pairs, seed=args.seed)
+        model = make_failure_model(config.failure_model, graph, seed=config.seed)
+        pairs = sample_pairs(graph, config.pairs, seed=config.seed)
         cases = _workload(graph, base, pairs, model=model)
 
     sections = []
@@ -273,28 +250,11 @@ def main(argv: list[str] | None = None) -> str:
         ("provisioning", lambda: provisioning_report(graph, base)),
         ("baselines", lambda: baseline_report(graph, base, pairs, model=model)),
     ):
-        with timer.stage(stage):
+        with cli.timer.stage(stage):
             sections.append(build())
     report = "\n\n".join(sections)
     print(report)
-    if args.bench_json != "-":
-        counters = COUNTERS.delta(before).as_dict()
-        payload = {
-            "name": "ablation",
-            "size": args.size,
-            "pairs": args.pairs,
-            "seed": args.seed,
-            "policy": active_policy_name(),
-            "failure_model": active_failure_model_name(),
-            "cases": len(cases),
-            "wall_clock_s": round(timer.total(), 4),
-            "stages": timer.as_dict(),
-            "counters": counters,
-        }
-        payload.update(bench_observability(args, counters))
-        write_bench_json("ablation", payload, path=args.bench_json)
-    else:
-        bench_observability(args)
+    cli.write_bench({"cases": len(cases)})
     return report
 
 

@@ -11,29 +11,38 @@ directory itself; that layout's deprecation window is over — readers
 (``python -m repro.obs diff``, the CI obs-gate) now reject root-level
 paths with a pointer to ``results/``.
 
-Every payload carries header fields recording the policy the run
-measured under: ``tie_order`` (``"canonical"`` — the library-wide path
-contract), ``repair_fallback`` (the active
-:func:`~repro.graph.incremental.repair_fallback_fraction`),
-``shm_enabled`` (whether the shared-memory CSR substrate of
+Every experiment CLI goes through :class:`ExperimentRun`: its header
+holds exactly the :class:`~repro.runconfig.RunConfig` fields the CLI
+declares, and :func:`write_bench_json` adds what the process decides
+(``tie_order`` — the canonical path contract; ``repair_fallback`` —
+the constant :data:`~repro.graph.incremental.REPAIR_FALLBACK_FRACTION`;
+``shm_enabled`` — whether the shared-memory CSR substrate of
 :mod:`repro.graph.shm` was available and not disabled via
-``REPRO_SHM=0``), and ``jobs`` (worker fan-out width; ``1`` unless the
-emitting CLI recorded its own).  Runs under different policies do
-different work, so ``python -m repro.obs diff`` — the threshold/exit-
-code comparator — refuses to diff across them.
+``REPRO_SHM=0``; ``kernel_backend``; ``jobs``, ``1`` unless declared)
+plus provenance.  Runs that differ in any of these do different work,
+so ``python -m repro.obs diff`` — the threshold/exit-code comparator —
+refuses to diff across them
+(:data:`~repro.runconfig.COMPARABILITY_KEYS`).
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterator, Optional
+from typing import Any, Callable, Iterator, Optional
 
+from .. import __version__
+from ..graph.incremental import REPAIR_FALLBACK_FRACTION
+from ..kernels import backend_name
+from ..obs import activate_from_args, add_obs_arguments, bench_observability
 from ..obs.ledger import git_sha, record_run
 from ..obs.profile import PROFILER, memory_report
 from ..obs.trace import TRACER, Tracer
+from ..perf import COUNTERS
+from ..runconfig import RunConfig, add_arguments
 
 
 class StageTimer:
@@ -96,59 +105,10 @@ class StageTimer:
         return {name: round(secs, digits) for name, secs in self.stages.items()}
 
 
-def add_repair_fallback_argument(parser: Any) -> None:
-    """Attach the documented ``--repair-fallback`` knob to a CLI parser."""
-    parser.add_argument(
-        "--repair-fallback", type=float, default=None, metavar="FRACTION",
-        help="override the repair fallback threshold (fraction of reachable "
-             "nodes an affected subtree may cover before SPT repair degrades "
-             "to a targeted search; default: env REPRO_REPAIR_FALLBACK or "
-             "0.5; > 1 disables the fallback)",
-    )
-
-
-def apply_repair_fallback(args: Any) -> None:
-    """Install ``--repair-fallback`` process-wide (call before forking)."""
-    value = getattr(args, "repair_fallback", None)
-    if value is not None:
-        from ..graph.incremental import set_repair_fallback_fraction
-
-        set_repair_fallback_fraction(value)
-
-
 #: Tie-order mode every production kernel runs under (see the path
 #: contract in DESIGN.md); recorded in each BENCH header so the
 #: obs-gate never diffs rows produced under different tie rules.
 TIE_ORDER = "canonical"
-
-
-def bench_header() -> dict[str, Any]:
-    """Policy + provenance fields stamped into every ``BENCH_*.json``.
-
-    ``jobs`` here is the sequential default — CLIs with a ``--jobs``
-    knob set their own value in the payload and win (``setdefault``
-    merge in :func:`write_bench_json`).  ``git_sha`` and
-    ``repro_version`` are provenance, not policy: ``repro.obs diff``
-    warns on a sha mismatch but never refuses to compare on it (that
-    is what the diff is *for* — comparing commits).
-    """
-    from .. import __version__
-    from ..graph.incremental import repair_fallback_fraction
-    from ..graph.shm import shm_enabled
-    from ..kernels import backend_name
-    from ..policies import active_failure_model_name, active_policy_name
-
-    return {
-        "tie_order": TIE_ORDER,
-        "repair_fallback": repair_fallback_fraction(),
-        "shm_enabled": shm_enabled(),
-        "kernel_backend": backend_name(),
-        "policy": active_policy_name(),
-        "failure_model": active_failure_model_name(),
-        "jobs": 1,
-        "git_sha": git_sha(),
-        "repro_version": __version__,
-    }
 
 
 def write_bench_json(
@@ -156,14 +116,19 @@ def write_bench_json(
 ) -> Path:
     """Write ``results/BENCH_<name>.json`` (or *path*); returns the path.
 
-    The policy/provenance header (:func:`bench_header`) and the memory
+    The environment stamps (:data:`~repro.runconfig.ENVIRONMENT_KEYS`),
+    the provenance (``git_sha``, ``repro_version``) and the memory
     gauges (:func:`~repro.obs.profile.memory_report`, one syscall) are
-    merged into *payload* unless the caller already set those keys,
-    and a run manifest is appended to the ledger
+    merged into *payload* unless the caller already set those keys, and
+    a run manifest is appended to the ledger
     (:func:`~repro.obs.ledger.record_run`; best-effort, disabled by
     ``REPRO_LEDGER=0``) so the run joins the cross-run history that
     ``python -m repro.obs trend`` gates on.
     """
+    # Imported here: repro.graph.shm loads multiprocessing's shared
+    # memory machinery, which runs that never fan out otherwise skip.
+    from ..graph.shm import shm_enabled
+
     if path:
         out = Path(path)
         out.parent.mkdir(parents=True, exist_ok=True)
@@ -171,9 +136,80 @@ def write_bench_json(
         results = Path.cwd() / "results"
         results.mkdir(exist_ok=True)
         out = results / f"BENCH_{name}.json"
-    for key, value in bench_header().items():
+    stamps = {
+        "tie_order": TIE_ORDER,
+        "repair_fallback": REPAIR_FALLBACK_FRACTION,
+        "shm_enabled": shm_enabled(),
+        "kernel_backend": backend_name(),
+        "jobs": 1,
+        "git_sha": git_sha(),
+        "repro_version": __version__,
+        "memory": memory_report(),
+    }
+    for key, value in stamps.items():
         payload.setdefault(key, value)
-    payload.setdefault("memory", memory_report())
     out.write_text(json.dumps(payload, indent=2, sort_keys=False) + "\n")
     record_run(name, payload, out)
     return out
+
+
+class ExperimentRun:
+    """One experiment CLI invocation, from flags to BENCH payload.
+
+    Builds the parser from the :class:`~repro.runconfig.RunConfig`
+    field *names* the CLI declares plus ``--bench-json`` and the obs
+    flags (*options* may add CLI-only flags), applies the config
+    (``--kernel`` before any worker fork), switches the obs instruments
+    per the flags, and starts the run's :class:`StageTimer` and counter
+    snapshot.  :meth:`write_bench` stamps exactly the declared fields
+    into the payload.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        description: Optional[str],
+        names: tuple[str, ...],
+        argv: Optional[list[str]] = None,
+        options: Optional[Callable[[argparse.ArgumentParser], Any]] = None,
+    ) -> None:
+        parser = argparse.ArgumentParser(description=description)
+        add_arguments(parser, names)
+        parser.add_argument(
+            "--bench-json", type=str, default=None, metavar="PATH",
+            help=f"path for the BENCH JSON (default "
+                 f"results/BENCH_{name}.json; '-' disables)",
+        )
+        add_obs_arguments(parser)
+        if options is not None:
+            options(parser)
+        self.args = parser.parse_args(argv)
+        self.config = RunConfig.from_args(self.args, names)
+        activate_from_args(self.args)
+        self.name = name
+        self.names = names
+        self.timer = StageTimer(prefix=name)
+        self._before = COUNTERS.snapshot()
+
+    def counters(self) -> dict[str, int]:
+        """The work counters accumulated since the run started."""
+        return COUNTERS.delta(self._before).as_dict()
+
+    def write_bench(self, results: dict[str, Any]) -> Optional[Path]:
+        """Write the BENCH payload — name, declared fields, timings,
+        *results*, counters, obs extras — or only the obs files when
+        ``--bench-json -``; returns the path written, if any."""
+        if self.args.bench_json == "-":
+            bench_observability(self.args)
+            return None
+        counters = self.counters()
+        payload = {
+            "name": self.name,
+            **{name: getattr(self.config, name) for name in self.names},
+            "wall_clock_s": round(self.timer.total(), 4),
+            "stages": self.timer.as_dict(),
+            **results,
+            "counters": counters,
+        }
+        payload.update(bench_observability(self.args, counters))
+        return write_bench_json(self.name, payload, path=self.args.bench_json)

@@ -12,7 +12,6 @@ Run with ``python -m repro.experiments.figure10 [--scale small]``.
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass
 from typing import Optional
 
@@ -23,23 +22,10 @@ from ..exceptions import NoPath, NoRestorationPath
 from ..failures.sampler import link_failure_cases, sample_pairs
 from ..graph.graph import Graph, Node
 from ..graph.incremental import fast_shortest_path
-from ..obs import TRACER, activate_from_args, add_obs_arguments, bench_observability
-from ..kernels import add_kernel_argument, apply_kernel
-from ..perf import COUNTERS
-from ..policies import (
-    active_failure_model_name,
-    active_policy_name,
-    add_policy_arguments,
-    apply_policy_arguments,
-    make_failure_model,
-)
-from .bench import (
-    StageTimer,
-    add_repair_fallback_argument,
-    apply_repair_fallback,
-    write_bench_json,
-)
-from .networks import cached_suite, scales
+from ..obs import TRACER
+from ..policies import active_failure_model_name, make_failure_model
+from .bench import ExperimentRun
+from .networks import cached_suite
 from .parallel import (
     figure10_stretch_chunk,
     make_executor,
@@ -231,57 +217,28 @@ def run(
     return _assemble(items)
 
 
+#: The RunConfig fields this CLI reads (and stamps).
+CONFIG_FIELDS = ("scale", "seed", "jobs", "failure_model", "kernel_backend")
+
+
 def main(argv: list[str] | None = None) -> str:
     """CLI entry point; prints and returns the report."""
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scale", choices=scales(), default="small")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for the case fan-out (0 = auto)",
-    )
-    parser.add_argument(
-        "--bench-json", type=str, default=None,
-        help="path for the BENCH JSON (default results/BENCH_figure10.json; "
-             "'-' disables)",
-    )
-    add_repair_fallback_argument(parser)
-    add_kernel_argument(parser)
-    add_policy_arguments(parser)
-    add_obs_arguments(parser)
-    args = parser.parse_args(argv)
-    apply_repair_fallback(args)  # before any worker fork
-    apply_kernel(args)  # before any worker fork
-    apply_policy_arguments(args)  # before any worker fork
-    activate_from_args(args)
-    timer = StageTimer(prefix="figure10")
-    before = COUNTERS.snapshot()
-    with TRACER.span("figure10", scale=args.scale, seed=args.seed):
-        with timer.stage("collect"):
-            samples = run(scale=args.scale, seed=args.seed, jobs=args.jobs)
-        with timer.stage("render"):
+    cli = ExperimentRun("figure10", __doc__, CONFIG_FIELDS, argv)
+    config = cli.config
+    with TRACER.span("figure10", scale=config.scale, seed=config.seed):
+        with cli.timer.stage("collect"):
+            samples = run(
+                scale=config.scale,
+                seed=config.seed,
+                jobs=config.jobs,
+                failure_model=config.failure_model,
+            )
+        with cli.timer.stage("render"):
             report = render(samples)
     print(report)
-    if args.bench_json != "-":
-        counters = COUNTERS.delta(before).as_dict()
-        payload = {
-            "name": "figure10",
-            "scale": args.scale,
-            "seed": args.seed,
-            "jobs": args.jobs,
-            "policy": active_policy_name(),
-            "failure_model": active_failure_model_name(),
-            "wall_clock_s": round(timer.total(), 4),
-            "stages": timer.as_dict(),
-            "samples": {
-                name: len(data.cost) for name, data in samples.items()
-            },
-            "counters": counters,
-        }
-        payload.update(bench_observability(args, counters))
-        write_bench_json("figure10", payload, path=args.bench_json)
-    else:
-        bench_observability(args)
+    cli.write_bench(
+        {"samples": {name: len(data.cost) for name, data in samples.items()}}
+    )
     return report
 
 

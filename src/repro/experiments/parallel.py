@@ -70,7 +70,8 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import Executor, ProcessPoolExecutor
+from concurrent.futures import Executor, Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Iterator, Optional, Sequence
 
 from ..obs import heartbeat
@@ -183,6 +184,40 @@ def _tag_worker_builds(delta: dict) -> dict:
     return delta
 
 
+def _gather(
+    label: str, executor: Executor, calls: dict[tuple[int, int], tuple]
+) -> dict[tuple[int, int], list]:
+    """Submit each chunk's call in order; each chunk's items by its
+    heartbeat bounds, with every delta merged into the parent.
+
+    A worker that dies mid-chunk breaks the whole pool — seen by a
+    later submit or by a result — and the :class:`BrokenProcessPool`
+    is re-raised, chained, naming the fan-out *label* and the chunks
+    that did not complete.
+    """
+    futures: dict[Future, tuple[int, int]] = {}
+    by_chunk: dict[tuple[int, int], list] = {}
+    try:
+        for chunk, call in calls.items():
+            futures[executor.submit(*call)] = chunk
+        for future, chunk in futures.items():
+            items, delta, metrics_delta = future.result()
+            by_chunk[chunk] = items
+            COUNTERS.merge(delta)
+            METRICS.merge(metrics_delta)
+    except BrokenProcessPool as exc:
+        completed = {
+            chunk for future, chunk in futures.items()
+            if future.done() and not future.cancelled()
+            and future.exception() is None
+        }
+        lost = [list(chunk) for chunk in calls if chunk not in completed]
+        raise BrokenProcessPool(
+            f"fan-out {label}: a worker died; chunks not completed: {lost}"
+        ) from exc
+    return by_chunk
+
+
 def run_chunked(
     executor: Executor,
     worker: Callable[..., tuple[list, dict, dict]],
@@ -199,7 +234,9 @@ def run_chunked(
     (``--heartbeat-dir`` / :mod:`repro.obs.heartbeat`), the parent
     brackets the fan-out with ``fanout-start``/``fanout-end`` events
     and every worker chunk reports its own bounds and wall time for
-    ``python -m repro.obs watch``.
+    ``python -m repro.obs watch``.  A worker dying mid-chunk raises
+    :class:`BrokenProcessPool` naming this fan-out's label and the
+    chunks that did not complete (:func:`_gather`).
     """
     global _fanout_seq
     label = f"{worker.__name__}#{_fanout_seq}"
@@ -210,21 +247,15 @@ def run_chunked(
         jobs=jobs,
     )
     t0 = time.perf_counter()
-    futures = {
-        executor.submit(
+    by_chunk = _gather(label, executor, {
+        (start, end): (
             _worker_with_heartbeat, label, worker, common_args, start, end
-        ): start
+        )
         for start, end in bounds
-    }
-    by_start: dict[int, list] = {}
-    for future, start in futures.items():
-        items, delta, metrics_delta = future.result()
-        by_start[start] = items
-        COUNTERS.merge(delta)
-        METRICS.merge(metrics_delta)
+    })
     ordered: list = []
-    for start in sorted(by_start):
-        ordered.extend(by_start[start])
+    for chunk in sorted(by_chunk):
+        ordered.extend(by_chunk[chunk])
     heartbeat.emit(
         "fanout-end", label=label, total=n_items, chunks=len(bounds),
         jobs=jobs, wall_s=round(time.perf_counter() - t0, 6),
@@ -333,22 +364,16 @@ def run_weighted(
         jobs=jobs,
     )
     t0 = time.perf_counter()
-    futures = {
-        executor.submit(
+    by_pos = _gather(label, executor, {
+        (qpos, qpos + 1): (
             _weighted_chunk_with_heartbeat, label, worker, common_args,
             qpos, indices, cost,
-        ): qpos
+        )
         for qpos, (indices, cost) in enumerate(chunks)
-    }
-    by_pos: dict[int, list] = {}
-    for future, qpos in futures.items():
-        items, delta, metrics_delta = future.result()
-        by_pos[qpos] = items
-        COUNTERS.merge(delta)
-        METRICS.merge(metrics_delta)
+    })
     ordered: list = []
-    for qpos in sorted(by_pos):
-        ordered.extend(by_pos[qpos])
+    for chunk in sorted(by_pos):
+        ordered.extend(by_pos[chunk])
     heartbeat.emit(
         "fanout-end", label=label, total=total, chunks=len(chunks),
         jobs=jobs, wall_s=round(time.perf_counter() - t0, 6),

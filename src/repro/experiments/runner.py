@@ -8,23 +8,10 @@ from __future__ import annotations
 import argparse
 from pathlib import Path as FilePath
 
-from ..obs import TRACER, activate_from_args, add_obs_arguments, bench_observability
-from ..kernels import add_kernel_argument, apply_kernel
-from ..perf import COUNTERS
-from ..policies import (
-    active_failure_model_name,
-    active_policy_name,
-    add_policy_arguments,
-    apply_policy_arguments,
-)
+from ..obs import TRACER
 from . import figure10, table1, table2, table3, theory_figures
-from .bench import (
-    StageTimer,
-    add_repair_fallback_argument,
-    apply_repair_fallback,
-    write_bench_json,
-)
-from .networks import cached_suite, scales
+from .bench import ExperimentRun, StageTimer
+from .networks import cached_suite
 
 
 def run_all(
@@ -33,20 +20,31 @@ def run_all(
     ilm: str = "per-pair",
     jobs: int = 1,
     timer: StageTimer | None = None,
+    policy: str | None = None,
+    failure_model: str | None = None,
 ) -> str:
     """Run every table and figure in paper order; returns the report.
 
     With *timer* given, each section's wall-clock lands in a stage of
     its own — the consolidated ``BENCH_runner.json`` is built from it.
+    *policy* and *failure_model* reach Table 2, and *failure_model*
+    also Table 3 and Figure 10; ``None`` reads the active selection.
     """
     if timer is None:
         timer = StageTimer(prefix="runner")
     sections = []
     for name, stage, runner in (
         ("Table 1", "table1", lambda: table1.render(table1.collect(cached_suite(scale=scale, seed=seed)))),
-        ("Table 2", "table2", lambda: table2.render(table2.run(scale=scale, seed=seed, ilm_accounting=ilm, jobs=jobs))),
-        ("Table 3", "table3", lambda: table3.render(table3.run(scale=scale, seed=seed, jobs=jobs))),
-        ("Figure 10", "figure10", lambda: figure10.render(figure10.run(scale=scale, seed=seed, jobs=jobs))),
+        ("Table 2", "table2", lambda: table2.render(table2.run(
+            scale=scale, seed=seed, ilm_accounting=ilm, jobs=jobs,
+            policy=policy, failure_model=failure_model,
+        ))),
+        ("Table 3", "table3", lambda: table3.render(table3.run(
+            scale=scale, seed=seed, jobs=jobs, failure_model=failure_model,
+        ))),
+        ("Figure 10", "figure10", lambda: figure10.render(figure10.run(
+            scale=scale, seed=seed, jobs=jobs, failure_model=failure_model,
+        ))),
         ("Figures 2-5", "theory_figures", lambda: theory_figures.render(theory_figures.run())),
     ):
         with timer.stage(stage):
@@ -55,64 +53,43 @@ def run_all(
     return "\n\n".join(sections)
 
 
+#: The RunConfig fields this CLI reads (and stamps).
+CONFIG_FIELDS = (
+    "scale", "seed", "ilm_accounting", "jobs", "policy", "failure_model",
+    "kernel_backend",
+)
+
+
+def _out_option(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--out", type=str, default=None, metavar="PATH",
+        help="also write the report to PATH",
+    )
+
+
 def main(argv: list[str] | None = None) -> str:
     """CLI entry point; prints and returns the report."""
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scale", choices=scales(), default="small")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--out", type=str, default=None)
-    parser.add_argument("--ilm", choices=("per-pair", "per-link"), default="per-pair")
-    parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for the experiment fan-outs (0 = auto)",
-    )
-    parser.add_argument(
-        "--bench-json", type=str, default=None,
-        help="path for the consolidated BENCH JSON "
-             "(default results/BENCH_runner.json; '-' disables)",
-    )
-    add_repair_fallback_argument(parser)
-    add_kernel_argument(parser)
-    add_policy_arguments(parser)
-    add_obs_arguments(parser)
-    args = parser.parse_args(argv)
-    apply_repair_fallback(args)  # before any worker fork
-    apply_kernel(args)  # before any worker fork
-    apply_policy_arguments(args)  # before any worker fork
-    activate_from_args(args)
-    timer = StageTimer(prefix="runner")
-    before = COUNTERS.snapshot()
-    with TRACER.span("runner", scale=args.scale, seed=args.seed):
+    cli = ExperimentRun("runner", __doc__, CONFIG_FIELDS, argv, _out_option)
+    config = cli.config
+    with TRACER.span("runner", scale=config.scale, seed=config.seed):
         report = run_all(
-            scale=args.scale,
-            seed=args.seed,
-            ilm=args.ilm,
-            jobs=args.jobs,
-            timer=timer,
+            scale=config.scale,
+            seed=config.seed,
+            ilm=config.ilm_accounting,
+            jobs=config.jobs,
+            timer=cli.timer,
+            policy=config.policy,
+            failure_model=config.failure_model,
         )
     print(report)
-    if args.out:
-        FilePath(args.out).write_text(report + "\n")
-    if args.bench_json != "-":
-        counters = COUNTERS.delta(before).as_dict()
-        payload = {
-            "name": "runner",
-            "scale": args.scale,
-            "seed": args.seed,
-            "jobs": args.jobs,
-            "policy": active_policy_name(),
-            "failure_model": active_failure_model_name(),
-            "ilm_accounting": args.ilm,
+    if cli.args.out:
+        FilePath(cli.args.out).write_text(report + "\n")
+    cli.write_bench(
+        {
             "ilm_max_scenarios": table2.ILM_MAX_SCENARIOS,
-            "wall_clock_s": round(timer.total(), 4),
-            "sections": timer.as_dict(),
-            "stages": timer.as_dict(),
-            "counters": counters,
+            "sections": cli.timer.as_dict(),
         }
-        payload.update(bench_observability(args, counters))
-        write_bench_json("runner", payload, path=args.bench_json)
-    else:
-        bench_observability(args)
+    )
     return report
 
 

@@ -5,14 +5,10 @@ Run with ``python -m repro.experiments.table1 [--scale small]``.
 
 from __future__ import annotations
 
-import argparse
-
-from ..obs import TRACER, activate_from_args, add_obs_arguments, bench_observability
-from ..kernels import add_kernel_argument, apply_kernel
-from ..perf import COUNTERS
+from ..obs import TRACER
 from ..topology.stats import TopologyStats, summarize
-from .bench import StageTimer, write_bench_json
-from .networks import ExperimentNetwork, scales, suite
+from .bench import ExperimentRun
+from .networks import ExperimentNetwork, suite
 from .reporting import format_table
 
 #: The published Table 1 values, for side-by-side comparison.
@@ -62,46 +58,23 @@ def render(stats: list[TopologyStats]) -> str:
     )
 
 
+#: The RunConfig fields this CLI reads (and stamps).
+CONFIG_FIELDS = ("scale", "seed", "kernel_backend")
+
+
 def main(argv: list[str] | None = None) -> str:
     """CLI entry point; prints and returns the report."""
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scale", choices=scales(), default="small")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument(
-        "--bench-json", type=str, default=None,
-        help="path for the BENCH JSON (default results/BENCH_table1.json; "
-             "'-' disables)",
-    )
-    add_kernel_argument(parser)
-    add_obs_arguments(parser)
-    args = parser.parse_args(argv)
-    apply_kernel(args)
-    activate_from_args(args)
-    timer = StageTimer(prefix="table1")
-    before = COUNTERS.snapshot()
-    with TRACER.span("table1", scale=args.scale, seed=args.seed):
-        with timer.stage("topologies"):
-            networks = suite(scale=args.scale, seed=args.seed)
-        with timer.stage("stats"):
+    cli = ExperimentRun("table1", __doc__, CONFIG_FIELDS, argv)
+    config = cli.config
+    with TRACER.span("table1", scale=config.scale, seed=config.seed):
+        with cli.timer.stage("topologies"):
+            networks = suite(scale=config.scale, seed=config.seed)
+        with cli.timer.stage("stats"):
             stats = collect(networks)
-        with timer.stage("render"):
+        with cli.timer.stage("render"):
             report = render(stats)
     print(report)
-    if args.bench_json != "-":
-        counters = COUNTERS.delta(before).as_dict()
-        payload = {
-            "name": "table1",
-            "scale": args.scale,
-            "seed": args.seed,
-            "wall_clock_s": round(timer.total(), 4),
-            "stages": timer.as_dict(),
-            "networks": [s.name for s in stats],
-            "counters": counters,
-        }
-        payload.update(bench_observability(args, counters))
-        write_bench_json("table1", payload, path=args.bench_json)
-    else:
-        bench_observability(args)
+    cli.write_bench({"networks": [s.name for s in stats]})
     return report
 
 

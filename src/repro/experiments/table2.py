@@ -10,7 +10,6 @@ Run with ``python -m repro.experiments.table2 [--scale small]``.
 
 from __future__ import annotations
 
-import argparse
 from concurrent.futures import Executor
 from dataclasses import asdict, replace
 from typing import Optional
@@ -20,27 +19,19 @@ from ..core.cache import shared_unique_base
 from ..failures.sampler import FAILURE_MODES, FailureCase, sample_pairs
 from ..graph.graph import Graph
 from ..graph.spt import max_shortest_path_multiplicity
-from ..obs import TRACER, activate_from_args, add_obs_arguments, bench_observability
-from ..kernels import add_kernel_argument, apply_kernel
+from ..obs import TRACER
 from ..policies import (
     DEFAULT_POLICY,
     active_failure_model_name,
     active_policy_name,
-    add_policy_arguments,
-    apply_policy_arguments,
     make_failure_model,
     make_policy,
 )
 from ..perf import COUNTERS
-from .bench import (
-    StageTimer,
-    add_repair_fallback_argument,
-    apply_repair_fallback,
-    write_bench_json,
-)
+from .bench import ExperimentRun, StageTimer
 from .ilm_accounting import IlmAccountant, scenarios_from_cases
 from .metrics import CaseResult, TableTwoRow, build_row
-from .networks import ExperimentNetwork, cached_suite, scales
+from .networks import ExperimentNetwork, cached_suite
 from .parallel import (
     ShmRef,
     ilm_scenario_chunk,
@@ -400,83 +391,50 @@ def _null():
     return nullcontext()
 
 
+#: The RunConfig fields this CLI reads (and stamps).
+CONFIG_FIELDS = (
+    "scale", "seed", "modes", "ilm_accounting", "jobs", "policy",
+    "failure_model", "kernel_backend",
+)
+
+
 def main(argv: list[str] | None = None) -> str:
     """CLI entry point; prints and returns the report."""
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scale", choices=scales(), default="small")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument(
-        "--modes", nargs="+", choices=FAILURE_MODES, default=list(FAILURE_MODES)
-    )
-    parser.add_argument(
-        "--ilm", choices=("per-pair", "per-link"), default="per-pair",
-        help="ILM stretch accounting (per-link is the faithful Section 4 "
-             "comparison; slower)",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for the case fan-out (0 = auto)",
-    )
-    parser.add_argument(
-        "--bench-json", type=str, default=None,
-        help="path for the BENCH JSON (default results/BENCH_table2.json; "
-             "'-' disables)",
-    )
-    add_repair_fallback_argument(parser)
-    add_kernel_argument(parser)
-    add_policy_arguments(parser)
-    add_obs_arguments(parser)
-    args = parser.parse_args(argv)
-    apply_repair_fallback(args)  # before any worker fork
-    apply_kernel(args)  # before any worker fork
-    apply_policy_arguments(args)  # before any worker fork
-    activate_from_args(args)
-    timer = StageTimer(prefix="table2")
+    cli = ExperimentRun("table2", __doc__, CONFIG_FIELDS, argv)
+    config = cli.config
     stats: dict = {}
-    before = COUNTERS.snapshot()
-    with TRACER.span("table2", scale=args.scale, seed=args.seed):
+    with TRACER.span("table2", scale=config.scale, seed=config.seed):
         all_rows = run(
-            scale=args.scale,
-            seed=args.seed,
-            modes=tuple(args.modes),
-            ilm_accounting=args.ilm,
-            jobs=args.jobs,
-            timer=timer,
+            scale=config.scale,
+            seed=config.seed,
+            modes=config.modes,
+            ilm_accounting=config.ilm_accounting,
+            jobs=config.jobs,
+            timer=cli.timer,
             stats=stats,
+            policy=config.policy,
+            failure_model=config.failure_model,
         )
-        with timer.stage("render"):
+        with cli.timer.stage("render"):
             report = render(all_rows)
     print(report)
-    if args.bench_json != "-":
-        counters = COUNTERS.delta(before).as_dict()
-        cases = stats.get("cases", 0)
-        payload = {
-            "name": "table2",
-            "scale": args.scale,
-            "seed": args.seed,
-            "jobs": args.jobs,
-            "modes": list(args.modes),
-            "policy": active_policy_name(),
-            "failure_model": active_failure_model_name(),
-            "ilm_accounting": args.ilm,
+    cases = stats.get("cases", 0)
+    relaxations = cli.counters()["dijkstra_relaxations"]
+    out = cli.write_bench(
+        {
             "ilm_max_scenarios": ILM_MAX_SCENARIOS,
-            "wall_clock_s": round(timer.total(), 4),
-            "stages": timer.as_dict(),
             "cases": cases,
             "dijkstra_relaxations_per_case": (
-                round(counters["dijkstra_relaxations"] / cases, 1) if cases else None
+                round(relaxations / cases, 1) if cases else None
             ),
-            "counters": counters,
             "rows": {
                 mode: [asdict(row) for row in rows]
                 for mode, rows in all_rows.items()
             },
         }
-        payload.update(bench_observability(args, counters))
-        out = write_bench_json("table2", payload, path=args.bench_json)
+    )
+    if out is not None:
         print(f"[bench] wrote {out}")
-    else:
-        bench_observability(args)
     return report
 
 

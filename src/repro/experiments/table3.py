@@ -10,32 +10,21 @@ Run with ``python -m repro.experiments.table3 [--scale small]``.
 
 from __future__ import annotations
 
-import argparse
 from typing import Optional
 
 from ..core.local_restoration import bypass_path
 from ..exceptions import NoPath, NoRestorationPath
 from ..graph.graph import Graph
 from ..graph.shortest_paths import shortest_path
-from ..obs import TRACER, activate_from_args, add_obs_arguments, bench_observability
+from ..obs import TRACER
 from ..obs.metrics import DEPTH_EDGES, METRICS
-from ..kernels import add_kernel_argument, apply_kernel
 from ..policies import (
     DEFAULT_FAILURE_MODEL,
     active_failure_model_name,
-    active_policy_name,
-    add_policy_arguments,
-    apply_policy_arguments,
     make_failure_model,
 )
-from ..perf import COUNTERS
-from .bench import (
-    StageTimer,
-    add_repair_fallback_argument,
-    apply_repair_fallback,
-    write_bench_json,
-)
-from .networks import cached_suite, scales
+from .bench import ExperimentRun
+from .networks import cached_suite
 from .parallel import (
     make_executor,
     publish_suite,
@@ -200,65 +189,29 @@ def render(results: dict[str, tuple[dict[int, float], float]]) -> str:
     )
 
 
+#: The RunConfig fields this CLI reads (and stamps).
+CONFIG_FIELDS = (
+    "scale", "seed", "max_links", "jobs", "failure_model", "kernel_backend",
+)
+
+
 def main(argv: list[str] | None = None) -> str:
     """CLI entry point; prints and returns the report."""
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scale", choices=scales(), default="small")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument(
-        "--max-links",
-        type=int,
-        default=None,
-        help="cap on links sampled per network (full enumeration by default)",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for the per-link fan-out (0 = auto)",
-    )
-    parser.add_argument(
-        "--bench-json", type=str, default=None,
-        help="path for the BENCH JSON (default results/BENCH_table3.json; "
-             "'-' disables)",
-    )
-    add_repair_fallback_argument(parser)
-    add_kernel_argument(parser)
-    add_policy_arguments(parser)
-    add_obs_arguments(parser)
-    args = parser.parse_args(argv)
-    apply_repair_fallback(args)  # before any worker fork
-    apply_kernel(args)  # before any worker fork
-    apply_policy_arguments(args)  # before any worker fork
-    activate_from_args(args)
-    timer = StageTimer(prefix="table3")
-    before = COUNTERS.snapshot()
-    with TRACER.span("table3", scale=args.scale, seed=args.seed):
-        with timer.stage("bypasses"):
+    cli = ExperimentRun("table3", __doc__, CONFIG_FIELDS, argv)
+    config = cli.config
+    with TRACER.span("table3", scale=config.scale, seed=config.seed):
+        with cli.timer.stage("bypasses"):
             results = run(
-                scale=args.scale,
-                seed=args.seed,
-                max_links=args.max_links,
-                jobs=args.jobs,
+                scale=config.scale,
+                seed=config.seed,
+                max_links=config.max_links,
+                jobs=config.jobs,
+                failure_model=config.failure_model,
             )
-        with timer.stage("render"):
+        with cli.timer.stage("render"):
             report = render(results)
     print(report)
-    if args.bench_json != "-":
-        counters = COUNTERS.delta(before).as_dict()
-        payload = {
-            "name": "table3",
-            "scale": args.scale,
-            "seed": args.seed,
-            "jobs": args.jobs,
-            "policy": active_policy_name(),
-            "failure_model": active_failure_model_name(),
-            "wall_clock_s": round(timer.total(), 4),
-            "stages": timer.as_dict(),
-            "counters": counters,
-        }
-        payload.update(bench_observability(args, counters))
-        write_bench_json("table3", payload, path=args.bench_json)
-    else:
-        bench_observability(args)
+    cli.write_bench({})
     return report
 
 

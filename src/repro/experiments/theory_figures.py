@@ -15,13 +15,11 @@ Run with ``python -m repro.experiments.theory_figures``.
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass
 
 from ..core.base_paths import AllShortestPathsBase
 from ..core.decomposition import min_pieces_decompose
 from ..failures.models import FailureScenario
-from ..kernels import add_kernel_argument, apply_kernel
 from ..graph.shortest_paths import shortest_path
 from ..topology.classic import (
     comb_graph,
@@ -29,6 +27,7 @@ from ..topology.classic import (
     two_level_star,
     weighted_comb_graph,
 )
+from .bench import ExperimentRun
 from .reporting import format_table
 
 
@@ -159,45 +158,25 @@ def render(results: list[TightnessResult]) -> str:
     )
 
 
+#: The RunConfig fields this CLI reads (and stamps).
+CONFIG_FIELDS = ("kernel_backend",)
+
+
 def main(argv: list[str] | None = None) -> str:
     """CLI entry point; prints and returns the report."""
-    from ..obs import activate_from_args, add_obs_arguments, bench_observability
-    from ..perf import COUNTERS
-    from .bench import StageTimer, write_bench_json
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--bench-json", type=str, default=None,
-        help="path for the BENCH JSON (default "
-             "results/BENCH_theory_figures.json; '-' disables)",
-    )
-    add_kernel_argument(parser)
-    add_obs_arguments(parser)
-    args = parser.parse_args(argv)
-    apply_kernel(args)
-    activate_from_args(args)
-    timer = StageTimer(prefix="theory_figures")
-    before = COUNTERS.snapshot()
-    with timer.stage("constructions"):
+    cli = ExperimentRun("theory_figures", __doc__, CONFIG_FIELDS, argv)
+    with cli.timer.stage("constructions"):
         results = run()
-    with timer.stage("render"):
+    with cli.timer.stage("render"):
         report = render(results)
     print(report)
-    if args.bench_json != "-":
-        counters = COUNTERS.delta(before).as_dict()
-        payload = {
-            "name": "theory_figures",
+    cli.write_bench(
+        {
             "cases": len(results),
             "figures": sorted({r.figure for r in results}),
             "matches": sum(1 for r in results if r.matches),
-            "wall_clock_s": round(timer.total(), 4),
-            "stages": timer.as_dict(),
-            "counters": counters,
         }
-        payload.update(bench_observability(args, counters))
-        write_bench_json("theory_figures", payload, path=args.bench_json)
-    else:
-        bench_observability(args)
+    )
     return report
 
 

@@ -56,7 +56,6 @@ multi-source consumer is the per-scenario ILM accounting.
 
 from __future__ import annotations
 
-import os
 from array import array
 from typing import Iterable, Optional
 
@@ -86,31 +85,9 @@ from .shortest_paths import shortest_path
 #: when weighted repair became legal under the canonical tie contract
 #: (sweep in docs/performance.md).
 #:
-#: This is a documented knob: set the ``REPRO_REPAIR_FALLBACK``
-#: environment variable (a float in (0, 1], or > 1 to disable the
-#: fallback entirely) or pass ``--repair-fallback`` to the experiment
-#: CLIs (which calls :func:`set_repair_fallback_fraction`).  The active
-#: value is recorded in every ``BENCH_*.json`` header.
-REPAIR_FALLBACK_FRACTION = float(os.environ.get("REPRO_REPAIR_FALLBACK", 0.5))
-
-
-def repair_fallback_fraction() -> float:
-    """The active fallback threshold (env default, CLI-overridable)."""
-    return REPAIR_FALLBACK_FRACTION
-
-
-def set_repair_fallback_fraction(value: float) -> float:
-    """Override the fallback threshold process-wide; returns the old value.
-
-    Called by the ``--repair-fallback`` CLI flag before any worker
-    processes fork, so the whole fan-out shares one policy.
-    """
-    global REPAIR_FALLBACK_FRACTION
-    if value <= 0:
-        raise ValueError(f"repair fallback fraction must be > 0, got {value}")
-    old = REPAIR_FALLBACK_FRACTION
-    REPAIR_FALLBACK_FRACTION = value
-    return old
+#: A constant, stamped as ``repair_fallback`` in every ``BENCH_*.json``
+#: header; :func:`repair_spt` takes a per-call override.
+REPAIR_FALLBACK_FRACTION = 0.5
 
 
 def dead_edge_pairs(view: CsrView) -> list[tuple[int, int]]:
@@ -226,7 +203,7 @@ def repair_spt(
     source: int,
     dist,
     pred,
-    fallback_fraction: Optional[float] = None,
+    fallback_fraction: float = REPAIR_FALLBACK_FRACTION,
     unit: bool = False,
 ) -> tuple[array, array]:
     """Repair a canonical pre-failure SPT after the deletions in *view*.
@@ -240,16 +217,13 @@ def repair_spt(
     bitwise identical to re-running from scratch on *view*.  The inputs
     are never mutated.
 
-    *fallback_fraction* defaults to the process-wide
-    :data:`REPAIR_FALLBACK_FRACTION` knob, read at call time.
+    *fallback_fraction* defaults to :data:`REPAIR_FALLBACK_FRACTION`.
 
     Each repair bumps ``COUNTERS.spt_repairs``; the number of re-settled
     vertices (the honest per-failure work) accumulates into
     ``COUNTERS.spt_nodes_resettled``; threshold aborts into
     ``COUNTERS.spt_fallbacks`` before delegating to the full kernel.
     """
-    if fallback_fraction is None:
-        fallback_fraction = REPAIR_FALLBACK_FRACTION
     children = kernel_backend().children_index(pred)
     row = _repair_row(
         view, source, dist, pred, children, fallback_fraction, unit

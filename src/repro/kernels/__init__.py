@@ -33,7 +33,8 @@ subtree, applies the fallback threshold and re-settles in one call, and
 
 Selection: the ``REPRO_KERNEL`` environment variable (``python``,
 ``native``, or ``auto`` — the default), or ``--kernel`` on every
-experiment CLI (:func:`add_kernel_argument` / :func:`apply_kernel`).
+experiment CLI (the ``kernel_backend`` field of
+:class:`~repro.runconfig.RunConfig`, installed via :func:`set_backend`).
 ``auto`` prefers native when a C toolchain is present and silently
 falls back to the reference backend otherwise — the compiled backend
 stays optional, never a dependency.  The active backend name is
@@ -44,7 +45,6 @@ treated as an obs-diff comparability key.
 from __future__ import annotations
 
 import os
-from typing import Any
 
 #: Recognized values for REPRO_KERNEL / --kernel.
 KERNEL_CHOICES = ("auto", "python", "native")
@@ -132,21 +132,3 @@ def available_backends() -> list[str]:
     except ImportError:
         return ["python"]
     return ["python", "native"]
-
-
-def add_kernel_argument(parser: Any) -> None:
-    """Attach the documented ``--kernel`` knob to a CLI parser."""
-    parser.add_argument(
-        "--kernel", choices=list(KERNEL_CHOICES), default=None,
-        help="kernel backend for the canonical path engine (default: env "
-             "REPRO_KERNEL or 'auto' — native when a C toolchain is "
-             "present, else the pure-python reference; outputs are "
-             "bit-identical either way)",
-    )
-
-
-def apply_kernel(args: Any) -> None:
-    """Install ``--kernel`` process-wide (call before forking workers)."""
-    value = getattr(args, "kernel", None)
-    if value is not None:
-        set_backend(value)

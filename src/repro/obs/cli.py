@@ -23,7 +23,8 @@ Subcommands:
     exit code 1 — because counters are deterministic; wall-clock growth
     is a soft warning unless ``--fail-on-wall`` is given (clocks are
     noisy on shared CI runners).  Exit code 2 means the two files are
-    not comparable (different experiment/scale/case count).  A
+    not comparable (a :data:`~repro.runconfig.COMPARABILITY_KEYS` field
+    differs: experiment, a run setting, case count, environment).  A
     ``git_sha`` mismatch only *warns* — comparing commits is the point.
 
 ``trend [--ledger PATH]``
@@ -254,12 +255,11 @@ def cmd_diff(args: argparse.Namespace) -> int:
     if old_sha and new_sha and old_sha != new_sha:
         print(f"note: comparing across commits ({old_sha} vs {new_sha})")
 
-    # The ledger's comparability rule: runs under different workloads,
-    # policies, failure models, ILM accounting modes, tie rules,
-    # fallback thresholds, shared-memory availability, kernel backends,
-    # or fan-out widths do different work or time it differently, so
-    # their numbers must not be diffed (fields absent from either file
-    # do not constrain).
+    # The ledger's comparability rule: runs that differ in a RunConfig
+    # field, a workload pin or an environment stamp
+    # (repro.runconfig.COMPARABILITY_KEYS) do different work or time
+    # it differently, so their numbers must not be diffed (fields
+    # absent from either file do not constrain).
     key = config_mismatch(old, new)
     if key is not None:
         print(

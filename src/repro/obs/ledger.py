@@ -5,10 +5,10 @@ overwritten, great for "what did the last run do" and useless for "is
 this faster than every run before it".  The ledger is the *history*:
 every call to :func:`~repro.experiments.bench.write_bench_json`
 appends one manifest line to ``results/history/ledger.jsonl`` — git
-sha, package version, the full policy header (``kernel_backend``,
-``shm_enabled``, ``jobs``, ``tie_order``, ``repair_fallback``),
-per-stage wall times, the merged work counters, and the run's memory
-gauges.  ``BENCH_*.json`` thereby becomes a view over the ledger
+sha, package version, the run's config (its
+:class:`~repro.runconfig.RunConfig` fields plus the environment
+stamps), per-stage wall times, the merged work counters, and the
+run's memory gauges.  ``BENCH_*.json`` thereby becomes a view over the ledger
 rather than the only record, and ``python -m repro.obs trend`` can
 exit-code a regression against *all* comparable history, not just one
 hand-picked baseline file.
@@ -23,9 +23,10 @@ One JSON object per line (JSONL), schema-tagged
     {"schema", "ts", "git_sha", "repro_version", "name", "config",
      "wall_clock_s", "stages", "counters", "memory", "bench_path"}
 
-``config`` carries the comparability fields (see
-:data:`COMPARABILITY_KEYS`); runs whose config differs do different
-work and are never trended against each other.
+``config`` carries the comparability fields
+(:data:`~repro.runconfig.COMPARABILITY_KEYS`, computed from
+:class:`~repro.runconfig.RunConfig`); runs whose config differs do
+different work and are never trended against each other.
 :func:`config_mismatch` is the one comparability rule —
 ``repro.obs diff``, ``trend`` and ``report`` all apply it.  The
 versioning policy mirrors :mod:`repro.obs.events`: additive keys are
@@ -54,31 +55,10 @@ import time
 from pathlib import Path
 from typing import Any, Iterable, Optional, Union
 
+from ..runconfig import COMPARABILITY_KEYS
+
 #: Schema tag on (and required of) every ledger line.
 LEDGER_SCHEMA = "repro.obs.ledger/1"
-
-#: Config fields two runs must share before their numbers may be
-#: diffed or trended against each other (policy fields change the work
-#: done); ``cases`` guards against workload drift inside one
-#: name/scale/seed, ``modes`` / ``ilm_accounting`` /
-#: ``ilm_max_scenarios`` against comparing a per-pair run with a
-#: per-link one or ILM runs over different scenario caps.
-COMPARABILITY_KEYS = (
-    "name",
-    "scale",
-    "seed",
-    "cases",
-    "modes",
-    "policy",
-    "failure_model",
-    "ilm_accounting",
-    "ilm_max_scenarios",
-    "tie_order",
-    "repair_fallback",
-    "shm_enabled",
-    "kernel_backend",
-    "jobs",
-)
 
 _GIT_SHA_CACHE: Optional[tuple[Optional[str]]] = None
 

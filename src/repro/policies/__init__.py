@@ -5,8 +5,7 @@
   uniform :class:`RestorationOutcome` result shape.
 * :mod:`repro.policies.registry` — string-keyed registries, the
   ``REPRO_POLICY`` / ``REPRO_FAILURE_MODEL`` selection (with the
-  pre-fork env export the kernel backends use), and the
-  ``--policy`` / ``--failure-model`` CLI plumbing.
+  pre-fork env export the kernel backends use).
 * :mod:`repro.policies.schemes` — the built-ins: the paper's
   concatenation scheme, the related-work baselines, MRC
   (arXiv:1212.0311), and the do-not-restore floor.
@@ -31,8 +30,6 @@ from .registry import (
     POLICIES,
     active_failure_model_name,
     active_policy_name,
-    add_policy_arguments,
-    apply_policy_arguments,
     ensure_registered,
     failure_model_names,
     make_failure_model,
@@ -51,8 +48,6 @@ __all__ = [
     "RestorationPolicy",
     "active_failure_model_name",
     "active_policy_name",
-    "add_policy_arguments",
-    "apply_policy_arguments",
     "ensure_registered",
     "failure_model_names",
     "make_failure_model",

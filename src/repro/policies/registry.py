@@ -4,10 +4,10 @@ Mirrors the :mod:`repro.kernels` selection pattern: a process-wide
 active name resolved from an environment variable (``REPRO_POLICY`` /
 ``REPRO_FAILURE_MODEL``), a ``set_*`` that *exports* the resolved name
 back into the environment so forked or spawned workers inherit a
-deterministic choice, and ``add_policy_arguments`` /
-``apply_policy_arguments`` to hang the documented CLI knobs off every
-experiment parser (applied before the first worker fork, exactly like
-``--kernel``).
+deterministic choice.  The ``--policy`` / ``--failure-model`` flags are
+:class:`~repro.runconfig.RunConfig` fields: a CLI that declares them
+passes the names to its run explicitly, and worker chunks receive them
+as strings.
 
 Registration is idempotent for the same factory and refuses a
 conflicting re-bind; unknown names raise with the sorted list of
@@ -17,7 +17,7 @@ available names (both pinned by ``tests/test_policies.py``).
 from __future__ import annotations
 
 import os
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 #: Environment variables the active selections live in.
 POLICY_ENV = "REPRO_POLICY"
@@ -154,33 +154,3 @@ def failure_model_names() -> list[str]:
     """Registered failure-model names (sorted)."""
     ensure_registered()
     return FAILURE_MODELS.names()
-
-
-def add_policy_arguments(parser: Any) -> None:
-    """Attach the documented ``--policy``/``--failure-model`` knobs."""
-    parser.add_argument(
-        "--policy", choices=policy_names(), default=None,
-        help="restoration policy (default: env REPRO_POLICY or "
-             f"{DEFAULT_POLICY!r} — the paper's scheme; default runs are "
-             "byte-identical to the pre-policy pipeline)",
-    )
-    parser.add_argument(
-        "--failure-model", choices=failure_model_names(), default=None,
-        help="failure generation model (default: env REPRO_FAILURE_MODEL "
-             f"or {DEFAULT_FAILURE_MODEL!r} — the paper's independent "
-             "on-path sampling)",
-    )
-
-
-def apply_policy_arguments(args: Any) -> None:
-    """Install ``--policy``/``--failure-model`` process-wide.
-
-    Call before forking workers, exactly like
-    :func:`repro.kernels.apply_kernel`.
-    """
-    value: Optional[str] = getattr(args, "policy", None)
-    if value is not None:
-        set_policy(value)
-    value = getattr(args, "failure_model", None)
-    if value is not None:
-        set_failure_model(value)

@@ -14,8 +14,8 @@ Three properties make the contract load-bearing for the whole library
 3. **Batched repair equivalence** — ``SptCache.repair_batch`` returns,
    per source, the same row as the single-source ``repaired_row``.
 
-Plus the promoted ``REPAIR_FALLBACK_FRACTION`` knob's contract:
-call-time resolution, CLI/env overrides, validation.
+Plus the BENCH header's stamps of the contract: ``tie_order`` and the
+``REPAIR_FALLBACK_FRACTION`` constant.
 """
 
 from __future__ import annotations
@@ -32,10 +32,9 @@ from repro.graph.csr import (
 )
 from repro.graph.graph import Graph
 from repro.graph.incremental import (
+    REPAIR_FALLBACK_FRACTION,
     SptCache,
-    repair_fallback_fraction,
     repair_spt,
-    set_repair_fallback_fraction,
 )
 
 from .legacy_kernels import dijkstra_csr_legacy
@@ -168,61 +167,6 @@ class TestBatchedRepair:
         assert 3 not in rows and set(rows) == {1, 7}
 
 
-class TestFallbackKnob:
-    def test_set_and_restore(self):
-        old = repair_fallback_fraction()
-        try:
-            assert set_repair_fallback_fraction(0.5) == old
-            assert repair_fallback_fraction() == 0.5
-        finally:
-            set_repair_fallback_fraction(old)
-
-    def test_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            set_repair_fallback_fraction(0.0)
-        with pytest.raises(ValueError):
-            set_repair_fallback_fraction(-1.0)
-
-    def test_repair_spt_reads_knob_at_call_time(self):
-        # A huge threshold suppresses the fallback even for a cut that
-        # orphans most of the tree — proving the default is resolved
-        # per call, not bound at import.
-        from repro.graph.csr import INF
-        from repro.perf import COUNTERS
-        from repro.topology import path_graph
-
-        g = path_graph(10)
-        csr = CsrGraph(g)
-        dist, pred, _ = dijkstra_csr_canonical(as_view(csr), csr.index[0])
-        view = csr.with_edges_removed([(0, 1)])
-        old = repair_fallback_fraction()
-        try:
-            set_repair_fallback_fraction(5.0)
-            before = COUNTERS.spt_fallbacks
-            got_dist, _ = repair_spt(view, csr.index[0], dist, pred)
-            assert COUNTERS.spt_fallbacks == before  # no fallback fired
-            assert all(got_dist[csr.index[v]] == INF for v in range(1, 10))
-        finally:
-            set_repair_fallback_fraction(old)
-
-    def test_env_var_is_honored(self):
-        import subprocess
-        import sys
-
-        code = (
-            "from repro.graph.incremental import repair_fallback_fraction;"
-            "print(repair_fallback_fraction())"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env={"PYTHONPATH": "src", "REPRO_REPAIR_FALLBACK": "0.75"},
-        )
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "0.75"
-
-
 class TestBenchHeader:
     def test_payload_gets_policy_fields(self, tmp_path):
         import json
@@ -234,7 +178,7 @@ class TestBenchHeader:
         )
         payload = json.loads(out.read_text())
         assert payload["tie_order"] == "canonical"
-        assert payload["repair_fallback"] == repair_fallback_fraction()
+        assert payload["repair_fallback"] == REPAIR_FALLBACK_FRACTION == 0.5
 
     def test_default_path_lands_in_results_dir(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

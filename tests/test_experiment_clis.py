@@ -2,7 +2,9 @@
 
 Each table/figure module is a deliverable CLI; these tests invoke the
 ``main`` functions at tiny scale and assert the reports carry the
-paper-shaped content.
+paper-shaped content, that each BENCH header holds exactly the
+``RunConfig`` fields the CLI declares plus the common stamps, and that
+flags a CLI does not read are usage errors.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import json
 import pytest
 
 from repro.experiments import ablation, figure10, runner, table1, table2, table3, theory_figures
+from repro.runconfig import COMPARABILITY_KEYS, ENVIRONMENT_KEYS
 
 
 def test_table1_main(capsys, tmp_path):
@@ -115,3 +118,113 @@ def test_ablation_main():
     assert "Decomposition" in report
     assert "RBPC" in report
     assert "Suurballe" in report
+
+
+# -- one RunConfig: declared fields, stamps, rejections -----------------------
+
+#: Stamped on every payload besides the declared fields.
+PROVENANCE = {"git_sha", "repro_version"}
+TIMINGS_AND_COUNTERS = {"wall_clock_s", "stages", "counters", "rates", "memory"}
+
+#: CLI -> (argv, declared RunConfig fields, result fields).
+CLI_HEADERS = {
+    "table1": (
+        ["--scale", "tiny"],
+        {"scale", "seed", "kernel_backend"},
+        {"networks"},
+    ),
+    "table2": (
+        ["--scale", "tiny", "--modes", "link"],
+        {"scale", "seed", "modes", "ilm_accounting", "jobs", "policy",
+         "failure_model", "kernel_backend"},
+        {"ilm_max_scenarios", "cases", "dijkstra_relaxations_per_case", "rows"},
+    ),
+    "table3": (
+        ["--scale", "tiny", "--max-links", "5"],
+        {"scale", "seed", "max_links", "jobs", "failure_model", "kernel_backend"},
+        set(),
+    ),
+    "figure10": (
+        ["--scale", "tiny"],
+        {"scale", "seed", "jobs", "failure_model", "kernel_backend"},
+        {"samples"},
+    ),
+    "ablation": (
+        ["--size", "40", "--pairs", "6"],
+        {"size", "pairs", "seed", "failure_model", "kernel_backend"},
+        {"cases"},
+    ),
+    "theory_figures": ([], {"kernel_backend"}, {"cases", "figures", "matches"}),
+    "runner": (
+        ["--scale", "tiny"],
+        {"scale", "seed", "ilm_accounting", "jobs", "policy", "failure_model",
+         "kernel_backend"},
+        {"ilm_max_scenarios", "sections"},
+    ),
+}
+
+CLIS = {
+    "table1": table1, "table2": table2, "table3": table3, "figure10": figure10,
+    "ablation": ablation, "theory_figures": theory_figures, "runner": runner,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_HEADERS))
+def test_header_keys_are_declared_fields_plus_stamps(name, tmp_path):
+    argv, declared, results = CLI_HEADERS[name]
+    module = CLIS[name]
+    assert set(module.CONFIG_FIELDS) == declared
+    assert declared <= set(COMPARABILITY_KEYS)
+    bench = tmp_path / "bench.json"
+    module.main(argv + ["--bench-json", str(bench)])
+    payload = json.loads(bench.read_text())
+    assert set(payload) == (
+        {"name"} | declared | set(ENVIRONMENT_KEYS) | PROVENANCE
+        | TIMINGS_AND_COUNTERS | results
+    )
+    assert payload["name"] == name
+    assert payload["kernel_backend"] in ("python", "native")  # never "auto"
+
+
+@pytest.mark.parametrize("name,flag", [
+    ("table1", "--policy"), ("table1", "--failure-model"),
+    ("theory_figures", "--policy"), ("theory_figures", "--failure-model"),
+    ("table3", "--policy"), ("figure10", "--policy"), ("ablation", "--policy"),
+])
+def test_unread_setting_is_rejected(name, flag, capsys):
+    value = "mrc" if flag == "--policy" else "srlg"
+    with pytest.raises(SystemExit) as exc:
+        CLIS[name].main([flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["table2", "table3", "figure10", "runner"])
+def test_negative_jobs_is_a_usage_error(name, capsys):
+    with pytest.raises(SystemExit) as exc:
+        CLIS[name].main(["--scale", "tiny", "--jobs", "-2"])
+    assert exc.value.code == 2
+    assert "--jobs: must be >= 0, got -2" in capsys.readouterr().err
+
+
+def test_runner_passes_policy_and_failure_model_to_its_sections(monkeypatch):
+    seen = {}
+
+    def recording(module):
+        real = module.run
+
+        def run(**kwargs):
+            seen[module.__name__.rsplit(".", 1)[1]] = kwargs
+            return real(**kwargs)
+
+        monkeypatch.setattr(module, "run", run)
+
+    for module in (table2, table3, figure10):
+        recording(module)
+    runner.main([
+        "--scale", "tiny", "--policy", "drop", "--failure-model", "srlg",
+        "--bench-json", "-",
+    ])
+    assert seen["table2"]["policy"] == "drop"
+    for name in ("table2", "table3", "figure10"):
+        assert seen[name]["failure_model"] == "srlg"

@@ -151,6 +151,13 @@ class TestRepairSpt:
         assert COUNTERS.spt_repairs == before_r  # abandoned, not a repair
         want = dijkstra_csr_canonical(view, csr.index[0])
         assert got[0] == want[0]
+        # A per-call threshold above 1 suppresses the fallback even for
+        # this cut, which orphans all but the source.
+        got_dist, _ = repair_spt(
+            view, csr.index[0], dist, pred, fallback_fraction=5.0
+        )
+        assert COUNTERS.spt_fallbacks == before_f + 1
+        assert all(got_dist[csr.index[v]] == INF for v in range(1, 10))
 
     def test_affected_subtree_helpers(self):
         g = path_graph(5)

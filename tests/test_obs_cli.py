@@ -111,22 +111,38 @@ class TestDiff:
             assert main(["diff", str(old), str(new)]) == 2
             assert "NOT COMPARABLE" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("key,value", [
-        ("ilm_accounting", "per-link"),
-        ("ilm_max_scenarios", 50),
-        ("modes", ["link", "router"]),
+    @pytest.mark.parametrize("baseline,key,value", [
+        pytest.param("table2-tiny-link", "ilm_accounting", "per-link",
+                     id="ilm_accounting-per-link"),
+        pytest.param("table2-tiny-link", "ilm_max_scenarios", 50,
+                     id="ilm_max_scenarios-50"),
+        pytest.param("table2-tiny-link", "modes", ["link", "router"],
+                     id="modes-value2"),
+        # A full table3 sweep vs. a --max-links 5 one (null = every link).
+        pytest.param("table3-tiny", "max_links", 5, id="max_links-5"),
+        # ablation --size 40 vs. --size 46: same case count, other work.
+        pytest.param(None, "size", 46, id="size-46"),
     ])
     def test_per_pair_vs_per_link_baseline_exit_2(
-        self, tmp_path, capsys, key, value
+        self, tmp_path, capsys, baseline, key, value
     ):
         # Regression: the diff gate used to lack modes / ilm_accounting
-        # (and ilm_max_scenarios), so two copies of the committed
-        # table2 baseline differing only there diffed with exit 0.
-        baseline = (
-            Path(__file__).resolve().parents[1]
-            / "benchmarks" / "baselines" / "table2-tiny-link.json"
-        )
-        payload = json.loads(baseline.read_text())
+        # (and ilm_max_scenarios, max_links, size), so two copies of a
+        # committed baseline differing only there diffed with exit 0.
+        if baseline is None:
+            payload = json.loads(write_bench(
+                tmp_path / "ablation.json", name="ablation", size=40,
+                pairs=6, cases=20,
+            ).read_text())
+        else:
+            path = (
+                Path(__file__).resolve().parents[1]
+                / "benchmarks" / "baselines" / f"{baseline}.json"
+            )
+            # A baseline predating the field ran at its default
+            # (max_links null: every link).
+            payload = json.loads(path.read_text())
+            payload.setdefault(key, None)
         assert payload[key] != value
         old = tmp_path / "old.json"
         old.write_text(json.dumps(payload))

@@ -8,9 +8,6 @@ import pytest
 
 from repro import __version__
 
-# Aliased: pytest's ``bench_*`` collection pattern (for benchmarks/)
-# would otherwise pick the bare import up as a test function.
-from repro.experiments.bench import bench_header as make_bench_header
 from repro.experiments.bench import write_bench_json
 from repro.obs.ledger import (
     COMPARABILITY_KEYS,
@@ -156,6 +153,21 @@ class TestComparability:
         b = make_entry("table3", PAYLOAD)
         assert comparable_history([a, b], b) == []
 
+    def test_keys_are_computed_from_run_config(self):
+        from dataclasses import fields
+
+        from repro.runconfig import RunConfig
+
+        # Today's names, plus the table3/ablation workload fields.
+        assert set(COMPARABILITY_KEYS) == {
+            "name", "scale", "seed", "cases", "modes", "policy",
+            "failure_model", "ilm_accounting", "ilm_max_scenarios",
+            "tie_order", "repair_fallback", "shm_enabled",
+            "kernel_backend", "jobs", "max_links", "size", "pairs",
+        }
+        assert {f.name for f in fields(RunConfig)} <= set(COMPARABILITY_KEYS)
+        assert len(set(COMPARABILITY_KEYS)) == len(COMPARABILITY_KEYS)
+
     def test_absent_fields_compare_as_none(self):
         # Entries predating a comparability field stay comparable, with
         # each other and with entries that carry it.
@@ -169,8 +181,11 @@ class TestComparability:
 class TestProvenanceStamps:
     """Satellite: git sha + version in every BENCH header."""
 
-    def test_bench_header_carries_sha_and_version(self):
-        header = make_bench_header()
+    def test_bench_header_carries_sha_and_version(self, tmp_path):
+        out = write_bench_json(
+            "x", {"name": "x"}, path=str(tmp_path / "BENCH_x.json")
+        )
+        header = json.loads(out.read_text())
         assert header["repro_version"] == __version__
         assert "git_sha" in header  # None outside a repo, a str inside
 
@@ -188,8 +203,6 @@ class TestProvenanceStamps:
             path=str(tmp_path / "results" / "BENCH_x.json"),
         )
         payload = json.loads(out.read_text())
-        assert payload["repro_version"] == __version__
-        assert "git_sha" in payload
         assert payload["memory"]["max_rss_kb"] > 0
         [entry] = read_entries(tmp_path / "results" / "history" / "ledger.jsonl")
         assert entry["name"] == "x"

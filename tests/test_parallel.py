@@ -11,6 +11,12 @@ checks the optimized ``evaluate_network`` reproduces its rows exactly.
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path as FilePath
+
 import pytest
 
 from repro.core.base_paths import UniqueShortestPathsBase
@@ -82,6 +88,63 @@ class TestParallelDeterminism:
         assert table2.render(parallel) == table2.render(sequential)
         for mode in sequential:
             assert parallel[mode] == sequential[mode]
+
+
+#: A jobs-2 tiny per-link Table 2 whose workers SIGKILL themselves in
+#: their first ILM scenario; prints what the parent saw as JSON.
+WORKER_DEATH_SCRIPT = r"""
+import json, os, signal, time
+from concurrent.futures.process import BrokenProcessPool
+from repro.experiments import table2
+from repro.experiments.ilm_accounting import IlmAccountant
+from repro.graph.shm import residual_segments
+
+parent = os.getpid()
+
+def die_in_worker(self, scenario):
+    assert os.getpid() != parent, "the parent never accounts scenarios"
+    os.kill(os.getpid(), signal.SIGKILL)
+
+IlmAccountant.process_scenario = die_in_worker
+submitted = []
+run_weighted = table2.run_weighted
+
+def recording(executor, worker, common_args, chunks, jobs, total):
+    submitted.append(len(chunks))
+    return run_weighted(executor, worker, common_args, chunks, jobs, total)
+
+table2.run_weighted = recording
+t0 = time.perf_counter()
+try:
+    table2.run(scale="tiny", modes=("link",), ilm_accounting="per-link", jobs=2)
+except BrokenProcessPool as exc:
+    print(json.dumps({
+        "message": str(exc),
+        "chained": isinstance(exc.__cause__, BrokenProcessPool),
+        "chunks": submitted,
+        "elapsed_s": time.perf_counter() - t0,
+        "residual": residual_segments(),
+    }))
+"""
+
+
+class TestWorkerDeath:
+    def test_killed_worker_names_its_fanout_and_lost_chunks(self):
+        src = FilePath(table2.__file__).resolve().parents[2]
+        env = dict(os.environ, PYTHONPATH=str(src), REPRO_LEDGER="0")
+        proc = subprocess.run(
+            [sys.executable, "-c", WORKER_DEATH_SCRIPT],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout.splitlines()[-1])
+        [n_chunks] = report["chunks"]  # the first fan-out breaks the run
+        lost = [[q, q + 1] for q in range(n_chunks)]  # every chunk died
+        assert report["chained"]
+        assert report["message"].startswith("fan-out ilm_scenario_chunk#")
+        assert report["message"].endswith(f"chunks not completed: {lost}")
+        assert report["residual"] == []
+        assert report["elapsed_s"] < 60
 
 
 class TestAcceptanceRowIdentity:

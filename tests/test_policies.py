@@ -33,8 +33,6 @@ from repro.policies import (
     RestorationPolicy,
     active_failure_model_name,
     active_policy_name,
-    add_policy_arguments,
-    apply_policy_arguments,
     failure_model_names,
     make_failure_model,
     make_policy,
@@ -53,6 +51,16 @@ from repro.policies.schemes import (
     DoNotRestorePolicy,
     MrcPolicy,
 )
+from repro.runconfig import RunConfig, add_arguments
+
+POLICY_FIELDS = ("policy", "failure_model")
+
+
+def parse_policy_flags(argv):
+    """The shared experiment parser, reduced to the policy fields."""
+    parser = argparse.ArgumentParser()
+    add_arguments(parser, POLICY_FIELDS)
+    return RunConfig.from_args(parser.parse_args(argv), POLICY_FIELDS)
 
 
 class TestRegistry:
@@ -128,27 +136,30 @@ class TestRegistry:
         with pytest.raises(ValueError, match="meteor-strike"):
             active_policy_name()
 
-    def test_apply_policy_arguments(self, monkeypatch):
+    def test_shared_parser_reads_policy_flags(self, monkeypatch):
         monkeypatch.setenv(POLICY_ENV, DEFAULT_POLICY)
         monkeypatch.setenv(FAILURE_MODEL_ENV, DEFAULT_FAILURE_MODEL)
-        args = argparse.Namespace(policy="drop", failure_model="srlg")
-        apply_policy_arguments(args)
-        assert os.environ[POLICY_ENV] == "drop"
-        assert os.environ[FAILURE_MODEL_ENV] == "srlg"
-
-    def test_apply_policy_arguments_none_is_noop(self, monkeypatch):
-        monkeypatch.setenv(POLICY_ENV, DEFAULT_POLICY)
-        apply_policy_arguments(argparse.Namespace(policy=None, failure_model=None))
+        config = parse_policy_flags(["--policy", "drop", "--failure-model", "srlg"])
+        assert (config.policy, config.failure_model) == ("drop", "srlg")
+        # The names travel in the config, not through the environment.
         assert os.environ[POLICY_ENV] == DEFAULT_POLICY
+        assert os.environ[FAILURE_MODEL_ENV] == DEFAULT_FAILURE_MODEL
+
+    def test_shared_parser_defaults_to_active_selection(self, monkeypatch):
+        monkeypatch.setenv(POLICY_ENV, "mrc")
+        monkeypatch.setenv(FAILURE_MODEL_ENV, "srlg")
+        config = parse_policy_flags([])
+        assert (config.policy, config.failure_model) == ("mrc", "srlg")
+        monkeypatch.delenv(POLICY_ENV)
+        monkeypatch.delenv(FAILURE_MODEL_ENV)
+        assert parse_policy_flags([]) == RunConfig()
 
     def test_cli_knobs_validate_choices(self):
-        parser = argparse.ArgumentParser()
-        add_policy_arguments(parser)
-        args = parser.parse_args(["--policy", "mrc", "--failure-model", "srlg"])
-        assert args.policy == "mrc"
-        assert args.failure_model == "srlg"
+        assert parse_policy_flags(
+            ["--policy", "mrc", "--failure-model", "srlg"]
+        ) == RunConfig(policy="mrc", failure_model="srlg")
         with pytest.raises(SystemExit):
-            parser.parse_args(["--policy", "meteor-strike"])
+            parse_policy_flags(["--policy", "meteor-strike"])
 
 
 class TestDefaultPolicyByteIdentity:
