@@ -31,10 +31,19 @@ ISP and sampled-source universes tractable on the large graphs.
 CSR index space (``shared_csr(graph).nodes`` positions): primaries are
 integer chains read straight off the base oracle's flat predecessor
 rows, the reverse link/router indices are keyed by ``(min, max)``
-index pairs, per-router naive counts accumulate into one
-``array('l')``, and repeated backup chains skip the decomposition DP
-through a chain-keyed memo.  Node/:class:`~repro.graph.paths.Path`
-objects are materialized only on a decomposition-memo miss.
+index pairs, and per-router naive counts accumulate into one
+``array('l')``.
+
+**One kernel pass per (scenario, source).**  Every affected demand of
+one source reads its backup off the same repaired tree, and a
+min-pieces DP cell at chain position ``i`` depends only on the chain's
+first ``i + 1`` nodes — a tree path.  The kernel backend's
+``ilm_account`` therefore adds each restored chain to the naive
+counts and decomposes all of them in one DP over the union of their
+tree paths, with the same cells, tie rule and pieces as one
+``decompose_flat`` per chain.  Nothing is memoized across calls, so
+the accounted state and the probe counters depend only on the
+scenarios processed.
 
 **Parallel fan-out.**  The accumulated state is a pure function of the
 *set* of processed scenarios — counts are additive, primaries/pieces
@@ -53,13 +62,14 @@ from typing import Iterable, Optional
 
 from ..core.base_paths import BaseSet
 from ..core.cache import shared_spt_cache
-from ..core.decomposition import min_pieces_decompose
-from ..exceptions import DecompositionError
+
+# Not called here; perfbench/tracing.py wraps this module attribute by
+# name, so the name must resolve.
+from ..core.decomposition import min_pieces_decompose  # noqa: F401
 from ..failures.models import FailureScenario
 from ..graph.csr import INF, shared_csr
 from ..graph.graph import Graph, Node
-from ..graph.paths import Path
-from ..kernels import kernel_backend
+from ..kernels import RowTable, kernel_backend
 from ..obs import heartbeat
 from ..perf import COUNTERS, warm_up_phase
 
@@ -68,7 +78,13 @@ Chain = tuple[int, ...]
 
 
 class IlmAccountant:
-    """Per-scenario, demand-universe-wide ILM stretch computation."""
+    """Per-scenario, demand-universe-wide ILM stretch computation.
+
+    *base* must be an implicit shortest-path base set that admits every
+    edge and whose oracle rows share the graph's CSR index space — what
+    :func:`~repro.core.cache.shared_unique_base` returns; any other
+    base set is a ``ValueError``.
+    """
 
     def __init__(
         self,
@@ -87,6 +103,10 @@ class IlmAccountant:
         index = self.csr.index
         self._source_idx = [index[source] for source in self.demand_sources]
         self._oracle = self._aligned_oracle()
+        self._probe = self._oracle.csr()
+        # Oracle distance rows the tree DP reads, by node index (shared
+        # with the oracle's cache, filled one batch per kernel call).
+        self._rows = RowTable(self.csr.n, self._fill_rows)
         # source idx -> {target idx: primary chain}, built lazily per
         # source (the parent of a parallel run only ever materializes
         # chains for demands its workers actually touched).
@@ -97,11 +117,9 @@ class IlmAccountant:
         self._by_edge: Optional[dict[tuple[int, int], list]] = None
         self._by_router: Optional[dict[int, list]] = None
         # Mergeable accounting state (see the module docstring).
-        self._probe_weights: Optional[dict[tuple[int, int], float]] = None
         self._backup_naive = array("l", bytes(array("l").itemsize * self.csr.n))
         self._primaries_touched: set[tuple[int, int]] = set()
         self._pieces: set[Chain] = set()
-        self._decomp_memo: dict[Chain, Optional[tuple[Chain, ...]]] = {}
         self._final: Optional[tuple[list[int], list[int], int]] = None
         self.scenarios_processed = 0
         self.demands_restored = 0
@@ -112,9 +130,9 @@ class IlmAccountant:
 
         A worker process reuses one accountant per network/mode across
         every chunk it pulls from the shared work queue: the demand
-        universe (chain indices, reverse edge/router maps, probe
-        weights) and the decomposition memo are pure functions of the
-        network and stay warm, while the per-chunk tallies exported by
+        universe (primary chains, reverse edge/router maps) and the
+        oracle row table are pure functions of the network and stay
+        warm, while the per-chunk tallies exported by
         :meth:`export_state` start from zero so the parent's merge sees
         each chunk exactly once.
         """
@@ -131,57 +149,56 @@ class IlmAccountant:
     # -- demand universe ------------------------------------------------------
 
     def _aligned_oracle(self):
-        """The base set's oracle, iff its flat rows share our index space."""
+        """The base set's oracle; ``ValueError`` unless the tree DP can
+        read it (flat rows in our index space, every edge admitted)."""
         oracle = getattr(self.base, "oracle", None)
-        if oracle is None or getattr(oracle, "break_ties_by_hops", False):
-            return None
-        try:
-            aligned = oracle.csr().nodes == self.csr.nodes
-        except Exception:
-            return None
-        return oracle if aligned else None
+        if (
+            oracle is None
+            or getattr(oracle, "break_ties_by_hops", False)
+            or not getattr(self.base, "include_all_edges", False)
+            or oracle.csr().nodes != self.csr.nodes
+        ):
+            raise ValueError(
+                "IlmAccountant needs an implicit shortest-path base set "
+                "that admits every edge and whose oracle rows share the "
+                "graph's index space (shared_unique_base)"
+            )
+        return oracle
 
     def _chains_for(self, si: int) -> dict[int, Chain]:
         """Primary chains from source *si* to every reachable target.
 
-        Fast path: one flat oracle row; every node's chain is built
-        exactly once by extending its predecessor's chain (total work
-        proportional to the sum of chain lengths, no Path objects).
-        Fallback (explicit or index-misaligned base sets): one
-        ``path_for`` per covered pair.
+        One flat oracle row; every node's chain is built exactly once
+        by extending its predecessor's chain (total work proportional
+        to the sum of chain lengths, no Path objects).
         """
         chains = self._chains.get(si)
         if chains is not None:
             return chains
-        nodes, index = self.csr.nodes, self.csr.index
-        if self._oracle is not None:
-            dist, pred = self._oracle.row_arrays(nodes[si])
-            built: dict[int, Chain] = {si: (si,)}
-            for ti, d in enumerate(dist):
-                if d == INF or ti in built:
-                    continue
-                stack = []
-                x = ti
-                while x not in built:
-                    stack.append(x)
-                    x = pred[x]
-                prefix = built[x]
-                for x in reversed(stack):
-                    prefix = prefix + (x,)
-                    built[x] = prefix
-            del built[si]
-            chains = built
-        else:
-            chains = {}
-            source = nodes[si]
-            for ti, target in enumerate(nodes):
-                if ti != si and self.base.has_pair(source, target):
-                    chains[ti] = tuple(
-                        index[node]
-                        for node in self.base.path_for(source, target).nodes
-                    )
-        self._chains[si] = chains
-        return chains
+        dist, pred = self._oracle.row_arrays(self.csr.nodes[si])
+        built: dict[int, Chain] = {si: (si,)}
+        for ti, d in enumerate(dist):
+            if d == INF or ti in built:
+                continue
+            stack = []
+            x = ti
+            while x not in built:
+                stack.append(x)
+                x = pred[x]
+            prefix = built[x]
+            for x in reversed(stack):
+                prefix = prefix + (x,)
+                built[x] = prefix
+        del built[si]
+        self._chains[si] = built
+        return built
+
+    def _fill_rows(self, missing: list[int]) -> None:
+        """Fetch the oracle rows of *missing* nodes in one batch."""
+        nodes, oracle, rows = self.csr.nodes, self._oracle, self._rows.rows
+        oracle.warm_many(nodes[a] for a in missing)
+        for a in missing:
+            rows[a] = oracle.row_arrays(nodes[a])[0]
 
     # -- accounting -----------------------------------------------------------
 
@@ -195,13 +212,10 @@ class IlmAccountant:
         # exactly the set a parent publishes, so builds inside this
         # phase count as warm_row_builds.
         with warm_up_phase():
-            if self._oracle is not None:
-                nodes = self.csr.nodes
-                self._oracle.warm_many(
-                    nodes[si]
-                    for si in self._source_idx
-                    if si not in self._chains
-                )
+            nodes = self.csr.nodes
+            self._oracle.warm_many(
+                nodes[si] for si in self._source_idx if si not in self._chains
+            )
             for si in self._source_idx:
                 self._chains_for(si)
         for si in self._source_idx:
@@ -310,148 +324,45 @@ class IlmAccountant:
         if seg is not None:
             segments.append(seg)
             spt_name = seg.name
-        if self._oracle is not None:
-            ocsr = self._oracle.csr()
-            seg = shm.publish_rows(
-                "oracle", ocsr.n, True, ocsr.source_version,
-                self._oracle.export_rows(),
-            )
-            if seg is not None:
-                segments.append(seg)
-                oracle_name = seg.name
+        seg = shm.publish_rows(
+            "oracle", self._probe.n, True, self._probe.source_version,
+            self._oracle.export_rows(),
+        )
+        if seg is not None:
+            segments.append(seg)
+            oracle_name = seg.name
         if spt_name is None and oracle_name is None:
             return None, segments
         return (spt_name, oracle_name), segments
 
-    def _decompose(self, chain: Chain) -> Optional[tuple[Chain, ...]]:
-        """Min-pieces decomposition of a backup chain (memoized); None
-        when the backup admits no base-path decomposition."""
-        memo = self._decomp_memo
-        try:
-            return memo[chain]
-        except KeyError:
-            pass
-        if self._oracle is not None and getattr(
-            self.base, "include_all_edges", False
-        ):
-            result = self._decompose_flat(chain)
-        else:
-            result = self._decompose_path(chain)
-        memo[chain] = result
-        return result
-
-    def _probe_weight_map(self) -> dict[tuple[int, int], float]:
-        """Directed ``(u idx, v idx) -> weight`` over the probe graph.
-
-        The probe graph is whatever the base oracle's snapshot covers —
-        the padded graph for the unique base set, the original for the
-        all-shortest-paths one — so prefix sums land in the same cost
-        space as the oracle's distances.
-        """
-        weights = self._probe_weights
-        if weights is None:
-            pcsr = self._oracle.csr()
-            indptr, indices, warr = pcsr.indptr, pcsr.indices, pcsr.weights
-            weights = {}
-            for u in range(pcsr.n):
-                for k in range(indptr[u], indptr[u + 1]):
-                    weights[(u, indices[k])] = warr[k]
-            self._probe_weights = weights
-        return weights
-
-    def _decompose_flat(self, chain: Chain) -> tuple[Chain, ...]:
-        """All-array :func:`min_pieces_decompose` for index-aligned
-        implicit base sets with every edge admitted.
-
-        Mirrors the DP cell-for-cell — same lexicographic objective,
-        same first-minimal-``j`` tie-break, same probe arithmetic as
-        :class:`~repro.core.decomp_kernel.PrefixSumProbe` — so the
-        returned pieces are identical to the Path-based kernel's; only
-        the Path/dict materialization is gone.  Every 1-hop piece is a
-        base path here (``include_all_edges``), so a decomposition
-        always exists and ``extra_edges`` stays 0.
-
-        The DP itself runs on the active kernel backend's
-        ``decompose_flat`` — the entry per-pair decomposition uses too.
-        Every chain prefix with a longer-than-one-hop suffix needs its
-        oracle row (one-hop pieces always extend the DP, so every prefix
-        is reachable): the rows of positions ``0 .. L-3`` are
-        batch-warmed up front and fetched in ascending order — the
-        order the DP first reads them — so the oracle counters are
-        those of the lazy fetch, under any backend.
-        """
-        weight = self._probe_weight_map()
-        cum = [0.0]
-        total = 0.0
-        for u, v in zip(chain, chain[1:]):
-            total += weight[(u, v)]
-            cum.append(total)
-        nodes = self.csr.nodes
-        oracle = self._oracle
-        oracle.warm_many(nodes[c] for c in chain[:-2])
-        rows = [oracle.row_arrays(nodes[c])[0] for c in chain[:-2]]
-        _best, choice, probes = kernel_backend().decompose_flat(
-            chain, cum, rows
-        )
-        COUNTERS.probe_calls += probes
-        COUNTERS.o1_probes += probes
-        pieces: list[Chain] = []
-        i = len(chain) - 1
-        while i > 0:
-            j = choice[i]
-            pieces.append(chain[j : i + 1])
-            i = j
-        pieces.reverse()
-        return tuple(pieces)
-
-    def _decompose_path(self, chain: Chain) -> Optional[tuple[Chain, ...]]:
-        """Path-based decomposition fallback (explicit/unaligned bases)."""
-        nodes, index = self.csr.nodes, self.csr.index
-        backup = Path(nodes[i] for i in chain)
-        try:
-            decomposition = min_pieces_decompose(
-                backup, self.base, allow_edges=True
-            )
-        except DecompositionError:
-            return None
-        return tuple(
-            tuple(index[node] for node in piece.nodes)
-            for piece in decomposition.pieces
-        )
-
     def process_scenario(self, scenario: FailureScenario) -> int:
-        """Account one failure scenario; returns affected-demand count."""
+        """Account one failure scenario; returns affected-demand count.
+
+        One multi-source batched repair (one scenario decode, every
+        touched source re-settled from its cached pre-failure row),
+        then one ``ilm_account`` kernel call per touched source.
+        """
         grouped = self._affected_by(scenario)
         cache = shared_spt_cache(self.graph, weighted=self.weighted)
-        # Multi-source batched repair: one scenario decode, every
-        # touched source re-settled via its cached pre-failure row.
         rows = cache.repair_batch_idx(grouped, scenario)
-        backup_naive = self._backup_naive
-        affected_total = 0
+        account = kernel_backend().ilm_account
+        probe, table, naive = self._probe, self._rows, self._backup_naive
+        primaries, pieces = self._primaries_touched, self._pieces
+        affected_total = restored = unrestorable = probes = 0
         for si, targets in grouped.items():
             row = rows.get(si)
             dist, pred = row if row is not None else (None, None)
             affected_total += len(targets)
-            for ti in targets:
-                self._primaries_touched.add((si, ti))
-                if dist is None or dist[ti] == INF:
-                    self.demands_unrestorable += 1
-                    continue
-                chain = [ti]
-                x = ti
-                while x != si:
-                    x = pred[x]
-                    chain.append(x)
-                chain.reverse()
-                backup = tuple(chain)
-                for x in backup:
-                    backup_naive[x] += 1
-                pieces = self._decompose(backup)
-                if pieces is None:
-                    self.demands_unrestorable += 1
-                    continue
-                self.demands_restored += 1
-                self._pieces.update(pieces)
+            primaries.update((si, ti) for ti in targets)
+            got, r, u, p = account(probe, si, targets, dist, pred, table, naive)
+            pieces.update(got)
+            restored += r
+            unrestorable += u
+            probes += p
+        COUNTERS.probe_calls += probes
+        COUNTERS.o1_probes += probes
+        self.demands_restored += restored
+        self.demands_unrestorable += unrestorable
         self.scenarios_processed += 1
         self._final = None
         return affected_total

@@ -580,7 +580,7 @@ def _network(scale: str, seed: int, index: int):
 
 
 #: Worker-process memo of (accountant, scenario list) per ILM fan-out
-#: configuration — the demand universe and decomposition memo are
+#: configuration — the demand universe and the oracle row table are
 #: chunk-invariant, so a worker pays for them once per network/mode.
 _ILM_ACCOUNTANTS: dict = {}
 
@@ -690,11 +690,15 @@ def ilm_scenario_chunk(
     how scenarios were packed into chunks.
 
     The accountant (and its scenario list) is memoized per
-    network/mode within the worker process: the demand universe and
-    decomposition memo are chunk-invariant pure caches, so a worker
-    pulling many small cost-weighted chunks from the shared queue pays
-    for them once, with :meth:`reset_accounting` zeroing the mergeable
-    tallies between chunks.
+    network/mode within the worker process: the demand universe
+    (primary chains, reverse edge/router maps) and the oracle row
+    table the tree DP reads are chunk-invariant pure caches, so a
+    worker pulling many small cost-weighted chunks from the shared
+    queue pays for them once, with :meth:`reset_accounting` zeroing
+    the mergeable tallies between chunks.  Nothing the accounting
+    computes is memoized across scenarios, so the chunk's counters
+    (``probe_calls`` included) do not depend on which chunks this
+    worker saw before.
     """
     from ..core.cache import shared_spt_cache
     from ..failures.sampler import sample_pairs

@@ -20,8 +20,9 @@ Path contract (pinned by ``tests/test_csr.py`` and
   ``(dist, index)``, a local property of the final distance labels and
   therefore independent of heap insertion history.  That locality is
   what licenses decremental repair (:mod:`repro.graph.incremental`)
-  and weighted repaired rows — the restorable-tiebreaking property of
-  Bodwin–Parter (arXiv:2102.10174).
+  and weighted repaired rows.  It is label-local, not the restorable
+  tie-breaking of Bodwin–Parter (arXiv:2102.10174): against the
+  padded base set it is not restorable (DESIGN.md §6).
 * :func:`dijkstra_csr` is a thin façade over it, and :func:`bfs_csr`
   is its unit-weight twin: canonical BFS processes each frontier in
   index order, so its predecessor of ``v`` is the least-index neighbor

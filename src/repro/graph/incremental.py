@@ -43,8 +43,12 @@ experiment hot loops use.  Under the canonical ``(dist, index)`` tie
 contract (:mod:`repro.graph.csr`), repaired rows are exact for
 **weighted and unweighted** graphs alike — the canonical predecessor
 is a local property of the final labels, so repair needs no heap
-history to replay (the restorable-tiebreaking insight of Bodwin–Parter,
-arXiv:2102.10174).  A backup path is therefore just the predecessor
+history to replay.  That label-local rule is what licenses exact
+repair; it is not the restorable tie-breaking of Bodwin–Parter
+(arXiv:2102.10174): against the padded base set, backups chosen
+under it need more than k+1 pieces in 27–48% of the unweighted
+single-link cases at small scale, and some need more than 2k+1
+(DESIGN.md §6).  A backup path is therefore just the predecessor
 chain of one repaired source row; when the fallback threshold trips,
 one targeted early-exit canonical search yields the identical chain
 (tight parents settle before their children, so the settled prefix is

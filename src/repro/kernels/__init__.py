@@ -3,11 +3,12 @@
 Every hot loop of the reproduction — canonical Dijkstra/BFS row
 building (:mod:`repro.graph.csr`), decremental SPT re-settling
 (:mod:`repro.graph.incremental`), the flat decomposition DP
-(:mod:`repro.core.decomposition`,
-:mod:`repro.experiments.ilm_accounting`), and shortest-path counting
-over a canonical row's tight-edge DAG (``count_paths``, behind
-:mod:`repro.graph.spt` and Table 2's multiplicity column) — dispatches
-through the backend selected here.  Two backends ship:
+(:mod:`repro.core.decomposition`), per-link ILM accounting of one
+(scenario, source) pair over its repaired tree (``ilm_account``,
+behind :mod:`repro.experiments.ilm_accounting`), and shortest-path
+counting over a canonical row's tight-edge DAG (``count_paths``,
+behind :mod:`repro.graph.spt` and Table 2's multiplicity column) —
+dispatches through the backend selected here.  Two backends ship:
 
 ``python``
     The reference implementation: the original pure-Python loops over
@@ -28,8 +29,11 @@ as ``array('d')`` and ``pred`` as ``array('q')``, and the caches
 :class:`~repro.graph.all_pairs.LazyDistanceOracle`, shared-memory
 publication) hold and index them as they are.  A restoration case
 stays inside the kernels end to end: ``repair_resettle`` finds the cut
-subtree, applies the fallback threshold and re-settles in one call, and
-``decompose_flat`` reads the warmed oracle rows in place.
+subtree, applies the fallback threshold and re-settles in one call,
+``decompose_flat`` reads the warmed oracle rows in place, and
+``ilm_account`` decomposes every affected demand of a source in one
+DP over the repaired tree, reading oracle rows from a
+:class:`RowTable`.
 
 Selection: the ``REPRO_KERNEL`` environment variable (``python``,
 ``native``, or ``auto`` — the default), or ``--kernel`` on every
@@ -54,6 +58,28 @@ KERNEL_CHOICES = ("auto", "python", "native")
 #: stands; more nodes were cut off than the fallback threshold allows;
 #: the source itself failed.
 REPAIRED, UNTOUCHED, OVER_THRESHOLD, SOURCE_CUT = range(4)
+
+
+class RowTable:
+    """Oracle distance rows by node index, filled on demand: the row
+    source of every backend's ``ilm_account``.
+
+    ``rows[a]`` is node ``a``'s distance row (``array('d')`` or a
+    read-only ``'d'`` memoryview) or ``None``.  When a call needs rows
+    the table lacks, the backend passes their indices, in one list, to
+    *fill*, which must set them.  A row, once set, stays, and stays
+    readable (a shared-memory row's segment attached) while the table
+    is in use: backends keep per-table state in ``state``, keyed by
+    backend name, and the native backend caches row addresses there.
+    """
+
+    __slots__ = ("rows", "fill", "state")
+
+    def __init__(self, n: int, fill=None) -> None:
+        self.rows: list = [None] * n
+        self.fill = fill
+        self.state: dict = {}
+
 
 _BACKEND = None  # resolved backend module, cached per process
 

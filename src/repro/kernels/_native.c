@@ -700,6 +700,255 @@ repro_decompose(i64 n, const i64 *chain, const double *cum,
 }
 
 /* ---------------------------------------------------------------- *
+ * Per-link ILM accounting of one (scenario, source) pair.  Every
+ * affected demand's backup chain is the tree path source -> target in
+ * the repaired `pred` row, so the min-pieces DP runs once per node of
+ * the union of those chains, parents first, instead of once per
+ * chain.  A node's cell reads only its own tree path — the prefix of
+ * every chain through it — so each target's pieces are those of
+ * repro_decompose over its chain: `cum` adds probe weights from the
+ * root down (the chain's prefix sums, the same additions) and ties go
+ * to the shallowest ancestor (repro_decompose's first-minimal j).
+ *
+ * `rows[a]` is the oracle distance row of node a, or null; the DP
+ * reads it only for nodes with a union descendant two or more levels
+ * down.  `work` holds eleven n-entry scratch arrays the caller keeps
+ * between calls: depth (all -1 on entry, and restored to -1 on every
+ * return), then parent, best, choice, sub, height, mark, order, stack,
+ * path, nodes.  Only the entries of touched nodes are written, so a
+ * call costs O(union + probes), never O(n).
+ *
+ * Statuses: 0 accounted; 1 the DP needs the rows of the out[4] nodes
+ * listed in `nodes`, whose `rows` entry is null; 2 the pieces need
+ * out[4] flat entries, more than flat_cap; 3 target out[5] lies
+ * outside [0, n); 4 pred[out[5]] is outside the row or not a
+ * probe-graph edge; 5 pred has a cycle through out[5].  Only status 0
+ * writes `naive` (restored chains' nodes, once each), `piece_off` /
+ * `flat` (the distinct pieces) and out[0..4] (restored, unrestorable,
+ * probes, pieces, flat length).
+ * ---------------------------------------------------------------- */
+
+enum {
+    ILM_DONE = 0,
+    ILM_NEED_ROWS = 1,
+    ILM_NEED_SPACE = 2,
+    ILM_BAD_TARGET = 3,
+    ILM_BAD_PARENT = 4,
+    ILM_CYCLE = 5
+};
+
+/* Weight of the probe-graph edge u -> v from its last CSR slot (the
+ * one a slot-by-slot {(u, v): w} map keeps); 0 when there is none. */
+static int
+edge_weight(const i64 *indptr, const i64 *indices, const double *weights,
+            i64 u, i64 v, double *w)
+{
+    for (i64 slot = indptr[u + 1] - 1; slot >= indptr[u]; slot--) {
+        if (indices[slot] == v) {
+            *w = weights[slot];
+            return 1;
+        }
+    }
+    return 0;
+}
+
+int
+repro_ilm_account(const i64 *indptr, const i64 *indices,
+                  const double *weights, i64 n, i64 source,
+                  const i64 *targets, i64 n_targets, const double *dist,
+                  const i64 *pred, const double *const *rows, double eps,
+                  i64 *naive, i64 *work, double *cum, i64 *piece_off,
+                  i64 *flat, i64 flat_cap, i64 *out)
+{
+    i64 *depth = work;
+    i64 *parent = work + n;
+    i64 *best = work + 2 * n;
+    i64 *choice = work + 3 * n;
+    i64 *sub = work + 4 * n;
+    i64 *height = work + 5 * n;
+    i64 *mark = work + 6 * n;
+    i64 *order = work + 7 * n; /* the union, parents first */
+    i64 *stack = work + 8 * n; /* one walk's new nodes, depth -2 */
+    i64 *path = work + 9 * n;
+    i64 *nodes = work + 10 * n;
+    i64 n_order = 0;
+    i64 sp = 0;
+    i64 restored = 0;
+    i64 unrestorable = 0;
+    int status = ILM_DONE;
+
+    depth[source] = 0;
+    parent[source] = -1;
+    cum[source] = 0.0;
+    best[source] = 0;
+    sub[source] = 0;
+    height[source] = 0;
+    mark[source] = 0;
+    order[n_order++] = source;
+
+    /* The union of the restorable targets' chains: walk up to the
+     * first node already in it, then hang the walk below that node. */
+    for (i64 k = 0; k < n_targets && status == ILM_DONE; k++) {
+        i64 t = targets[k];
+        if (t < 0 || t >= n) {
+            out[5] = t;
+            status = ILM_BAD_TARGET;
+            break;
+        }
+        if (isinf(dist[t])) {
+            unrestorable++;
+            continue;
+        }
+        restored++;
+        i64 x = t;
+        while (depth[x] < 0) {
+            if (depth[x] == -2) {
+                out[5] = x;
+                status = ILM_CYCLE;
+                break;
+            }
+            i64 p = pred[x];
+            if (p < 0 || p >= n) {
+                out[5] = x;
+                status = ILM_BAD_PARENT;
+                break;
+            }
+            depth[x] = -2;
+            stack[sp++] = x;
+            x = p;
+        }
+        while (status == ILM_DONE && sp) {
+            i64 v = stack[sp - 1];
+            double w;
+            if (!edge_weight(indptr, indices, weights, x, v, &w)) {
+                out[5] = v;
+                status = ILM_BAD_PARENT;
+                break;
+            }
+            sp--;
+            depth[v] = depth[x] + 1;
+            parent[v] = x;
+            cum[v] = cum[x] + w;
+            sub[v] = 0;
+            height[v] = 0;
+            mark[v] = 0;
+            order[n_order++] = v;
+            x = v;
+        }
+        if (status == ILM_DONE)
+            sub[t]++;
+    }
+
+    /* Rows the DP reads: every node with a descendant two levels down. */
+    i64 missing = 0;
+    if (status == ILM_DONE) {
+        for (i64 i = n_order - 1; i > 0; i--) {
+            i64 v = order[i];
+            i64 p = parent[v];
+            if (height[v] + 1 > height[p])
+                height[p] = height[v] + 1;
+            sub[p] += sub[v];
+        }
+        for (i64 i = 0; i < n_order; i++) {
+            i64 a = order[i];
+            if (height[a] >= 2 && rows[a] == NULL)
+                nodes[missing++] = a;
+        }
+        if (missing) {
+            out[4] = missing;
+            status = ILM_NEED_ROWS;
+        }
+    }
+
+    i64 probes = 0;
+    if (status == ILM_DONE) {
+        for (i64 i = 1; i < n_order; i++) {
+            i64 v = order[i];
+            i64 dv = depth[v];
+            i64 x = v;
+            for (i64 j = dv - 1; j >= 0; j--) {
+                x = parent[x];
+                path[j] = x;
+            }
+            /* The one-hop piece from the parent always qualifies, so
+             * every cell is set and each ancestor costs one probe. */
+            double cum_v = cum[v];
+            i64 bi = dv + 1;
+            i64 cj = source;
+            for (i64 j = 0; j < dv; j++) {
+                i64 a = path[j];
+                if (dv - j > 1) {
+                    double d = rows[a][v];
+                    if (isinf(d) || !costs_equal(cum_v - cum[a], d, eps))
+                        continue;
+                }
+                i64 candidate = best[a] + 1;
+                if (candidate < bi) {
+                    bi = candidate;
+                    cj = a;
+                }
+            }
+            best[v] = bi;
+            choice[v] = cj;
+            probes += dv;
+        }
+    }
+
+    /* Distinct pieces: a piece is named by its last node v (it runs
+     * from choice[v]), so a target's backtrack stops at the first end
+     * an earlier target already reached. */
+    i64 n_pieces = 0;
+    i64 total = 0;
+    if (status == ILM_DONE) {
+        for (i64 k = 0; k < n_targets; k++) {
+            i64 v = targets[k];
+            if (isinf(dist[v]))
+                continue;
+            while (v != source && !mark[v]) {
+                mark[v] = 1;
+                nodes[n_pieces++] = v;
+                total += depth[v] - depth[choice[v]] + 1;
+                v = choice[v];
+            }
+        }
+        if (total > flat_cap) {
+            out[4] = total;
+            status = ILM_NEED_SPACE;
+        }
+    }
+
+    if (status == ILM_DONE) {
+        i64 pos = 0;
+        for (i64 c = 0; c < n_pieces; c++) {
+            i64 v = nodes[c];
+            i64 len = depth[v] - depth[choice[v]] + 1;
+            piece_off[c] = pos;
+            for (i64 m = len - 1; m >= 0; m--) {
+                flat[pos + m] = v;
+                v = parent[v];
+            }
+            pos += len;
+        }
+        piece_off[n_pieces] = pos;
+        for (i64 i = 0; i < n_order; i++) {
+            i64 v = order[i];
+            naive[v] += sub[v];
+        }
+        out[0] = restored;
+        out[1] = unrestorable;
+        out[2] = probes;
+        out[3] = n_pieces;
+        out[4] = pos;
+    }
+
+    for (i64 i = 0; i < n_order; i++)
+        depth[order[i]] = -1;
+    for (i64 i = 0; i < sp; i++)
+        depth[stack[i]] = -1;
+    return status;
+}
+
+/* ---------------------------------------------------------------- *
  * Shortest-path counts over the tight-edge DAG of a canonical row —
  * the reference count_paths loop with u64 counts.  The source goes
  * first, then every other reached node in (dist, index) order: the

@@ -209,9 +209,23 @@ _LIB.repro_count_paths.restype = ctypes.c_int
 _LIB.repro_count_paths.argtypes = [
     _ptr, _ptr, _ptr, _i64, _i64, _ptr, ctypes.c_double, _ptr, _i64p, _i64p,
 ]
+_LIB.repro_ilm_account.restype = ctypes.c_int
+_LIB.repro_ilm_account.argtypes = [
+    _ptr, _ptr, _ptr, _i64, _i64, _ptr, _i64, _ptr, _ptr, _ptr,
+    ctypes.c_double, _ptr, _ptr, _ptr, _ptr, _ptr, _i64, _ptr,
+]
 
 #: ``repro_count_paths`` statuses besides 0 (counted).
 _COUNT_OVERFLOW, _COUNT_BAD_ORDER = 1, 2
+#: ``repro_ilm_account`` statuses besides 0 (accounted).
+_ILM_NEED_ROWS, _ILM_NEED_SPACE = 1, 2
+_ILM_ERRORS = {
+    3: "target {} outside [0, {})",
+    4: "pred of node {} is outside the row or not a probe-graph edge",
+    5: "pred has a cycle through node {}",
+}
+#: Scratch arrays per row table (see ``repro_ilm_account``).
+_ILM_WORK_ARRAYS = 11
 
 
 def library_path() -> Path:
@@ -607,6 +621,98 @@ def decompose_flat(
         best.buffer_info()[0], choice.buffer_info()[0], ctypes.byref(probes),
     ))
     return best.tolist(), choice.tolist(), probes.value
+
+
+class _IlmScratch:
+    """What one row table keeps between ``ilm_account`` calls: the
+    cached row addresses and the kernel's index-sized work arrays."""
+
+    __slots__ = ("n", "addrs", "work", "cum", "piece_off", "flat", "out",
+                 "ptrs")
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.addrs = array("Q", bytes(8 * n))
+        self.work = array("q", [-1]) * n + _Q0 * ((_ILM_WORK_ARRAYS - 1) * n)
+        self.cum = _D0 * n
+        self.piece_off = _Q0 * (n + 1)
+        self.flat = _Q0 * (4 * n)
+        self.out = _Q0 * 6
+        self.ptrs = tuple(
+            buf.buffer_info()[0]
+            for buf in (self.addrs, self.work, self.cum, self.piece_off,
+                        self.out)
+        )
+
+
+def _install_rows(table, scratch: _IlmScratch, needed: list[int]) -> None:
+    """Cache the addresses of *needed* rows, asking the table to fill
+    the ones it lacks first; a row it cannot supply is a ValueError."""
+    rows = table.rows
+    lacking = [a for a in needed if rows[a] is None]
+    if lacking and table.fill is not None:
+        table.fill(lacking)
+    addrs, n = scratch.addrs, scratch.n
+    for a in needed:
+        row = rows[a]
+        if row is None:
+            raise ValueError(f"rows: no oracle row for node {a}")
+        addrs[a] = _row_addr(row, "d", n, "rows")
+
+
+def ilm_account(probe, source: int, targets, dist, pred, table, naive):
+    """One (scenario, source) pair's ILM accounting in C.
+
+    The reference's walk, tree DP and piece extraction in one call
+    (``repro_ilm_account``), reading the repaired row and the oracle
+    rows in place.  The row addresses and work arrays live in
+    ``table.state`` between calls; a call that needs rows the table has
+    no address for reports them, the rows are installed (``table.fill``
+    first builds missing ones), and the call runs again — as it does
+    when the pieces outgrow the flat buffer.  Shapes, indices and
+    ``pred`` are checked before any row is read: ``ValueError``.
+    """
+    if dist is None:
+        return [], 0, len(targets), 0
+    n = probe.n
+    if not 0 <= source < n:
+        raise ValueError(f"source {source} outside [0, {n})")
+    dist_addr = _row_addr(dist, "d", n, "dist")
+    pred_addr = _row_addr(pred, "q", n, "pred")
+    naive_addr = _row_addr(naive, "l", n, "naive")
+    indptr, indices, weights, _keep = _graph_ptrs(probe)
+    scratch = table.state.get(NAME)
+    if scratch is None or scratch.n != n:
+        scratch = table.state[NAME] = _IlmScratch(n)
+    addrs, work, cum, piece_off, out = scratch.ptrs
+    t_arr = array("q", targets)
+    t_addr = t_arr.buffer_info()[0] if t_arr else 0
+    result = scratch.out
+    while True:
+        flat = scratch.flat
+        status = _LIB.repro_ilm_account(
+            indptr, indices, weights, n, source, t_addr, len(t_arr),
+            dist_addr, pred_addr, addrs, EPSILON, naive_addr, work, cum,
+            piece_off, flat.buffer_info()[0], len(flat), out,
+        )
+        if status == 0:
+            break
+        if status == _ILM_NEED_ROWS:
+            listed = (_ILM_WORK_ARRAYS - 1) * n  # the last work array
+            _install_rows(
+                table, scratch, scratch.work[listed:listed + result[4]].tolist()
+            )
+        elif status == _ILM_NEED_SPACE:
+            scratch.flat = _Q0 * max(result[4], 2 * len(flat))
+        elif status in _ILM_ERRORS:
+            raise ValueError(_ILM_ERRORS[status].format(result[5], n))
+        else:
+            raise RuntimeError(f"native kernel failed with status {status}")
+    restored, unrestorable, probes, n_pieces, length = result[:5]
+    cuts = scratch.piece_off[:n_pieces + 1].tolist()
+    nodes = scratch.flat[:length].tolist()
+    pieces = [tuple(nodes[a:b]) for a, b in zip(cuts, cuts[1:])]
+    return pieces, restored, unrestorable, probes
 
 
 def count_paths(csr, source: int, dist, eps: float) -> list[int]:

@@ -37,6 +37,14 @@ memoryviews of the same formats (rows adopted from shared memory).
 ``decompose_flat(chain, cum, rows) -> (best, choice, probes)``
     The min-pieces decomposition DP over prefix sums and the warmed
     oracle rows of chain positions ``0 .. len(chain) - 3``.
+``ilm_account(probe, source, targets, dist, pred, table, naive)``
+    Per-link ILM accounting of one (scenario, source) pair: adds every
+    restored backup chain (a tree path of the repaired ``pred`` row)
+    to the naive counts in place, runs the min-pieces DP once per node
+    of the union of those chains over *probe*'s weights and the oracle
+    rows of a :class:`~repro.kernels.RowTable`, and returns ``(pieces,
+    restored, unrestorable, probes)`` with the distinct pieces as
+    index tuples.
 ``count_paths(csr, source, dist, eps) -> counts``
     Shortest-path counts from *source* over the tight-edge DAG of its
     canonical ``dist`` row, one exact ``int`` per node index (0 for
@@ -355,6 +363,142 @@ def decompose_flat(
         best[i] = bi
         choice[i] = cj
     return best, choice, probes
+
+
+def ilm_account(
+    probe, source: int, targets: Sequence[int], dist, pred, table, naive
+) -> tuple[list[tuple[int, ...]], int, int, int]:
+    """Account every affected demand of one (scenario, source) pair.
+
+    *dist*/*pred* are *source*'s repaired row (``None``: no row, every
+    target is unrestorable).  A target with a finite label is restored
+    along its backup chain, the tree path ``source -> target`` in
+    *pred*, and each node of that chain gets one entry in *naive*
+    (``array('l')``, added to in place).  The min-pieces DP then runs
+    once per node of the union of those chains, parents first: a
+    node's cell reads only its own tree path, so it is the
+    :func:`decompose_flat` cell of every chain through it.  ``cum``
+    sums *probe* weights from the root down (each chain's prefix sums,
+    the same additions) and ties go to the shallowest ancestor (the
+    first-minimal ``j``).  The DP reads the oracle row of every node
+    with a union descendant two or more levels down from
+    ``table.rows`` (a :class:`~repro.kernels.RowTable`), after asking
+    ``table.fill`` for the missing ones in one list.
+
+    Returns ``(pieces, restored, unrestorable, probes)``: the distinct
+    pieces of the restored chains as index tuples (targets in order,
+    each backtracked until it meets a piece already listed), and one
+    probe per ancestor of each union node.  A target outside the row,
+    a parent outside the row or off the probe graph, a ``pred`` cycle
+    and a row the table cannot supply raise ``ValueError`` before
+    *naive* is touched.
+    """
+    from ..graph.shortest_paths import costs_equal
+
+    if dist is None:
+        return [], 0, len(targets), 0
+    n = probe.n
+    indptr, indices, weights = probe.indptr, probe.indices, probe.weights
+    cum = {source: 0.0}  # keyed by the union of the restored chains
+    parent: dict[int, int] = {}
+    order: list[int] = []
+    restored: list[int] = []
+    unrestorable = 0
+    for t in targets:
+        if not 0 <= t < n:
+            raise ValueError(f"target {t} outside [0, {n})")
+        if dist[t] == INF:
+            unrestorable += 1
+            continue
+        restored.append(t)
+        walk: list[int] = []
+        x = t
+        while x not in cum:
+            if len(walk) == n:
+                raise ValueError(f"pred has a cycle through node {x}")
+            p = pred[x]
+            if not 0 <= p < n:
+                raise ValueError(
+                    f"pred of node {x} is outside the row or not a "
+                    "probe-graph edge"
+                )
+            walk.append(x)
+            x = p
+        for v in reversed(walk):
+            for slot in range(indptr[x + 1] - 1, indptr[x] - 1, -1):
+                if indices[slot] == v:
+                    break
+            else:
+                raise ValueError(
+                    f"pred of node {v} is outside the row or not a "
+                    "probe-graph edge"
+                )
+            parent[v] = x
+            cum[v] = cum[x] + weights[slot]
+            order.append(v)
+            x = v
+
+    height = dict.fromkeys(cum, 0)
+    sub = dict.fromkeys(cum, 0)
+    for t in restored:
+        sub[t] += 1
+    for v in reversed(order):
+        p = parent[v]
+        height[p] = max(height[p], height[v] + 1)
+        sub[p] += sub[v]
+    rows = table.rows
+    needed = [a for a in (source, *order) if height[a] >= 2]
+    lacking = [a for a in needed if rows[a] is None]
+    if lacking and table.fill is not None:
+        table.fill(lacking)
+    for a in needed:
+        if rows[a] is None:
+            raise ValueError(f"rows: no oracle row for node {a}")
+
+    best = {source: 0}
+    choice: dict[int, int] = {}
+    probes = 0
+    for v in order:
+        path = []
+        x = v
+        while x != source:
+            x = parent[x]
+            path.append(x)
+        path.reverse()
+        i = len(path)
+        cum_v = cum[v]
+        bi = i + 1
+        cj = source
+        for j, a in enumerate(path):
+            if i - j > 1:
+                d = rows[a][v]
+                if d == INF or not costs_equal(cum_v - cum[a], d):
+                    continue
+            candidate = best[a] + 1
+            if candidate < bi:
+                bi = candidate
+                cj = a
+        best[v] = bi
+        choice[v] = cj
+        probes += i
+
+    pieces: list[tuple[int, ...]] = []
+    ends: set[int] = set()
+    for v in restored:
+        while v != source and v not in ends:
+            ends.add(v)
+            a = choice[v]
+            piece = [v]
+            x = v
+            while x != a:
+                x = parent[x]
+                piece.append(x)
+            piece.reverse()
+            pieces.append(tuple(piece))
+            v = a
+    for x, count in sub.items():
+        naive[x] += count
+    return pieces, len(restored), unrestorable, probes
 
 
 def tight_edge_error(csr, u: int, v: int) -> ValueError:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.base_paths import UniqueShortestPathsBase
+from repro.core.base_paths import ExplicitBaseSet, UniqueShortestPathsBase
 from repro.experiments.ilm_accounting import IlmAccountant, scenarios_from_cases
 from repro.failures.models import FailureScenario
 from repro.failures.sampler import FailureCase, link_failure_cases, sample_pairs
@@ -101,6 +101,52 @@ class TestAccountant:
         many = IlmAccountant(graph, base)
         many.process_scenarios(scenarios)
         assert many.stretch_factors()[1] <= few.stretch_factors()[1] + 10.0
+
+
+class TestBaseSetContract:
+    def test_rejects_base_sets_the_tree_dp_cannot_read(self, world):
+        """The kernel DP reads flat oracle rows and admits every edge as
+        a piece; any other base set is refused up front."""
+        graph, base = world
+        explicit = ExplicitBaseSet(
+            graph, [base.path_for(*sorted(graph.nodes, key=repr)[:2])],
+            include_all_edges=True,
+        )
+        for other in (
+            explicit,
+            UniqueShortestPathsBase(graph, include_all_edges=False),
+        ):
+            with pytest.raises(ValueError, match="shared_unique_base"):
+                IlmAccountant(graph, other)
+
+
+class TestProbeCounters:
+    def test_probe_calls_do_not_depend_on_jobs(self):
+        """One probe per ancestor of each DP node, with no memo: jobs 1
+        and jobs 2 (any chunking) count the same probes and rows."""
+        from repro.experiments import table2
+        from repro.experiments.networks import cached_suite
+        from repro.experiments.parallel import make_executor
+        from repro.perf import COUNTERS
+
+        network = cached_suite(scale="tiny", seed=1)[0]
+        results = []
+        for jobs in (1, 2):
+            executor = make_executor(jobs) if jobs > 1 else None
+            before = COUNTERS.snapshot()
+            try:
+                rows = table2.evaluate_network(
+                    network, modes=("link",), seed=1,
+                    with_multiplicity=False, ilm_accounting="per-link",
+                    jobs=jobs, suite_ref=("tiny", 1, 0), executor=executor,
+                )
+            finally:
+                if executor is not None:
+                    executor.shutdown()
+            delta = COUNTERS.delta(before)
+            results.append((rows, delta.probe_calls, delta.o1_probes))
+        assert results[0] == results[1]
+        assert results[0][1] > 0
 
 
 class TestScenariosFromCases:

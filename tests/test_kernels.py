@@ -715,7 +715,7 @@ class TestSelection:
         for attr in (
             "NAME", "dijkstra_canonical", "bfs", "rows_many",
             "children_index", "repair_resettle", "decompose_flat",
-            "count_paths",
+            "ilm_account", "count_paths",
         ):
             assert hasattr(pyk, attr)
 
