@@ -27,12 +27,17 @@ demand of that source reads its backup off the repaired predecessor
 array.  That is what makes all-pairs demand universes tractable on the
 ISP and sampled-source universes tractable on the large graphs.
 
-**Flat-array bookkeeping.**  All per-scenario mutation state lives in
-CSR index space (``shared_csr(graph).nodes`` positions): primaries are
-integer chains read straight off the base oracle's flat predecessor
-rows, the reverse link/router indices are keyed by ``(min, max)``
-index pairs, and per-router naive counts accumulate into one
-``array('l')``.
+**Primary trees in preorder.**  All per-scenario mutation state lives
+in CSR index space (``shared_csr(graph).nodes`` positions).  The
+primaries of one source are the paths of one tree, the base oracle's
+``pred`` row (the padded tie rule of the base set, which decides which
+primaries a failure touches), kept in preorder with each node's
+position and subtree end (the kernel backend's ``preorder``).  The
+demands a dead tree edge or router disturbs are the targets of one
+subtree, so a scenario's affected demands are a few preorder ranges
+per source, touched primaries are one flag per preorder position, and
+each node's primary tally is a prefix-sum difference over those flags.
+Per-router naive counts accumulate into one ``array('l')``.
 
 **One kernel pass per (scenario, source).**  Every affected demand of
 one source reads its backup off the same repaired tree, and a
@@ -46,18 +51,20 @@ the accounted state and the probe counters depend only on the
 scenarios processed.
 
 **Parallel fan-out.**  The accumulated state is a pure function of the
-*set* of processed scenarios — counts are additive, primaries/pieces
-dedup by set union, and the derived counters (:meth:`stretch_factors`,
-:meth:`table_sizes`, :meth:`base_lsp_count`) are finalized from that
-state in node-index order.  Workers therefore process disjoint
-scenario chunks and ship :meth:`export_state`; the parent
-:meth:`merge_state`-s them and gets results byte-identical to the
-sequential run, independent of chunking or merge order.
+*set* of processed scenarios — counts are additive, primary flags
+merge by OR, pieces dedup by set union, and the derived counters
+(:meth:`stretch_factors`, :meth:`table_sizes`, :meth:`base_lsp_count`)
+are finalized from that state in node-index order.  Workers therefore
+process disjoint scenario chunks and ship :meth:`export_state`; the
+parent :meth:`merge_state`-s them and gets results byte-identical to
+the sequential run, independent of chunking or merge order.
 """
 
 from __future__ import annotations
 
 from array import array
+from itertools import accumulate
+from operator import eq
 from typing import Iterable, Optional
 
 from ..core.base_paths import BaseSet
@@ -67,7 +74,7 @@ from ..core.cache import shared_spt_cache
 # name, so the name must resolve.
 from ..core.decomposition import min_pieces_decompose  # noqa: F401
 from ..failures.models import FailureScenario
-from ..graph.csr import INF, shared_csr
+from ..graph.csr import shared_csr
 from ..graph.graph import Graph, Node
 from ..kernels import RowTable, kernel_backend
 from ..obs import heartbeat
@@ -75,6 +82,9 @@ from ..perf import COUNTERS, warm_up_phase
 
 #: A path in CSR index space: the node-index sequence, source first.
 Chain = tuple[int, ...]
+#: A source's primary tree, ``(order, pos, end, pred)`` (``_tree``);
+#: ``pred`` may be a read-only view adopted from shared memory.
+Tree = tuple[array, array, array, array | memoryview]
 
 
 class IlmAccountant:
@@ -107,18 +117,19 @@ class IlmAccountant:
         # Oracle distance rows the tree DP reads, by node index (shared
         # with the oracle's cache, filled one batch per kernel call).
         self._rows = RowTable(self.csr.n, self._fill_rows)
-        # source idx -> {target idx: primary chain}, built lazily per
-        # source (the parent of a parallel run only ever materializes
-        # chains for demands its workers actually touched).
-        self._chains: dict[int, dict[int, Chain]] = {}
-        # Reverse indices over the demand universe: which demands a
-        # failed link / router disturbs.  Built on first use; makes
-        # process_scenario O(affected) instead of O(universe).
-        self._by_edge: Optional[dict[tuple[int, int], list]] = None
-        self._by_router: Optional[dict[int, list]] = None
+        # source idx -> (order, pos, end, pred): its primary tree in
+        # preorder, built lazily per source (the parent of a parallel
+        # run that did not plan only builds the trees of sources its
+        # workers touched).
+        self._trees: dict[int, Tree] = {}
+        # (source idx, tree) of every universe source, the per-scenario
+        # scan; built on first use (the universe warm-up).
+        self._universe: Optional[list[tuple[int, Tree]]] = None
         # Mergeable accounting state (see the module docstring).
         self._backup_naive = array("l", bytes(array("l").itemsize * self.csr.n))
-        self._primaries_touched: set[tuple[int, int]] = set()
+        # source idx -> one byte per preorder position of its tree, 1
+        # where that target's primary was touched.
+        self._touched: dict[int, bytearray] = {}
         self._pieces: set[Chain] = set()
         self._final: Optional[tuple[list[int], list[int], int]] = None
         self.scenarios_processed = 0
@@ -129,17 +140,16 @@ class IlmAccountant:
         """Zero the mergeable accounting state, keep the caches.
 
         A worker process reuses one accountant per network/mode across
-        every chunk it pulls from the shared work queue: the demand
-        universe (primary chains, reverse edge/router maps) and the
-        oracle row table are pure functions of the network and stay
-        warm, while the per-chunk tallies exported by
-        :meth:`export_state` start from zero so the parent's merge sees
-        each chunk exactly once.
+        every chunk it pulls from the shared work queue: the primary
+        trees of the demand universe and the oracle row table are pure
+        functions of the network and stay warm, while the per-chunk
+        tallies exported by :meth:`export_state` start from zero so the
+        parent's merge sees each chunk exactly once.
         """
         self._backup_naive = array(
             "l", bytes(array("l").itemsize * self.csr.n)
         )
-        self._primaries_touched = set()
+        self._touched = {}
         self._pieces = set()
         self._final = None
         self.scenarios_processed = 0
@@ -165,33 +175,39 @@ class IlmAccountant:
             )
         return oracle
 
-    def _chains_for(self, si: int) -> dict[int, Chain]:
-        """Primary chains from source *si* to every reachable target.
+    def _tree(self, si: int) -> Tree:
+        """Source *si*'s primary tree: ``(order, pos, end, pred)``.
 
-        One flat oracle row; every node's chain is built exactly once
-        by extending its predecessor's chain (total work proportional
-        to the sum of chain lengths, no Path objects).
+        The primary of demand ``(si, t)`` is the path ``si -> t`` in
+        the oracle's ``pred`` row; ``order[pos[x]:end[x]]`` are the
+        targets whose primaries run through ``x``.
         """
-        chains = self._chains.get(si)
-        if chains is not None:
-            return chains
-        dist, pred = self._oracle.row_arrays(self.csr.nodes[si])
-        built: dict[int, Chain] = {si: (si,)}
-        for ti, d in enumerate(dist):
-            if d == INF or ti in built:
-                continue
-            stack = []
-            x = ti
-            while x not in built:
-                stack.append(x)
-                x = pred[x]
-            prefix = built[x]
-            for x in reversed(stack):
-                prefix = prefix + (x,)
-                built[x] = prefix
-        del built[si]
-        self._chains[si] = built
-        return built
+        tree = self._trees.get(si)
+        if tree is None:
+            pred = self._oracle.row_arrays(self.csr.nodes[si])[1]
+            order, pos, end = kernel_backend().preorder(pred, si)
+            tree = self._trees[si] = (order, pos, end, pred)
+        return tree
+
+    def _universe_trees(self) -> list[tuple[int, Tree]]:
+        """``(si, tree)`` of every universe source."""
+        universe = self._universe
+        if universe is None:
+            # Universe warm-up: the oracle rows of every primary tree
+            # are batch-warmed here — exactly the set a parent
+            # publishes, so builds inside this phase count as
+            # warm_row_builds.
+            with warm_up_phase():
+                nodes = self.csr.nodes
+                self._oracle.warm_many(
+                    nodes[si] for si in self._source_idx
+                    if si not in self._trees
+                )
+                universe = self._universe = [
+                    (si, self._tree(si))
+                    for si in dict.fromkeys(self._source_idx)
+                ]
+        return universe
 
     def _fill_rows(self, missing: list[int]) -> None:
         """Fetch the oracle rows of *missing* nodes in one batch."""
@@ -202,60 +218,37 @@ class IlmAccountant:
 
     # -- accounting -----------------------------------------------------------
 
-    def _ensure_indices(self) -> None:
-        if self._by_edge is not None:
-            return
-        by_edge: dict[tuple[int, int], list] = {}
-        by_router: dict[int, list] = {}
-        # Universe warm-up: the oracle rows every demand chain reads
-        # are batch-warmed (and lazily swept by _chains_for) here —
-        # exactly the set a parent publishes, so builds inside this
-        # phase count as warm_row_builds.
-        with warm_up_phase():
-            nodes = self.csr.nodes
-            self._oracle.warm_many(
-                nodes[si] for si in self._source_idx if si not in self._chains
-            )
-            for si in self._source_idx:
-                self._chains_for(si)
-        for si in self._source_idx:
-            for ti, chain in self._chains_for(si).items():
-                demand = (si, ti)
-                prev = chain[0]
-                for x in chain[1:]:
-                    key = (prev, x) if prev < x else (x, prev)
-                    by_edge.setdefault(key, []).append(demand)
-                    prev = x
-                for x in chain:
-                    by_router.setdefault(x, []).append(demand)
-        self._by_edge = by_edge
-        self._by_router = by_router
+    def _affected(
+        self, scenario: FailureScenario
+    ) -> dict[int, list[tuple[int, int]]]:
+        """``source idx -> [(lo, hi)]``: the disturbed demands of each
+        source as ascending, disjoint preorder ranges of its tree.
 
-    def _affected_by(self, scenario: FailureScenario) -> dict[int, list[int]]:
-        """``source idx -> [target idxs]`` of disturbed demands."""
-        self._ensure_indices()
-        assert self._by_edge is not None and self._by_router is not None
+        A primary is disturbed when it crosses a dead link (the
+        subtree below a dead tree edge) or router (the router's
+        subtree).  A dead source has no flow to restore and is left
+        out; a dead target is kept and lands in unrestorable.
+        """
         index = self.csr.index
-        hit: set[tuple[int, int]] = set()
-        for u, v in scenario.links:
-            iu, iv = index.get(u), index.get(v)
-            if iu is None or iv is None:
+        links = [
+            (index[u], index[v]) for u, v in scenario.links
+            if u in index and v in index
+        ]
+        dead = {index[r] for r in scenario.routers if r in index}
+        grouped: dict[int, list[tuple[int, int]]] = {}
+        for si, (_order, pos, end, pred) in self._universe_trees():
+            ranges = []
+            for a, b in links:
+                if pred[b] == a:
+                    ranges.append((pos[b], end[b]))
+                elif pred[a] == b:
+                    ranges.append((pos[a], end[a]))
+            for r in dead:
+                if pos[r] > 0:  # reached, and not the source
+                    ranges.append((pos[r], end[r]))
+            if not ranges or si in dead:
                 continue
-            hit.update(self._by_edge.get((iu, iv) if iu < iv else (iv, iu), ()))
-        dead_routers: set[int] = set()
-        for router in scenario.routers:
-            ri = index.get(router)
-            if ri is None:
-                continue
-            dead_routers.add(ri)
-            hit.update(self._by_router.get(ri, ()))
-        grouped: dict[int, list[int]] = {}
-        for si, ti in hit:
-            if si in dead_routers:
-                # Source down: no flow to restore.  (A dead *target* is
-                # kept and lands in unrestorable — nothing to reach.)
-                continue
-            grouped.setdefault(si, []).append(ti)
+            grouped[si] = _outermost(ranges) if len(ranges) > 1 else ranges
         return grouped
 
     def plan_scenarios(
@@ -277,7 +270,7 @@ class IlmAccountant:
         """
         index = self.csr.index
         cache = shared_spt_cache(self.graph, weighted=self.weighted)
-        grouped_list = [self._affected_by(s) for s in scenarios]
+        grouped_list = [self._affected(s) for s in scenarios]
         touched = sorted({si for g in grouped_list for si in g})
         cache.ensure_rows(touched)
         costs: list[int] = []
@@ -291,10 +284,10 @@ class IlmAccountant:
                 index[r] for r in scenario.routers if r in index
             ]
             cost = 0
-            for si, targets in grouped.items():
+            for si, ranges in grouped.items():
                 cost += cache.repair_cost_estimate(
                     si, dead_pairs, dead_nodes
-                ) + len(targets)
+                ) + sum(hi - lo for lo, hi in ranges)
             costs.append(cost)
         return costs, touched
 
@@ -342,18 +335,25 @@ class IlmAccountant:
         touched source re-settled from its cached pre-failure row),
         then one ``ilm_account`` kernel call per touched source.
         """
-        grouped = self._affected_by(scenario)
+        grouped = self._affected(scenario)
         cache = shared_spt_cache(self.graph, weighted=self.weighted)
         rows = cache.repair_batch_idx(grouped, scenario)
         account = kernel_backend().ilm_account
         probe, table, naive = self._probe, self._rows, self._backup_naive
-        primaries, pieces = self._primaries_touched, self._pieces
+        touched, pieces = self._touched, self._pieces
         affected_total = restored = unrestorable = probes = 0
-        for si, targets in grouped.items():
+        for si, ranges in grouped.items():
+            order = self._trees[si][0]
+            flags = touched.get(si)
+            if flags is None:
+                flags = touched[si] = bytearray(len(order))
+            targets = array("q")
+            for lo, hi in ranges:
+                flags[lo:hi] = b"\x01" * (hi - lo)
+                targets += order[lo:hi]
             row = rows.get(si)
             dist, pred = row if row is not None else (None, None)
             affected_total += len(targets)
-            primaries.update((si, ti) for ti in targets)
             got, r, u, p = account(probe, si, targets, dist, pred, table, naive)
             pieces.update(got)
             restored += r
@@ -410,13 +410,16 @@ class IlmAccountant:
     def export_state(self) -> dict:
         """Mergeable accounting state (picklable; see :meth:`merge_state`).
 
-        Sets are exported sorted so the payload bytes are deterministic
-        for a given scenario chunk regardless of processing order.
+        Primary flags go out as ``(source idx, bytes)`` sorted by source
+        and pieces sorted, so the payload bytes are deterministic for a
+        given scenario chunk regardless of processing order.
         """
         return {
             "policy": "concatenation",
             "backup_naive": self._backup_naive.tobytes(),
-            "primaries": sorted(self._primaries_touched),
+            "primaries": [
+                (si, bytes(flags)) for si, flags in sorted(self._touched.items())
+            ],
             "pieces": sorted(self._pieces),
             "scenarios": self.scenarios_processed,
             "restored": self.demands_restored,
@@ -426,9 +429,10 @@ class IlmAccountant:
     def merge_state(self, state: dict) -> None:
         """Fold a worker's :meth:`export_state` into this accountant.
 
-        Counts add, primaries/pieces union; since the derived results
-        are a pure function of that state, merging per-chunk exports in
-        any order reproduces the sequential run byte-for-byte.
+        Counts add, primary flags OR, pieces union; since the derived
+        results are a pure function of that state, merging per-chunk
+        exports in any order reproduces the sequential run
+        byte-for-byte.
         """
         policy = state.get("policy", "concatenation")
         if policy != "concatenation":
@@ -444,9 +448,21 @@ class IlmAccountant:
         for i, count in enumerate(incoming):
             if count:
                 backup_naive[i] += count
-        self._primaries_touched.update(
-            tuple(demand) for demand in state["primaries"]
-        )
+        touched = self._touched
+        for si, flags in state["primaries"]:
+            mine = touched.get(si)
+            if mine is None:
+                touched[si] = bytearray(flags)
+                continue
+            if len(flags) != len(mine):
+                raise ValueError(
+                    f"primary flags of source {si}: {len(flags)} "
+                    f"positions, {len(mine)} merged so far"
+                )
+            merged = int.from_bytes(mine, "little") | int.from_bytes(
+                flags, "little"
+            )
+            touched[si] = bytearray(merged.to_bytes(len(mine), "little"))
         self._pieces.update(tuple(chain) for chain in state["pieces"])
         self.scenarios_processed += state["scenarios"]
         self.demands_restored += state["restored"]
@@ -461,22 +477,39 @@ class IlmAccountant:
         Primaries enter both sides here rather than in the scenario
         loop: each touched primary is counted once globally (never per
         scenario), which is also what makes worker exports mergeable.
+        A node's primaries from source ``s`` are the touched targets of
+        its subtree, a prefix-sum difference over ``s``'s flags.  A
+        piece that is a touched primary (the tree path to a flagged
+        target) is the same base LSP and counts once.
         """
         final = self._final
         if final is not None:
             return final
         naive = list(self._backup_naive)
-        base_paths: set[Chain] = set(self._pieces)
-        for si, ti in self._primaries_touched:
-            chain = self._chains_for(si)[ti]
-            for x in chain:
-                naive[x] += 1
-            base_paths.add(chain)
         base_counter = [0] * self.csr.n
-        for chain in base_paths:
-            for x in chain:
+        lsps = 0
+        for si, flags in self._touched.items():
+            order, _pos, end, _pred = self._tree(si)
+            prefix = list(accumulate(flags, initial=0))
+            lsps += prefix[-1]
+            ends = map(prefix.__getitem__, map(end.__getitem__, order))
+            for x, lo, hi in zip(order, prefix, ends):
+                naive[x] += hi - lo
+                base_counter[x] += hi - lo
+        touched, trees = self._touched, self._trees
+        for piece in self._pieces:
+            flags = touched.get(piece[0])
+            if flags is not None:
+                _order, pos, _end, pred = trees[piece[0]]
+                at = pos[piece[-1]]
+                if at > 0 and flags[at] and all(
+                    map(eq, map(pred.__getitem__, piece[1:]), piece)
+                ):
+                    continue
+            lsps += 1
+            for x in piece:
                 base_counter[x] += 1
-        self._final = (base_counter, naive, len(base_paths))
+        self._final = (base_counter, naive, lsps)
         return self._final
 
     def stretch_factors(self) -> tuple[float, float]:
@@ -499,6 +532,15 @@ class IlmAccountant:
     def base_lsp_count(self) -> int:
         """Distinct base LSPs the restorations used."""
         return self._finalize()[2]
+
+
+def _outermost(ranges: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Subtree ranges nest or are disjoint: the outermost, ascending."""
+    kept: list[tuple[int, int]] = []
+    for lo, hi in sorted(ranges):
+        if not kept or lo >= kept[-1][1]:
+            kept.append((lo, hi))
+    return kept
 
 
 def scenarios_from_cases(cases) -> list[FailureScenario]:

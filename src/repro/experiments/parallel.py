@@ -690,9 +690,9 @@ def ilm_scenario_chunk(
     how scenarios were packed into chunks.
 
     The accountant (and its scenario list) is memoized per
-    network/mode within the worker process: the demand universe
-    (primary chains, reverse edge/router maps) and the oracle row
-    table the tree DP reads are chunk-invariant pure caches, so a
+    network/mode within the worker process: the demand universe (each
+    source's primary tree in preorder) and the oracle row table the
+    tree DP reads are chunk-invariant pure caches, so a
     worker pulling many small cost-weighted chunks from the shared
     queue pays for them once, with :meth:`reset_accounting` zeroing
     the mergeable tallies between chunks.  Nothing the accounting

@@ -61,6 +61,7 @@ multi-source consumer is the per-scenario ILM accounting.
 from __future__ import annotations
 
 from array import array
+from operator import sub
 from typing import Iterable, Optional
 
 from ..exceptions import NoPath
@@ -397,27 +398,14 @@ class SptCache:
 
         ``sizes[v]`` counts the nodes whose shortest path from the
         source routes through *v* (including *v* itself); unreachable
-        nodes get 0.  Computed in one pass over the reachable nodes in
-        descending-distance order — under positive edge weights a
-        child's label is strictly larger than its parent's, so each
-        node's total is final before it is pushed onto its parent.
+        nodes get 0.  Read off the tree's preorder as ``end - pos``, so
+        zero-weight edges (a child as close as its parent) count right.
         Memoized per source alongside the children indices.
         """
         sizes = self._sizes.get(i)
         if sizes is None:
-            dist, pred = self._row(i)
-            sizes = [0] * self.csr.n
-            order = sorted(
-                (v for v in range(self.csr.n) if dist[v] != INF),
-                key=dist.__getitem__,
-                reverse=True,
-            )
-            for v in order:
-                sizes[v] += 1
-                p = pred[v]
-                if p >= 0:
-                    sizes[p] += sizes[v]
-            self._sizes[i] = sizes
+            _order, pos, end = kernel_backend().preorder(self._row(i)[1], i)
+            sizes = self._sizes[i] = list(map(sub, end, pos))
         return sizes
 
     def repair_cost_estimate(
@@ -435,7 +423,7 @@ class SptCache:
         reachable-node count (which is also the fallback recompute
         cost).  Pure arithmetic over cached rows: no search work.
         """
-        dist, pred = self._row(i)
+        pred = self._row(i)[1]
         sizes = self.subtree_sizes(i)
         cost = 0
         for u, v in dead_pairs:
@@ -444,9 +432,8 @@ class SptCache:
             elif pred[u] == v:
                 cost += sizes[u]
         for x in dead_nodes:
-            if dist[x] != INF:
-                cost += sizes[x]
-        return min(cost, len(self._children_of(i)[1]) + 1)
+            cost += sizes[x]
+        return min(cost, sizes[i])
 
     def repaired_row(self, source: Node, view: CsrView) -> tuple:
         """Post-failure ``(dist, pred)`` for *source* under *view*'s mask.

@@ -5,7 +5,9 @@ building (:mod:`repro.graph.csr`), decremental SPT re-settling
 (:mod:`repro.graph.incremental`), the flat decomposition DP
 (:mod:`repro.core.decomposition`), per-link ILM accounting of one
 (scenario, source) pair over its repaired tree (``ilm_account``,
-behind :mod:`repro.experiments.ilm_accounting`), and shortest-path
+behind :mod:`repro.experiments.ilm_accounting`), the preorder of a
+shortest-path tree (``preorder``: the accountant's primary trees and
+the repair cost model's subtree sizes), and shortest-path
 counting over a canonical row's tight-edge DAG (``count_paths``,
 behind :mod:`repro.graph.spt` and Table 2's multiplicity column) —
 dispatches through the backend selected here.  Two backends ship:

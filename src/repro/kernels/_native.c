@@ -416,6 +416,51 @@ repro_children(i64 n, const i64 *pred, i64 *offsets, i64 *kids)
 }
 
 /* ---------------------------------------------------------------- *
+ * Preorder of the tree `pred` spans from `root`, children in
+ * ascending index order: `order` (room for n) lists the reached nodes,
+ * and order[pos[v] .. end[v]) is v's subtree (-1 for both where root
+ * does not reach).  Returns the reached count, or -1 on allocation
+ * failure.  The wrapper has checked root, pred[root] == -1 and every
+ * entry, so the walk from root visits each node at most once.
+ * ---------------------------------------------------------------- */
+
+i64
+repro_preorder(i64 n, const i64 *pred, i64 root, i64 *order, i64 *pos,
+               i64 *end)
+{
+    i64 *offsets = (i64 *)malloc((size_t)(n + 1) * sizeof(i64));
+    i64 *kids = (i64 *)malloc(2 * (size_t)n * sizeof(i64));
+    if (!offsets || !kids) {
+        free(offsets);
+        free(kids);
+        return -1;
+    }
+    i64 *stack = kids + n;
+    repro_children(n, pred, offsets, kids);
+    for (i64 v = 0; v < n; v++)
+        pos[v] = end[v] = -1;
+    i64 m = 0, top = 0;
+    stack[top++] = root;
+    while (top) {
+        i64 x = stack[--top];
+        pos[x] = m;
+        order[m++] = x;
+        for (i64 k = offsets[x + 1]; k > offsets[x]; k--)
+            stack[top++] = kids[k - 1];
+    }
+    /* Subtree sizes, children before parents; then end = pos + size. */
+    for (i64 i = 0; i < m; i++)
+        end[order[i]] = 1;
+    for (i64 i = m - 1; i > 0; i--)
+        end[pred[order[i]]] += end[order[i]];
+    for (i64 i = 0; i < m; i++)
+        end[order[i]] += i;
+    free(offsets);
+    free(kids);
+    return m;
+}
+
+/* ---------------------------------------------------------------- *
  * Fused decremental repair: affected-subtree discovery, the fallback
  * threshold, and the Ramalingam–Reps re-settle in one call.
  *

@@ -195,6 +195,8 @@ _LIB.repro_rows_many.argtypes = [
 ]
 _LIB.repro_children.restype = _i64
 _LIB.repro_children.argtypes = [_i64, _ptr, _ptr, _ptr]
+_LIB.repro_preorder.restype = _i64
+_LIB.repro_preorder.argtypes = [_i64, _ptr, _i64, _ptr, _ptr, _ptr]
 _LIB.repro_repair.restype = ctypes.c_int
 _LIB.repro_repair.argtypes = [
     _ptr, _ptr, _ptr, _i64, _ptr, _ptr, _i64, _ptr, _ptr, _ptr, _ptr,
@@ -530,6 +532,26 @@ def children_index(pred) -> tuple[array, array]:
         raise ValueError("pred names a node outside the row")
     del kids[filled:]
     return offsets, kids
+
+
+def preorder(pred, root: int) -> tuple[array, array, array]:
+    """``(order, pos, end)`` preorder of a predecessor row's tree, in C.
+
+    *pred* and *root* are checked in Python first (``ValueError``), so
+    C only ever walks a well-formed tree.
+    """
+    n = _py.check_tree(pred, root)
+    pred_addr = _row_addr(pred, "q", n, "pred")
+    order = _Q0 * n
+    pos = _Q0 * n
+    end = _Q0 * n
+    reached = _LIB.repro_preorder(
+        n, pred_addr, root, order.buffer_info()[0], pos.buffer_info()[0],
+        end.buffer_info()[0],
+    )
+    _check(reached)
+    del order[reached:]
+    return order, pos, end
 
 
 def repair_resettle(

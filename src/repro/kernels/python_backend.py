@@ -27,6 +27,12 @@ memoryviews of the same formats (rows adopted from shared memory).
 ``children_index(pred) -> (offsets, kids)``
     CSR inversion of a pre-failure predecessor row: the children of
     ``v`` are ``kids[offsets[v]:offsets[v + 1]]``, ascending.
+``preorder(pred, root) -> (order, pos, end)``
+    Preorder of the tree a predecessor row spans from *root*, children
+    in ascending index order: ``order[pos[v]:end[v]]`` is ``v``'s
+    subtree, and ``pos``/``end`` are ``-1`` where *root* does not
+    reach; ``ValueError`` for a root or ``pred`` entry out of range or
+    a root with a parent.
 ``repair_resettle(view, source, dist, pred, children, threshold, unit)``
     Fused decremental repair of a cached pre-failure row: finds the
     subtree the view's deletions cut off, compares its size with
@@ -176,6 +182,51 @@ def children_index(pred) -> tuple[array, array]:
             kids[fill[p]] = v
             fill[p] += 1
     return offsets, kids
+
+
+def check_tree(pred, root: int) -> int:
+    """Validate a :func:`preorder` input; returns ``len(pred)``.
+
+    ``ValueError`` unless *root* lies in ``[0, n)``, every ``pred``
+    entry in ``[-1, n)`` and ``pred[root] == -1``.
+    """
+    n = len(pred)
+    if not 0 <= root < n:
+        raise ValueError(f"root {root} outside [0, {n})")
+    if min(pred) < -1 or max(pred) >= n:
+        raise ValueError(f"pred names a node outside [-1, {n})")
+    if pred[root] != -1:
+        raise ValueError(f"pred[{root}] is {pred[root]}, not -1: not a root")
+    return n
+
+
+def preorder(pred, root: int) -> tuple[array, array, array]:
+    """Preorder of the tree a predecessor row spans from *root*.
+
+    Children are visited in ascending index order.  Returns ``(order,
+    pos, end)``: ``order`` lists the reached nodes, *root* first;
+    ``pos[v]`` is ``v``'s position there and ``order[pos[v]:end[v]]``
+    its subtree; both are ``-1`` for a node *root* does not reach.
+    """
+    n = check_tree(pred, root)
+    offsets, kids = children_index(pred)
+    order = array("q")
+    pos = array("q", [-1]) * n
+    end = array("q", [-1]) * n
+    stack = [root]
+    while stack:
+        x = stack.pop()
+        pos[x] = len(order)
+        order.append(x)
+        stack.extend(reversed(kids[offsets[x]:offsets[x + 1]]))
+    for x in order:
+        end[x] = 1
+    for i in range(len(order) - 1, 0, -1):
+        x = order[i]
+        end[pred[x]] += end[x]
+    for i, x in enumerate(order):
+        end[x] += i
+    return order, pos, end
 
 
 def cut_subtree(

@@ -341,3 +341,35 @@ class TestFallbackThreshold:
         with pytest.raises(NoPath):
             cache.backup_path(0, 5, fv)
         assert COUNTERS.spt_fallbacks >= before
+
+
+class TestSubtreeSizes:
+    def test_zero_weight_edge_counts_the_whole_subtree(self):
+        # c is as close to the root as its parent b: a sizes pass that
+        # orders nodes by distance can visit b before c and lose c's
+        # subtree from a's total.
+        g = Graph()
+        g.add_edge("a", "b", 1)
+        g.add_edge("b", "c", 0)
+        g.add_edge("c", "d", 1)
+        cache = SptCache(g)
+        index = cache.csr.index
+        sizes = cache.subtree_sizes(index["a"])
+        assert [sizes[index[x]] for x in "abcd"] == [4, 3, 2, 1]
+
+    @pytest.mark.parametrize("unit", [False, True])
+    def test_sizes_count_the_nodes_routed_through_each_node(self, unit):
+        rng = random.Random(11)
+        g = random_graph(rng, n=30, extra=25, unit=unit)
+        g.add_node("island")  # unreachable: size 0
+        cache = SptCache(g, weighted=not unit)
+        n = cache.csr.n
+        for source in range(0, n, 7):
+            _dist, pred = cache._row(source)
+            expected = [0] * n
+            for v in range(n):
+                x = v
+                while x >= 0 and (x == source or pred[x] >= 0):
+                    expected[x] += 1
+                    x = pred[x]
+            assert cache.subtree_sizes(source) == expected
