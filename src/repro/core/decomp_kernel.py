@@ -1,4 +1,4 @@
-"""O(1) sub-path membership probes — the decomposition kernel.
+"""O(1) sub-path membership probes and the index-chain min-pieces DP.
 
 The decomposition algorithms (`greedy_decompose`, `min_pieces_decompose`,
 `min_base_paths_decompose`) are built on one primitive: "is the sub-path
@@ -6,31 +6,29 @@ of the restoration path between node positions *j* and *i* a base
 path?".  The straightforward implementation allocates a
 :class:`~repro.graph.paths.Path` per probe and re-walks its edges to sum
 its cost — O(L) work per probe, repeated O(L²) times by the dynamic
-programs, dominating the per-case restoration cost.
+programs.
 
-This module turns the probe into arithmetic.  For the implicit
-shortest-path base sets the membership test is "does the sub-path's cost
-(in the probe graph — padded for the Theorem 3 unique-choice set) equal
-the shortest distance between its endpoints?".  Both sides can be
-precomputed:
+For the implicit shortest-path base sets the membership test is "does
+the sub-path's cost (in the probe graph — padded for the Theorem 3
+unique-choice set) equal the shortest distance between its
+endpoints?".  Both sides are precomputed: ``cum[t]``, the probe-graph
+cost of the path's first ``t`` hops, so a sub-path costs ``cum[i] -
+cum[j]``; and one target-pruned row of the base set's shared
+:class:`~repro.graph.all_pairs.LazyDistanceOracle` per probed source
+position.  Two entry points use them:
 
-* ``cum[t]`` — cumulative probe-graph cost of the restoration path's
-  first ``t`` hops, computed once in O(L); the sub-path cost is then
-  ``cum[i] - cum[j]``;
-* per-source distance rows, fetched from the base set's shared
-  :class:`~repro.graph.all_pairs.LazyDistanceOracle` via a single
-  target-pruned request per probed source position (the targets are
-  exactly the later nodes of the restoration path).
-
-so each probe is two list indexings, a dict lookup, and one
-float-tolerant comparison — no allocation, no edge walk.
-
-:func:`~repro.core.decomposition.min_pieces_decompose` goes one step
-further when the base set admits every edge (Table 2's configuration):
-:meth:`PrefixSumProbe.min_pieces_choice` warms the rows of chain
-positions ``0 .. L-3`` in ascending order — the order the probe loop
-fetched them — and hands the whole O(L²) DP to the kernel backend's
-``decompose_flat``, which reads those rows in place.
+* :func:`min_pieces_choice` — Table 2's configuration (an implicit set
+  admitting every edge), for :func:`~repro.core.decomposition.min_pieces_decompose`
+  and ``ConcatenationPolicy.evaluate_case`` alike.  It maps the path
+  onto the oracle's CSR index chain, sums ``cum`` from that CSR's
+  weight array (the same arrays the per-link ILM kernel reads; a hop
+  that is not a probe-graph edge sends the caller to the
+  :class:`SubpathProbe` fallback), warms the rows of chain positions
+  ``0 .. L-3`` in ascending order, and hands the whole O(L²) DP to the
+  kernel backend's ``decompose_flat``, which reads those rows in place.
+* :class:`PrefixSumProbe` — the per-probe form the greedy and
+  base-path-budget decompositions drive: two list indexings, a dict
+  lookup and one float-tolerant comparison per probe.
 
 Float caveat (see ``docs/performance.md``): ``cum[i] - cum[j]``
 accumulates rounding differently than the direct left-to-right summation
@@ -43,10 +41,14 @@ pipeline makes; the equivalence tests pin this down.
 
 from __future__ import annotations
 
+from typing import Optional, Sequence
+
+from ..graph.graph import Node
 from ..graph.paths import Path
 from ..graph.shortest_paths import costs_equal
 from ..kernels import kernel_backend
 from ..perf import COUNTERS
+from .base_paths import AllShortestPathsBase, UniqueShortestPathsBase
 
 
 class SubpathProbe:
@@ -119,35 +121,6 @@ class PrefixSumProbe(SubpathProbe):
         self._rows: dict[int, dict] = {}
         self._include_edges = include_all_edges
 
-    @property
-    def admits_every_edge(self) -> bool:
-        """Every one-hop piece is a base path (``include_all_edges``)."""
-        return self._include_edges
-
-    def min_pieces_choice(self) -> list[int]:
-        """The min-pieces DP's ``choice`` column, solved by the kernel.
-
-        Requires :attr:`admits_every_edge` (every prefix is then
-        reachable, so the DP reads the row of every position ``j <=
-        L - 3``).  Rows are warmed in ascending ``j`` and read as they
-        stand, so the ``oracle_*`` counters move exactly as under the
-        probe loop, and ``probe_calls`` / ``o1_probes`` grow by the
-        same L(L−1)/2.
-        """
-        nodes = self._nodes
-        oracle = self._oracle
-        rows = [
-            oracle.warm(nodes[j], nodes[j + 1 :]) for j in range(len(nodes) - 2)
-        ]
-        index = oracle.csr().index
-        chain = [index[node] for node in nodes]
-        _best, choice, probes = kernel_backend().decompose_flat(
-            chain, self._cum, rows
-        )
-        COUNTERS.probe_calls += probes
-        COUNTERS.o1_probes += probes
-        return choice
-
     def _row(self, j: int) -> dict:
         row = self._rows.get(j)
         if row is None:
@@ -176,3 +149,42 @@ class PrefixSumProbe(SubpathProbe):
         if allow_edges and i - j == 1:
             return True, False
         return False, False
+
+
+def min_pieces_choice(base_set, nodes: Sequence[Node]) -> Optional[list[int]]:
+    """The min-pieces DP's ``choice`` column for the path through *nodes*.
+
+    ``choice[i]`` is where the last piece covering ``nodes[0 .. i]``
+    starts.  Runs when *base_set* is an implicit shortest-path set that
+    admits every edge: every one-hop piece is then a base path, so
+    every prefix is reachable and the DP reads the oracle row of every
+    position ``j <= L - 3``.  Rows are warmed in ascending ``j`` and
+    read as they stand, so the ``oracle_*`` counters move exactly as
+    under the probe loop, and ``probe_calls`` / ``o1_probes`` grow by
+    the same L(L−1)/2.
+
+    Returns ``None`` for any other base set, and when a node or hop of
+    the path is not in the oracle's CSR; the caller then falls back to
+    the probe loop.
+    """
+    if not (
+        isinstance(base_set, (AllShortestPathsBase, UniqueShortestPathsBase))
+        and base_set.include_all_edges
+    ):
+        return None
+    oracle = base_set.oracle
+    csr = oracle.csr()
+    index = csr.index
+    try:
+        chain = [index[node] for node in nodes]
+    except KeyError:
+        return None
+    cum = csr.prefix_costs(chain)
+    if cum is None:
+        return None
+    warm = oracle.warm
+    rows = [warm(nodes[j], nodes[j + 1 :]) for j in range(len(nodes) - 2)]
+    _best, choice, probes = kernel_backend().decompose_flat(chain, cum, rows)
+    COUNTERS.probe_calls += probes
+    COUNTERS.o1_probes += probes
+    return choice

@@ -27,14 +27,14 @@ reported separately.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from ..exceptions import DecompositionError, NoPath
 from ..graph.graph import Node
 from ..graph.heap import AddressableHeap
 from ..graph.paths import Path, concat_all
 from .base_paths import AllShortestPathsBase, BaseSet, ExplicitBaseSet
-from .decomp_kernel import PrefixSumProbe
+from .decomp_kernel import min_pieces_choice
 
 
 @dataclass(frozen=True)
@@ -52,6 +52,20 @@ class Decomposition:
     def __post_init__(self) -> None:
         if len(self.pieces) != len(self.base_flags):
             raise ValueError("pieces and base_flags must align")
+
+    @classmethod
+    def from_choice(cls, path: Path, choice: Sequence[int]) -> "Decomposition":
+        """The all-base-path decomposition a min-pieces ``choice`` column
+        encodes: ``choice[i]`` starts the last piece covering
+        ``path[0 .. i]``."""
+        pieces: list[Path] = []
+        i = len(path.nodes) - 1
+        while i > 0:
+            j = choice[i]
+            pieces.append(path.subpath(j, i))
+            i = j
+        pieces.reverse()
+        return cls(pieces=tuple(pieces), base_flags=(True,) * len(pieces))
 
     @property
     def num_pieces(self) -> int:
@@ -84,15 +98,6 @@ class Decomposition:
         )
 
 
-def _is_piece(sub: Path, base_set: BaseSet, allow_edges: bool) -> tuple[bool, bool]:
-    """``(admissible, is_base)`` for a candidate piece."""
-    if base_set.is_base_path(sub):
-        return True, True
-    if allow_edges and sub.hops == 1 and base_set.graph.has_edge(*sub.nodes):
-        return True, False
-    return False, False
-
-
 def greedy_decompose(
     path: Path,
     base_set: BaseSet,
@@ -109,7 +114,8 @@ def greedy_decompose(
     Membership probes go through the base set's sub-path prober (O(1)
     prefix-sum arithmetic for the implicit shortest-path sets — see
     ``repro.core.decomp_kernel``); the probe sequence, and therefore the
-    result, is identical to :func:`greedy_decompose_reference`.
+    result, is identical to the path-allocating reference's
+    (``tests/decomp_oracles.py``).
     """
     if path.is_trivial:
         return Decomposition(pieces=(), base_flags=())
@@ -158,67 +164,6 @@ def greedy_decompose(
     return Decomposition(pieces=tuple(pieces), base_flags=tuple(flags))
 
 
-def greedy_decompose_reference(
-    path: Path,
-    base_set: BaseSet,
-    allow_edges: bool = True,
-    prefix_probe: Optional[str] = None,
-) -> Decomposition:
-    """Pre-kernel implementation of :func:`greedy_decompose`.
-
-    Allocates a :class:`Path` per membership probe.  Kept as the
-    specification the equivalence tests check the kernel against.
-    """
-    if path.is_trivial:
-        return Decomposition(pieces=(), base_flags=())
-    if prefix_probe is None:
-        prefix_probe = (
-            "binary" if isinstance(base_set, AllShortestPathsBase) else "linear"
-        )
-    if prefix_probe not in ("binary", "linear"):
-        raise ValueError(f"unknown prefix_probe {prefix_probe!r}")
-
-    pieces: list[Path] = []
-    flags: list[bool] = []
-    remaining = path
-    while not remaining.is_trivial:
-        length = _largest_base_prefix(remaining, base_set, probe=prefix_probe)
-        if length >= 1:
-            piece = remaining.prefix(length)
-            pieces.append(piece)
-            flags.append(True)
-        else:
-            piece = remaining.prefix(1)
-            admissible, is_base = _is_piece(piece, base_set, allow_edges)
-            if not admissible:
-                raise DecompositionError(
-                    f"no base path or admissible edge covers {piece!r}"
-                )
-            pieces.append(piece)
-            flags.append(is_base)
-        remaining = remaining.suffix_from(piece.hops)
-    return Decomposition(pieces=tuple(pieces), base_flags=tuple(flags))
-
-
-def _largest_base_prefix(path: Path, base_set: BaseSet, probe: str) -> int:
-    """Largest ``L`` such that ``path.prefix(L)`` is a base path (0 if none)."""
-    if probe == "binary":
-        lo, hi = 0, path.hops
-        # Invariant: prefix(lo) is a base path or lo == 0; prefix(> hi) unknown.
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if base_set.is_base_path(path.prefix(mid)):
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
-    best = 0
-    for length in range(1, path.hops + 1):
-        if base_set.is_base_path(path.prefix(length)):
-            best = length
-    return best
-
-
 def min_pieces_decompose(
     path: Path,
     base_set: BaseSet,
@@ -233,26 +178,18 @@ def min_pieces_decompose(
     When the base set is an implicit shortest-path set admitting every
     edge (Table 2's configuration), every piece is a base path and the
     whole DP runs in the kernel backend's ``decompose_flat`` over the
-    warmed oracle rows (:meth:`PrefixSumProbe.min_pieces_choice`).
-    Otherwise the O(L²) loop runs on the base set's sub-path prober —
-    O(1) arithmetic per probe for the implicit sets.  Results are
-    identical to :func:`min_pieces_decompose_reference` either way.
+    path's CSR index chain (:func:`~repro.core.decomp_kernel.min_pieces_choice`).
+    Otherwise — or when the path leaves the oracle's graph — the O(L²)
+    loop runs on the base set's sub-path prober, O(1) arithmetic per
+    probe for the implicit sets.  Results equal the path-allocating
+    reference DP's piece for piece either way (``tests/decomp_oracles.py``).
     """
     if path.is_trivial:
         return Decomposition(pieces=(), base_flags=())
+    choice = min_pieces_choice(base_set, path.nodes)
+    if choice is not None:
+        return Decomposition.from_choice(path, choice)
     probe = base_set.subpath_probe(path)
-    if isinstance(probe, PrefixSumProbe) and probe.admits_every_edge:
-        choice = probe.min_pieces_choice()
-        pieces: list[Path] = []
-        i = len(path.nodes) - 1
-        while i > 0:
-            j = choice[i]
-            pieces.append(path.subpath(j, i))
-            i = j
-        pieces.reverse()
-        return Decomposition(
-            pieces=tuple(pieces), base_flags=(True,) * len(pieces)
-        )
     n = len(path.nodes)
     INF = (n + 1, n + 1)
     # best[i] = (pieces, extra_edges) to cover path[0..i]; choice[i] = (j, is_base)
@@ -264,50 +201,6 @@ def min_pieces_decompose(
             if best[j] == INF:
                 continue
             admissible, is_base = probe.piece(j, i, allow_edges)
-            if not admissible:
-                continue
-            candidate = (best[j][0] + 1, best[j][1] + (0 if is_base else 1))
-            if candidate < best[i]:
-                best[i] = candidate
-                choice[i] = (j, is_base)
-    if best[n - 1] == INF:
-        raise DecompositionError(f"{path!r} cannot be covered by the base set")
-    pieces: list[Path] = []
-    flags: list[bool] = []
-    i = n - 1
-    while i > 0:
-        j, is_base = choice[i]  # type: ignore[misc]
-        pieces.append(path.subpath(j, i))
-        flags.append(is_base)
-        i = j
-    pieces.reverse()
-    flags.reverse()
-    return Decomposition(pieces=tuple(pieces), base_flags=tuple(flags))
-
-
-def min_pieces_decompose_reference(
-    path: Path,
-    base_set: BaseSet,
-    allow_edges: bool = True,
-) -> Decomposition:
-    """Pre-kernel implementation of :func:`min_pieces_decompose`.
-
-    Allocates a :class:`Path` per DP probe.  Kept as the specification
-    the equivalence tests check the kernel against.
-    """
-    if path.is_trivial:
-        return Decomposition(pieces=(), base_flags=())
-    n = len(path.nodes)
-    INF = (n + 1, n + 1)
-    best: list[tuple[int, int]] = [INF] * n
-    choice: list[Optional[tuple[int, bool]]] = [None] * n
-    best[0] = (0, 0)
-    for i in range(1, n):
-        for j in range(i):
-            if best[j] == INF:
-                continue
-            sub = path.subpath(j, i)
-            admissible, is_base = _is_piece(sub, base_set, allow_edges)
             if not admissible:
                 continue
             candidate = (best[j][0] + 1, best[j][1] + (0 if is_base else 1))
@@ -360,63 +253,6 @@ def min_base_paths_decompose(
         for j in range(i):
             is_base = probe.is_base(j, i)
             is_edge = i - j == 1 and base_set.graph.has_edge(nodes[j], nodes[i])
-            if not is_base and not is_edge:
-                continue
-            for e in range(max_edges + 1):
-                if best[j][e] >= INF:
-                    continue
-                if is_base and best[j][e] + 1 < best[i][e]:
-                    best[i][e] = best[j][e] + 1
-                    choice[i][e] = (j, e, True)
-                if is_edge and e < max_edges and best[j][e] < best[i][e + 1]:
-                    best[i][e + 1] = best[j][e]
-                    choice[i][e + 1] = (j, e, False)
-    final_e = min(
-        range(max_edges + 1), key=lambda e: (best[n - 1][e], e), default=0
-    )
-    if best[n - 1][final_e] >= INF:
-        raise DecompositionError(
-            f"{path!r} cannot be covered with <= {max_edges} bare edges"
-        )
-    pieces: list[Path] = []
-    flags: list[bool] = []
-    i, e = n - 1, final_e
-    while i > 0:
-        j, prev_e, is_base = choice[i][e]  # type: ignore[misc]
-        pieces.append(path.subpath(j, i))
-        flags.append(is_base)
-        i, e = j, prev_e
-    pieces.reverse()
-    flags.reverse()
-    return Decomposition(pieces=tuple(pieces), base_flags=tuple(flags))
-
-
-def min_base_paths_decompose_reference(
-    path: Path,
-    base_set: BaseSet,
-    max_edges: int,
-) -> Decomposition:
-    """Pre-kernel implementation of :func:`min_base_paths_decompose`.
-
-    Allocates a :class:`Path` per DP probe.  Kept as the specification
-    the equivalence tests check the kernel against.
-    """
-    if path.is_trivial:
-        return Decomposition(pieces=(), base_flags=())
-    if max_edges < 0:
-        raise ValueError("max_edges must be >= 0")
-    n = len(path.nodes)
-    INF = n + 1
-    best = [[INF] * (max_edges + 1) for _ in range(n)]
-    choice: list[list[Optional[tuple[int, int, bool]]]] = [
-        [None] * (max_edges + 1) for _ in range(n)
-    ]
-    best[0][0] = 0
-    for i in range(1, n):
-        for j in range(i):
-            sub = path.subpath(j, i)
-            is_base = base_set.is_base_path(sub)
-            is_edge = sub.hops == 1 and base_set.graph.has_edge(*sub.nodes)
             if not is_base and not is_edge:
                 continue
             for e in range(max_edges + 1):

@@ -39,7 +39,8 @@ from __future__ import annotations
 
 import weakref
 from array import array
-from typing import Iterable, Optional
+from operator import indexOf
+from typing import Iterable, Optional, Sequence
 
 from ..exceptions import NodeNotFound
 from ..kernels import kernel_backend
@@ -183,6 +184,32 @@ class CsrGraph:
                         slots.add(slot)
                         break
         return frozenset(slots)
+
+    def prefix_costs(self, chain: Sequence[int]) -> Optional[list[float]]:
+        """Running costs along an index chain: ``costs[k]`` sums its first
+        *k* hop weights, added left to right as ``Path.cost`` adds them.
+
+        Each hop reads the weight of its first ``u -> v`` slot; ``None``
+        when some hop is not an edge of the snapshot.
+        """
+        indptr, indices, weights = self.indptr, self.indices, self.weights
+        # Shared-memory snapshots hold memoryviews, which have no index().
+        find = (
+            indices.index
+            if type(indices) is array
+            else lambda v, lo, hi: lo + indexOf(indices[lo:hi], v)
+        )
+        costs = [0.0]
+        total = 0.0
+        u = chain[0]
+        for v in chain[1:]:
+            try:
+                total += weights[find(v, indptr[u], indptr[u + 1])]
+            except ValueError:
+                return None
+            costs.append(total)
+            u = v
+        return costs
 
     def node_indices(self, nodes: Iterable[Node]) -> frozenset[int]:
         """Int indices of *nodes* (unknown nodes ignored)."""

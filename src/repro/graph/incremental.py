@@ -38,8 +38,10 @@ walks its subtree in Python (the reference backend does, through
 
 :class:`SptCache` wraps the bookkeeping per graph: it owns the CSR
 snapshot, memoizes pre-failure rows per source, and exposes
-:meth:`SptCache.backup_path` — the restoration-path query the
-experiment hot loops use.  Under the canonical ``(dist, index)`` tie
+:meth:`SptCache.backup_chain` — the restoration-path query the
+experiment hot loops use, an index chain costed by its row label — and
+:meth:`SptCache.backup_path`, the same chain as a :class:`Path`.
+Under the canonical ``(dist, index)`` tie
 contract (:mod:`repro.graph.csr`), repaired rows are exact for
 **weighted and unweighted** graphs alike — the canonical predecessor
 is a local property of the final labels, so repair needs no heap
@@ -70,7 +72,6 @@ from ..kernels import python_backend
 from ..perf import COUNTERS
 from .csr import (
     INF,
-    CsrGraph,
     CsrView,
     bfs_csr,
     dijkstra_csr_canonical,
@@ -253,11 +254,16 @@ class SptCache:
 
     __slots__ = (
         "csr", "weighted", "_rows", "_children", "_spent", "_sizes",
+        "_labels_are_costs",
     )
 
     def __init__(self, graph, weighted: bool = True) -> None:
         self.csr = shared_csr(graph)
         self.weighted = weighted
+        # Hop-count labels are path costs only when every weight is 1.
+        self._labels_are_costs = weighted or all(
+            w == 1.0 for w in self.csr.weights
+        )
         self._rows: dict[int, tuple] = {}
         # Per-source children indices of the pre-failure pred rows (the
         # fused repair's input): they depend only on the cached row, so
@@ -528,6 +534,21 @@ class SptCache:
     def backup_path(self, source: Node, target: Node, scenario_or_view) -> Path:
         """Post-failure shortest path under the canonical tie contract.
 
+        The :class:`Path` over :meth:`backup_chain`'s index chain.
+        Equals the path of a from-scratch canonical kernel run
+        node-for-node (and ``shortest_path`` on the filtered view
+        cost-for-cost).  Raises :class:`~repro.exceptions.NoPath` when
+        the failure disconnects the pair.
+        """
+        nodes = self.csr.nodes
+        chain, _cost = self.backup_chain(source, target, scenario_or_view)
+        return Path([nodes[i] for i in chain])
+
+    def backup_chain(
+        self, source: Node, target: Node, scenario_or_view
+    ) -> tuple[list[int], float]:
+        """Index-space backup: ``(source -> target index chain, its cost)``.
+
         The predecessor chain of the repaired source row — **one**
         subtree repair per failure case, weighted or not, instead of a
         full search.  When repair is not viable (dead source, or the
@@ -535,22 +556,35 @@ class SptCache:
         degrades to a single targeted early-exit canonical search,
         which produces the identical chain: tight parents settle before
         their children in ``(dist, index)`` order, so the settled
-        prefix of a pruned run is final.  Equals the path of a
-        from-scratch canonical kernel run node-for-node (and
-        ``shortest_path`` on the filtered view cost-for-cost).  Raises
-        :class:`~repro.exceptions.NoPath` when the failure disconnects
-        the pair.
+        prefix of a pruned run is final.
+
+        The cost is the row's label ``dist[t]``, which equals
+        ``Path.cost`` of the chain bit for bit: each label is its
+        parent's label plus the hop weight, the same left-to-right sum.
+        Hop-count rows of a graph with non-unit weights are the one
+        exception; there the chain's weights are summed instead.
+        Raises :class:`~repro.exceptions.NoPath` when the failure
+        disconnects the pair.
         """
         view = self.view_for(scenario_or_view)
         s, t = self.csr.index[source], self.csr.index[target]
         if s in view.dead_nodes or t in view.dead_nodes:
             raise NoPath(f"no path from {source!r} to {target!r}")
         if s == t:
-            return Path([source])
+            return [s], 0.0
         dist, pred = self._backup_row(s, t, view)
-        if dist[t] == INF:
+        cost = dist[t]
+        if cost == INF:
             raise NoPath(f"no path from {source!r} to {target!r}")
-        return Path(_chain(self.csr, pred, s, t))
+        chain = [t]
+        x = t
+        while x != s:
+            x = pred[x]
+            chain.append(x)
+        chain.reverse()
+        if not self._labels_are_costs:
+            cost = self.csr.prefix_costs(chain)[-1]
+        return chain, cost
 
     def _backup_row(self, s: int, t: int, view: CsrView) -> tuple:
         """Repaired source row, or one targeted search when not viable.
@@ -597,16 +631,6 @@ class SptCache:
         dist, _ = self.repaired_row(source, view)
         nodes = self.csr.nodes
         return {nodes[i]: d for i, d in enumerate(dist) if d != INF}
-
-
-def _chain(csr: CsrGraph, pred, s: int, t: int) -> list[Node]:
-    chain = [t]
-    x = t
-    while x != s:
-        x = pred[x]
-        chain.append(x)
-    chain.reverse()
-    return [csr.nodes[i] for i in chain]
 
 
 def csr_shortest_path(

@@ -205,7 +205,7 @@ _LIB.repro_repair.argtypes = [
 ]
 _LIB.repro_decompose.restype = ctypes.c_int
 _LIB.repro_decompose.argtypes = [
-    _i64, _ptr, _ptr, _ptr, ctypes.c_double, _ptr, _ptr, _i64p,
+    _i64, _ptr, _ptr, _ptr, ctypes.c_double, _ptr, _ptr, _ptr,
 ]
 _LIB.repro_count_paths.restype = ctypes.c_int
 _LIB.repro_count_paths.argtypes = [
@@ -616,33 +616,40 @@ def decompose_flat(
     C reads them in place through one pointer table (no callback, no
     conversion).  Every row must be a ``'d'`` buffer of the same length
     n and every chain index must lie in [0, n), else ``ValueError``.
+    ``best``, ``choice`` and the probe count come back in one buffer.
     """
     length = len(chain)
     if length == 0:
         return [], [], 0
     if len(cum) != length:
         raise ValueError(f"cum has {len(cum)} entries, chain {length}")
-    needed = max(0, length - 2)
-    if len(rows) < needed:
-        raise ValueError(f"{len(rows)} rows for a {length}-node chain")
-    chain_arr = array("q", chain)
-    if needed:
+    needed = length - 2
+    if needed > 0:
+        if len(rows) < needed:
+            raise ValueError(f"{len(rows)} rows for a {length}-node chain")
         n = len(rows[0])
-        if min(chain_arr) < 0 or max(chain_arr) >= n:
+        if min(chain) < 0 or max(chain) >= n:
             raise ValueError(f"chain index outside [0, {n})")
-        table = array(
-            "Q", [_row_addr(rows[j], "d", n, "rows") for j in range(needed)]
-        )
+        table = array("Q", [
+            row.buffer_info()[0]
+            if type(row) is array and row.typecode == "d" and len(row) == n
+            else _row_addr(row, "d", n, "rows")
+            for row in rows[:needed]
+        ])
+        table_addr = table.buffer_info()[0]
+    else:
+        table_addr = 0
+    chain_arr = array("q", chain)
     cum_arr = array("d", cum)
-    best = _Q0 * length
-    choice = _Q0 * length
-    probes = _i64()
+    out = _Q0 * (2 * length + 1)
+    out_addr = out.buffer_info()[0]
     _check(_LIB.repro_decompose(
         length, chain_arr.buffer_info()[0], cum_arr.buffer_info()[0],
-        table.buffer_info()[0] if needed else 0, EPSILON,
-        best.buffer_info()[0], choice.buffer_info()[0], ctypes.byref(probes),
+        table_addr, EPSILON,
+        out_addr, out_addr + 8 * length, out_addr + 16 * length,
     ))
-    return best.tolist(), choice.tolist(), probes.value
+    values = out.tolist()
+    return values[:length], values[length:-1], values[-1]
 
 
 class _IlmScratch:

@@ -3,9 +3,8 @@
 * :class:`ConcatenationPolicy` — the paper's scheme: restore on the
   min-cost post-failure path and cover it with the minimum number of
   pre-provisioned base LSPs.  Its :meth:`~ConcatenationPolicy.evaluate_case`
-  is the original Table 2 pipeline body, moved here verbatim, so the
-  default policy reproduces the pre-policy rows and counters
-  byte-identically.
+  is the Table 2 pipeline body, run in CSR index space, so the default
+  policy reproduces the pre-policy rows and counters byte-identically.
 * the related-work baselines of :mod:`repro.core.baselines`
   (``disjoint`` / ``ksp`` / ``maxflow``), registered as-is — they
   already implement the ABC.
@@ -30,15 +29,19 @@ from ..core.baselines import (
     KShortestPathsScheme,
     MaxFlowScheme,
 )
+from ..core.cache import shared_spt_cache
+from ..core.decomp_kernel import min_pieces_choice
+from ..core.decomposition import Decomposition, min_pieces_decompose
 from ..exceptions import NoPath
+from ..experiments.metrics import CaseResult
 from ..failures.models import FailureScenario
 from ..graph.graph import Edge, Graph, Node, edge_key
 from ..graph.paths import Path
+from ..obs.metrics import DEPTH_EDGES, METRICS, STRETCH_EDGES
 from .base import RestorationOutcome, RestorationPolicy
 from .registry import POLICIES
 
 if TYPE_CHECKING:
-    from ..experiments.metrics import CaseResult
     from ..failures.sampler import FailureCase
 
 
@@ -59,52 +62,73 @@ class ConcatenationPolicy(RestorationPolicy):
             self._plans[(source, target)] = plan
         return plan
 
+    #: ``(primary path, its cost)`` of the last case: a demand's cases
+    #: share one primary ``Path``, so its cost is summed once per demand.
+    _primary_cost: tuple = (None, 0.0)
+
     def restore(
         self, source: Node, target: Node, scenario: FailureScenario
     ) -> RestorationOutcome:
         """Min-cost restoration, decomposed into base-LSP pieces."""
-        from ..core.cache import shared_spt_cache
-        from ..core.decomposition import min_pieces_decompose
-
         try:
-            backup = shared_spt_cache(self.graph, self.weighted).backup_path(
+            backup, _cost, decomposition = self._restoration(
                 source, target, scenario
             )
         except NoPath:
             return RestorationOutcome(restored=False, route=None, stretch=None)
-        decomposition = min_pieces_decompose(
-            backup, self.base, allow_edges=True
-        )
         # The backup is cost-identical to the post-failure shortest
         # path by the SPT-cache contract, so its stretch is exactly 1.
         return RestorationOutcome(
             restored=True,
             route=backup,
             stretch=1.0,
-            pieces=tuple(decomposition.pieces),
+            pieces=decomposition.pieces,
         )
 
-    def evaluate_case(self, case: "FailureCase") -> "CaseResult":
+    def _restoration(
+        self, source: Node, target: Node, scenario: FailureScenario
+    ) -> tuple[Path, float, Decomposition]:
+        """Backup path, its cost and its fewest-pieces decomposition.
+
+        The backup is the index chain of the shared SPT cache's
+        repaired (or targeted) row, costed by its label; the
+        decomposition DP runs on that path's chain in the base
+        oracle's CSR.  The ``Path`` objects are built once, from the
+        chain.  Raises :class:`~repro.exceptions.NoPath` when the
+        scenario disconnects the pair.
+        """
+        cache = shared_spt_cache(self.graph, self.weighted)
+        chain, cost = cache.backup_chain(source, target, scenario)
+        nodes = cache.csr.nodes
+        backup = Path([nodes[i] for i in chain])
+        base = self.base
+        choice = min_pieces_choice(base, backup.nodes)
+        if choice is None:
+            decomposition = min_pieces_decompose(backup, base, allow_edges=True)
+        else:
+            decomposition = Decomposition.from_choice(backup, choice)
+        return backup, cost, decomposition
+
+    def evaluate_case(self, case: "FailureCase") -> CaseResult:
         """One (demand, scenario) unit: backup path + decomposition.
 
         The original ``table2.run_case`` body: the backup search runs
         on the shared SPT cache under the canonical tie contract
         (decremental SPT repair of the cached pre-failure source row,
         targeted canonical search past the fallback threshold), and the
-        decomposition DP covers it with the fewest base LSPs.  Kept
-        bit-for-bit — instrumentation included — so default-policy runs
-        are byte-identical to the pre-policy pipeline at any
-        jobs/shm/kernel setting.
+        decomposition DP covers it with the fewest base LSPs.  Results
+        and counters are those of ``backup_path`` + ``Path.cost`` +
+        ``min_pieces_decompose``, at any jobs/shm/kernel setting; the
+        case runs in CSR index space and builds its ``Path`` objects
+        once (:meth:`_restoration`).
         """
-        from ..core.cache import shared_spt_cache
-        from ..core.decomposition import min_pieces_decompose
-        from ..experiments.metrics import CaseResult
-        from ..obs.metrics import DEPTH_EDGES, METRICS, STRETCH_EDGES
-
-        graph = self.graph
-        primary_cost = case.primary_path.cost(graph)
+        primary = case.primary_path
+        memo = self._primary_cost
+        if memo[0] is not primary:
+            memo = self._primary_cost = (primary, primary.cost(self.graph))
+        primary_cost = memo[1]
         try:
-            backup = shared_spt_cache(graph, self.weighted).backup_path(
+            backup, backup_cost, decomposition = self._restoration(
                 case.source, case.destination, case.scenario
             )
         except NoPath:
@@ -114,14 +138,12 @@ class ConcatenationPolicy(RestorationPolicy):
                 source=case.source,
                 destination=case.destination,
                 scenario=case.scenario,
-                primary=case.primary_path,
+                primary=primary,
                 primary_cost=primary_cost,
                 backup=None,
                 backup_cost=None,
                 decomposition=None,
             )
-        decomposition = min_pieces_decompose(backup, self.base, allow_edges=True)
-        backup_cost = backup.cost(graph)
         if METRICS.enabled:
             if primary_cost:
                 METRICS.histogram("table2.path_stretch", STRETCH_EDGES).observe(
@@ -134,7 +156,7 @@ class ConcatenationPolicy(RestorationPolicy):
             source=case.source,
             destination=case.destination,
             scenario=case.scenario,
-            primary=case.primary_path,
+            primary=primary,
             primary_cost=primary_cost,
             backup=backup,
             backup_cost=backup_cost,

@@ -48,7 +48,7 @@ REFERENCE_BW = 10_000.0
 
 def _ospf_weight(capacity_mbps: float) -> float:
     """Cisco-convention inverse-capacity weight, floored at 1."""
-    return max(1.0, round(REFERENCE_BW / capacity_mbps))
+    return float(max(1, round(REFERENCE_BW / capacity_mbps)))
 
 
 def generate_isp_topology(

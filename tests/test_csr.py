@@ -137,6 +137,36 @@ class TestSnapshotStructure:
         CsrGraph(path_graph(3))
         assert COUNTERS.csr_builds == before + 1
 
+    def test_prefix_costs_sum_left_to_right(self, topo):
+        csr = CsrGraph(topo)
+        # The shared-memory form: the same buffers as memoryviews.
+        attached = CsrGraph.from_buffers(
+            csr.nodes, *csr.buffers(), directed=csr.directed
+        )
+        rng = random.Random(5)
+        for _ in range(20):
+            walk = [rng.randrange(csr.n)]
+            for _ in range(rng.randrange(1, 8)):
+                u = walk[-1]
+                lo, hi = csr.indptr[u], csr.indptr[u + 1]
+                if lo == hi:
+                    break
+                walk.append(csr.indices[rng.randrange(lo, hi)])
+            nodes = [csr.nodes[i] for i in walk]
+            want = [0.0]
+            for u, v in zip(nodes, nodes[1:]):
+                want.append(want[-1] + topo.weight(u, v))
+            assert csr.prefix_costs(walk) == want
+            assert attached.prefix_costs(walk) == want
+
+    def test_prefix_costs_reject_a_missing_hop(self):
+        csr = CsrGraph(path_graph(4))
+        attached = CsrGraph.from_buffers(csr.nodes, *csr.buffers(), directed=False)
+        for snapshot in (csr, attached):
+            assert snapshot.prefix_costs([0, 1, 2]) == [0.0, 1.0, 2.0]
+            assert snapshot.prefix_costs([0, 2]) is None
+            assert snapshot.prefix_costs([3]) == [0.0]
+
 
 class TestSharedCsrCache:
     def test_same_snapshot_until_mutation(self):

@@ -24,11 +24,8 @@ from repro.core.base_paths import (
 from repro.core.decomp_kernel import PrefixSumProbe, SubpathProbe
 from repro.core.decomposition import (
     greedy_decompose,
-    greedy_decompose_reference,
     min_base_paths_decompose,
-    min_base_paths_decompose_reference,
     min_pieces_decompose,
-    min_pieces_decompose_reference,
 )
 from repro.exceptions import DecompositionError
 from repro.failures.sampler import cases_for_pair, sample_pairs
@@ -37,6 +34,12 @@ from repro.graph.graph import Graph
 from repro.graph.paths import Path
 from repro.graph.shortest_paths import shortest_path
 from repro.perf import COUNTERS
+
+from .decomp_oracles import (
+    greedy_decompose_reference,
+    min_base_paths_decompose_reference,
+    min_pieces_decompose_reference,
+)
 
 
 def random_connected_graph(seed: int, n: int = 20, extra: int = 12) -> Graph:
@@ -179,6 +182,25 @@ class TestProbeMechanics:
         probe = base.subpath_probe(Path(list(non_edge)))
         assert isinstance(probe, SubpathProbe)
         assert not isinstance(probe, PrefixSumProbe)
+
+    @pytest.mark.parametrize("flavor", [AllShortestPathsBase, UniqueShortestPathsBase])
+    def test_path_leaving_the_graph_takes_the_fallback(self, flavor):
+        g = random_connected_graph(3)
+        base = flavor(g)
+        u, v = next(
+            (u, v) for u in sorted(g.nodes) for v in sorted(g.nodes)
+            if u != v and not g.has_edge(u, v)
+        )
+        w = next(iter(sorted(g.neighbors(u))))
+        for walk in ([w, u, v], [w, u, "not-a-node"]):
+            path = Path(walk)
+            with pytest.raises(DecompositionError):
+                min_pieces_decompose_reference(path, base)
+            before = COUNTERS.snapshot()
+            with pytest.raises(DecompositionError):
+                min_pieces_decompose(path, base)
+            delta = COUNTERS.delta(before)
+            assert delta.path_probes > 0 and delta.o1_probes == 0
 
     def test_probe_matches_is_base_path_exhaustively(self):
         g = random_connected_graph(9)

@@ -267,6 +267,28 @@ class TestSptCacheBackupPath:
             assert got.hops == want.hops
             assert got.nodes == canonical_reference(cache, fv, s, t, False)
 
+    @pytest.mark.parametrize("weighted,unit", [(True, False), (False, True), (False, False)])
+    def test_backup_chain_cost_is_the_path_cost(self, weighted, unit):
+        # The label is the path's left-to-right sum bit for bit; hop
+        # rows of a non-unit graph sum the chain's weights instead.
+        rng = random.Random(31)
+        g = random_graph(rng, unit=unit)
+        cache = SptCache(g, weighted=weighted)
+        checked = 0
+        for _ in range(25):
+            fv = g.without(edges=random_failures(rng, g, 2))
+            s, t = rng.sample(range(40), 2)
+            try:
+                chain, cost = cache.backup_chain(s, t, fv)
+            except NoPath:
+                continue
+            path = cache.backup_path(s, t, fv)
+            assert [cache.csr.nodes[i] for i in chain] == list(path.nodes)
+            assert type(cost) is float and cost == path.cost(g)
+            checked += 1
+        assert checked > 0
+        assert cache.backup_chain(3, 3, g.without(edges=[])) == ([cache.csr.index[3]], 0.0)
+
     def test_row_memoized_and_repairs_counted(self):
         g = generate_isp_topology(n=60, seed=7)
         cache = SptCache(g, weighted=True)

@@ -20,7 +20,6 @@ from pathlib import Path as FilePath
 import pytest
 
 from repro.core.base_paths import UniqueShortestPathsBase
-from repro.core.decomposition import min_pieces_decompose_reference
 from repro.exceptions import NoPath
 from repro.experiments import table2
 from repro.experiments.metrics import CaseResult, build_row
@@ -36,6 +35,8 @@ from repro.graph.csr import (
 )
 from repro.graph.paths import Path
 from repro.graph.spt import ShortestPathDag
+
+from .decomp_oracles import min_pieces_decompose_reference
 
 
 def reference_canonical_backup(csr: CsrGraph, view, s, t, weighted: bool) -> Path:

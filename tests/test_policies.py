@@ -17,15 +17,25 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.base_paths import UniqueShortestPathsBase
 from repro.core.cache import shared_spt_cache
 from repro.core.decomposition import min_pieces_decompose
 from repro.exceptions import NoPath
+from repro.experiments.networks import cached_suite
 from repro.experiments.table2 import run_case
 from repro.failures.models import FailureScenario
-from repro.failures.sampler import FailureCase, link_failure_cases, sample_pairs
+from repro.failures.sampler import (
+    FAILURE_MODES,
+    FailureCase,
+    cases_for_pair,
+    link_failure_cases,
+    sample_pairs,
+)
 from repro.graph.graph import Graph, edge_key
+from repro.graph.incremental import SptCache
 from repro.graph.paths import Path
 from repro.graph.shortest_paths import costs_equal, shortest_path
+from repro.perf import COUNTERS
 from repro.policies import (
     DEFAULT_FAILURE_MODEL,
     DEFAULT_POLICY,
@@ -52,6 +62,8 @@ from repro.policies.schemes import (
     MrcPolicy,
 )
 from repro.runconfig import RunConfig, add_arguments
+
+from .decomp_oracles import min_pieces_decompose_reference
 
 POLICY_FIELDS = ("policy", "failure_model")
 
@@ -220,6 +232,91 @@ class TestDefaultPolicyByteIdentity:
         assert outcome == RestorationOutcome(
             restored=False, route=None, stretch=None
         )
+
+
+#: Counters the decomposition moves; ``evaluate_case`` must move them
+#: exactly as ``min_pieces_decompose`` over the same backups does.
+DECOMPOSITION_COUNTERS = (
+    "probe_calls",
+    "o1_probes",
+    "oracle_rows_full",
+    "oracle_rows_truncated",
+    "oracle_promotions",
+)
+
+
+class TestConcatenationOracle:
+    """``ConcatenationPolicy.evaluate_case`` against an independent
+    pipeline: a separate ``SptCache.backup_path``, the path-allocating
+    min-pieces DP of ``tests/decomp_oracles.py`` and ``Path.cost``."""
+
+    def _check(self, graph, weighted, cases) -> int:
+        policy = ConcatenationPolicy(
+            graph, UniqueShortestPathsBase(graph), weighted
+        )
+        twin = UniqueShortestPathsBase(graph)  # cold, like policy.base
+        ref_base = UniqueShortestPathsBase(graph)
+        ref_cache = SptCache(graph, weighted)
+        unrestorable = 0
+        for case in cases:
+            before = COUNTERS.snapshot()
+            result = policy.evaluate_case(case)
+            delta = COUNTERS.delta(before)
+            outcome = policy.restore(case.source, case.destination, case.scenario)
+            primary_cost = case.primary_path.cost(graph)
+            assert type(result.primary_cost) is float
+            assert result.primary_cost == primary_cost
+            try:
+                backup = ref_cache.backup_path(
+                    case.source, case.destination, case.scenario
+                )
+            except NoPath:
+                unrestorable += 1
+                assert result.backup is None
+                assert result.backup_cost is None
+                assert result.decomposition is None
+                assert not outcome.restored and outcome.route is None
+                continue
+            assert result.backup.nodes == backup.nodes
+            cost = backup.cost(graph)
+            assert type(result.backup_cost) is float and type(cost) is float
+            assert result.backup_cost == cost
+            want = min_pieces_decompose_reference(backup, ref_base)
+            assert result.decomposition.pieces == want.pieces
+            assert result.decomposition.base_flags == want.base_flags
+            before = COUNTERS.snapshot()
+            min_pieces_decompose(backup, twin, allow_edges=True)
+            twin_delta = COUNTERS.delta(before)
+            for name in DECOMPOSITION_COUNTERS:
+                assert getattr(delta, name) == getattr(twin_delta, name), name
+            assert outcome.restored and outcome.route == result.backup
+            assert outcome.pieces == result.decomposition.pieces
+        return unrestorable
+
+    @pytest.mark.parametrize("mode", FAILURE_MODES)
+    def test_tiny_suite(self, mode):
+        unrestorable = 0
+        for network in cached_suite(scale="tiny", seed=1):
+            graph = network.graph
+            base = UniqueShortestPathsBase(graph)
+            cases = [
+                case
+                for pair in sample_pairs(graph, network.sample_pairs, seed=1)
+                for case in cases_for_pair(pair, base.path_for(*pair), mode)
+            ]
+            unrestorable += self._check(graph, network.weighted, cases)
+        if mode == "two-routers":  # the only mode that disconnects pairs
+            assert unrestorable > 0
+
+    def test_small_isp(self, small_isp):
+        base = UniqueShortestPathsBase(small_isp)
+        cases = [
+            case
+            for pair in sample_pairs(small_isp, 12, seed=3)
+            for mode in FAILURE_MODES
+            for case in cases_for_pair(pair, base.path_for(*pair), mode)
+        ]
+        assert self._check(small_isp, True, cases) > 0
 
 
 class _TwoRoutePolicy(RestorationPolicy):

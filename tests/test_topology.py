@@ -186,6 +186,11 @@ class TestIsp:
             assert w >= 1.0
             assert g.weight(v, u) == w
 
+    def test_weights_are_floats(self):
+        # Path costs and the float distance rows must agree in type too.
+        g = generate_isp_topology(n=60, seed=1, weighted=True)
+        assert {type(w) for _, _, w in g.weighted_edges()} == {float}
+
     def test_unweighted_pair_shares_topology(self):
         weighted, unweighted = generate_isp_pair(n=60, seed=5)
         assert sorted(weighted.edges()) == sorted(unweighted.edges())
