@@ -26,9 +26,10 @@ position.  Two entry points use them:
   :class:`SubpathProbe` fallback), warms the rows of chain positions
   ``0 .. L-3`` in ascending order, and hands the whole O(L²) DP to the
   kernel backend's ``decompose_flat``, which reads those rows in place.
-* :class:`PrefixSumProbe` — the per-probe form the greedy and
-  base-path-budget decompositions drive: two list indexings, a dict
-  lookup and one float-tolerant comparison per probe.
+* :class:`PrefixSumProbe` — the per-probe form the greedy, the
+  base-path-budget and the edge-restricted min-pieces decompositions
+  drive: two list indexings, a dict lookup and one float-tolerant
+  comparison per probe.
 
 Float caveat (see ``docs/performance.md``): ``cum[i] - cum[j]``
 accumulates rounding differently than the direct left-to-right summation
