@@ -31,6 +31,7 @@ from ..graph.all_pairs import LazyDistanceOracle
 from ..graph.graph import Graph, Node
 from ..graph.paths import Path
 from ..graph.shortest_paths import costs_equal, dijkstra, reconstruct_path
+from .decomp_kernel import PrefixSumProbe, SubpathProbe
 
 
 class BaseSet:
@@ -47,6 +48,15 @@ class BaseSet:
     """
 
     graph: Graph
+    include_all_edges: bool
+
+    #: The implicit shortest-path sets' distance oracle, over the graph
+    #: whose costs define membership: a valid path of two or more hops
+    #: is basic iff its cost there equals the oracle's distance.
+    #: ``None`` for every other set.  The decomposition fast paths (the
+    #: prefix-sum prober and ``decomp_kernel.min_pieces_choice``) key
+    #: on it alone.
+    oracle: Optional[LazyDistanceOracle] = None
 
     def is_base_path(self, path: Path) -> bool:
         """True if *path* may be one pre-provisioned base LSP."""
@@ -67,13 +77,16 @@ class BaseSet:
     def subpath_probe(self, path: Path):
         """A sub-path membership prober for *path* (see ``decomp_kernel``).
 
-        The default answers probes by materializing each sub-path and
-        calling :meth:`is_base_path`; the implicit shortest-path sets
-        override this with the O(1) prefix-sum kernel.
+        With an :attr:`oracle` and a *path* valid in the graph, the
+        O(1) prefix-sum prober over the oracle's graph; otherwise each
+        probe materializes the sub-path and calls :meth:`is_base_path`.
         """
-        from .decomp_kernel import SubpathProbe
-
-        return SubpathProbe(path, self)
+        oracle = self.oracle
+        if oracle is None or not path.is_valid_in(self.graph):
+            return SubpathProbe(path, self)
+        return PrefixSumProbe(
+            path, self, oracle.graph, oracle, self.include_all_edges
+        )
 
 
 class AllShortestPathsBase(BaseSet):
@@ -131,16 +144,6 @@ class AllShortestPathsBase(BaseSet):
             for t in self.graph.nodes:
                 if s != t and self._oracle.has_path(s, t):
                     yield self._oracle.path(s, t)
-
-    def subpath_probe(self, path: Path):
-        """O(1) prefix-sum prober against the original-graph oracle."""
-        from .decomp_kernel import PrefixSumProbe, SubpathProbe
-
-        if not path.is_valid_in(self.graph):
-            return SubpathProbe(path, self)
-        return PrefixSumProbe(
-            path, self, self.graph, self._oracle, self.include_all_edges
-        )
 
 
 class UniqueShortestPathsBase(BaseSet):
@@ -220,16 +223,6 @@ class UniqueShortestPathsBase(BaseSet):
             for t in self.graph.nodes:
                 if s != t and self._oracle.has_path(s, t):
                     yield self._oracle.path(s, t)
-
-    def subpath_probe(self, path: Path):
-        """O(1) prefix-sum prober against the padded-graph oracle."""
-        from .decomp_kernel import PrefixSumProbe, SubpathProbe
-
-        if not path.is_valid_in(self.graph):
-            return SubpathProbe(path, self)
-        return PrefixSumProbe(
-            path, self, self._padded, self._oracle, self.include_all_edges
-        )
 
 
 class ExplicitBaseSet(BaseSet):

@@ -17,9 +17,10 @@ cum[j]``; and one target-pruned row of the base set's shared
 :class:`~repro.graph.all_pairs.LazyDistanceOracle` per probed source
 position.  Two entry points use them:
 
-* :func:`min_pieces_choice` — Table 2's configuration (an implicit set
-  admitting every edge), for :func:`~repro.core.decomposition.min_pieces_decompose`
-  and ``ConcatenationPolicy.evaluate_case`` alike.  It maps the path
+* :func:`min_pieces_choice` — Table 2's configuration (an implicit
+  set, one with an ``oracle``, admitting every edge), the fast path of
+  :func:`~repro.core.decomposition.min_pieces_decompose` that every
+  ``ConcatenationPolicy.evaluate_case`` takes.  It maps the path
   onto the oracle's CSR index chain, sums ``cum`` from that CSR's
   weight array (the same arrays the per-link ILM kernel reads; a hop
   that is not a probe-graph edge sends the caller to the
@@ -49,7 +50,6 @@ from ..graph.paths import Path
 from ..graph.shortest_paths import costs_equal
 from ..kernels import kernel_backend
 from ..perf import COUNTERS
-from .base_paths import AllShortestPathsBase, UniqueShortestPathsBase
 
 
 class SubpathProbe:
@@ -91,8 +91,8 @@ class SubpathProbe:
 class PrefixSumProbe(SubpathProbe):
     """O(1) probe for implicit shortest-path base sets.
 
-    Preconditions (enforced by the ``subpath_probe`` factory methods on
-    the base sets):
+    Preconditions (enforced by ``BaseSet.subpath_probe``, which builds
+    this prober for base sets with an oracle):
 
     * the restoration path is valid in the base set's graph — then every
       contiguous sub-path is valid too, so the validity clause of
@@ -164,16 +164,14 @@ def min_pieces_choice(base_set, nodes: Sequence[Node]) -> Optional[list[int]]:
     under the probe loop, and ``probe_calls`` / ``o1_probes`` grow by
     the same L(L−1)/2.
 
-    Returns ``None`` for any other base set, and when a node or hop of
-    the path is not in the oracle's CSR; the caller then falls back to
-    the probe loop.
+    Returns ``None`` for a base set without an ``oracle`` or one that
+    does not admit every edge, and when a node or hop of the path is
+    not in the oracle's CSR; the caller then falls back to the probe
+    loop.
     """
-    if not (
-        isinstance(base_set, (AllShortestPathsBase, UniqueShortestPathsBase))
-        and base_set.include_all_edges
-    ):
-        return None
     oracle = base_set.oracle
+    if oracle is None or not base_set.include_all_edges:
+        return None
     csr = oracle.csr()
     index = csr.index
     try:

@@ -86,9 +86,9 @@ def run_case(
     default policy: the backup search runs on the shared SPT cache
     under the canonical tie contract and the decomposition DP covers
     the result with the fewest base LSPs.  The pipeline body lives in
-    :meth:`~repro.policies.schemes.ConcatenationPolicy.evaluate_case`
-    (moved there verbatim), so this function and the policy layer are
-    byte-identical by construction.
+    :meth:`~repro.policies.schemes.ConcatenationPolicy.evaluate_case`,
+    which runs it in CSR index space, so this function and the policy
+    layer are byte-identical by construction.
     """
     from ..policies.schemes import ConcatenationPolicy
 

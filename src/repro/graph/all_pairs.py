@@ -164,6 +164,11 @@ class LazyDistanceOracle:
         self.break_ties_by_hops = break_ties_by_hops
         self.tie_free = tie_free
 
+    @property
+    def graph(self):
+        """The graph whose distances this oracle answers."""
+        return self._graph
+
     def _csr_view(self) -> CsrView:
         """The (lazily interned) CSR snapshot the canonical rows run on."""
         if self._csr is None:

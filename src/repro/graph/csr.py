@@ -193,18 +193,15 @@ class CsrGraph:
         when some hop is not an edge of the snapshot.
         """
         indptr, indices, weights = self.indptr, self.indices, self.weights
-        # Shared-memory snapshots hold memoryviews, which have no index().
-        find = (
-            indices.index
-            if type(indices) is array
-            else lambda v, lo, hi: lo + indexOf(indices[lo:hi], v)
-        )
         costs = [0.0]
         total = 0.0
         u = chain[0]
         for v in chain[1:]:
+            lo = indptr[u]
             try:
-                total += weights[find(v, indptr[u], indptr[u + 1])]
+                # indexOf, not index(): shared-memory snapshots hold
+                # memoryviews, which have no index().
+                total += weights[lo + indexOf(indices[lo:indptr[u + 1]], v)]
             except ValueError:
                 return None
             costs.append(total)

@@ -261,9 +261,7 @@ class SptCache:
         self.csr = shared_csr(graph)
         self.weighted = weighted
         # Hop-count labels are path costs only when every weight is 1.
-        self._labels_are_costs = weighted or all(
-            w == 1.0 for w in self.csr.weights
-        )
+        self._labels_are_costs = weighted or graph.is_unweighted()
         self._rows: dict[int, tuple] = {}
         # Per-source children indices of the pre-failure pred rows (the
         # fused repair's input): they depend only on the cached row, so

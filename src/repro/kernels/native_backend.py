@@ -630,12 +630,9 @@ def decompose_flat(
         n = len(rows[0])
         if min(chain) < 0 or max(chain) >= n:
             raise ValueError(f"chain index outside [0, {n})")
-        table = array("Q", [
-            row.buffer_info()[0]
-            if type(row) is array and row.typecode == "d" and len(row) == n
-            else _row_addr(row, "d", n, "rows")
-            for row in rows[:needed]
-        ])
+        table = array(
+            "Q", [_row_addr(row, "d", n, "rows") for row in rows[:needed]]
+        )
         table_addr = table.buffer_info()[0]
     else:
         table_addr = 0

@@ -24,14 +24,14 @@ import heapq
 import random
 from typing import TYPE_CHECKING, Iterator, Optional
 
+from ..core import decomposition as decomposition_module
 from ..core.baselines import (
     DisjointBackupScheme,
     KShortestPathsScheme,
     MaxFlowScheme,
 )
 from ..core.cache import shared_spt_cache
-from ..core.decomp_kernel import min_pieces_choice
-from ..core.decomposition import Decomposition, min_pieces_decompose
+from ..core.decomposition import Decomposition
 from ..exceptions import NoPath
 from ..experiments.metrics import CaseResult
 from ..failures.models import FailureScenario
@@ -91,23 +91,21 @@ class ConcatenationPolicy(RestorationPolicy):
         """Backup path, its cost and its fewest-pieces decomposition.
 
         The backup is the index chain of the shared SPT cache's
-        repaired (or targeted) row, costed by its label; the
-        decomposition DP runs on that path's chain in the base
-        oracle's CSR.  The ``Path`` objects are built once, from the
-        chain.  Raises :class:`~repro.exceptions.NoPath` when the
-        scenario disconnects the pair.
+        repaired (or targeted) row, costed by its label, and built
+        into a ``Path`` once; ``min_pieces_decompose`` runs its DP on
+        that path's chain in the base oracle's CSR.  The function is
+        looked up on its module at call time, so a wrapper installed
+        there (perfbench's ``core.decompose``) sees every case.
+        Raises :class:`~repro.exceptions.NoPath` when the scenario
+        disconnects the pair.
         """
         cache = shared_spt_cache(self.graph, self.weighted)
         chain, cost = cache.backup_chain(source, target, scenario)
         nodes = cache.csr.nodes
         backup = Path([nodes[i] for i in chain])
-        base = self.base
-        choice = min_pieces_choice(base, backup.nodes)
-        if choice is None:
-            decomposition = min_pieces_decompose(backup, base, allow_edges=True)
-        else:
-            decomposition = Decomposition.from_choice(backup, choice)
-        return backup, cost, decomposition
+        return backup, cost, decomposition_module.min_pieces_decompose(
+            backup, self.base, allow_edges=True
+        )
 
     def evaluate_case(self, case: "FailureCase") -> CaseResult:
         """One (demand, scenario) unit: backup path + decomposition.
