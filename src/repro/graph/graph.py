@@ -222,7 +222,9 @@ class Graph:
 
     def is_unweighted(self) -> bool:
         """True if every edge has weight exactly 1 (the paper's unweighted case)."""
-        return all(w == 1.0 for _, _, w in self.weighted_edges())
+        # Straight over the adjacency dicts: edges() would build a set of
+        # every edge key just to yield each undirected edge once.
+        return all(w == 1.0 for nbrs in self._adj.values() for w in nbrs.values())
 
     def copy(self) -> "Graph":
         """Return an independent deep copy of the adjacency structure."""
