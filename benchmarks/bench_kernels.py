@@ -15,8 +15,10 @@ outputs while it measures:
 * **SPT repair** — the fused ``repair_resettle`` (subtree discovery,
   fallback threshold, Ramalingam–Reps re-settle) vs. the reference,
   on hub failures with large affected subtrees;
-* **decomposition DP** — ``decompose_flat`` over warmed row buffers
-  vs. the forward reference DP on long concatenation chains;
+* **decomposition DP** — ``decompose_flat`` over an index chain and an
+  oracle row table holding every row it reads (hop weights summed in
+  the kernel) vs. the forward reference DP on long concatenation
+  chains;
 * **per-call overhead** — what one restoration case pays around the
   C work at n=4000: a search toward an adjacent target and the repair
   of a small leaf subtree, in microseconds per call;
@@ -43,7 +45,7 @@ import time
 
 from repro.graph.csr import as_view, shared_csr
 from repro.graph.shortest_paths import EPSILON, costs_equal
-from repro.kernels import available_backends
+from repro.kernels import OracleRows, available_backends
 from repro.kernels import python_backend as pyk
 from repro.perf import COUNTERS
 from repro.topology import (
@@ -251,7 +253,6 @@ def _decompose_section(results, graph, anchors, repeat):
     accounting actually decomposes (few pieces, long spans)."""
     csr = shared_csr(graph)
     view = as_view(csr)
-    indptr, indices, weights = csr.indptr, csr.indices, csr.weights
     rng = random.Random(7)
     preds = {}
     waypoints = [rng.randrange(csr.n) for _ in range(anchors)]
@@ -265,31 +266,22 @@ def _decompose_section(results, graph, anchors, repeat):
             t = preds[a][t]
         chain.extend(reversed(seg[:-1]))
 
-    def edge_weight(u, v):
-        for s in range(indptr[u], indptr[u + 1]):
-            if indices[s] == v:
-                return weights[s]
-        raise KeyError((u, v))
-
-    cum = [0.0]
-    for u, v in zip(chain, chain[1:]):
-        cum.append(cum[-1] + edge_weight(u, v))
     chain = tuple(chain)
-    rows = [
-        pyk.dijkstra_canonical(view, chain[j])[0]
-        for j in range(len(chain) - 2)
-    ]
+    table = OracleRows(csr.n, None)  # every row stored: nothing to warm
+    for c in dict.fromkeys(chain[:-2]):
+        table.store(c, pyk.dijkstra_canonical(view, c)[0])
     results["decompose_chain_len"] = len(chain)
-    ref = pyk.decompose_flat(chain, cum, rows)
+    ref = pyk.decompose_flat(csr, chain, table)
+    assert ref is not None, "decompose: the chain left the graph"
     results["decompose_python_s"] = _timed(
-        lambda: pyk.decompose_flat(chain, cum, rows), repeat
+        lambda: pyk.decompose_flat(csr, chain, table), repeat
     )
     if natk is not None:
-        assert natk.decompose_flat(chain, cum, rows) == ref, (
+        assert natk.decompose_flat(csr, chain, table) == ref, (
             "decompose: native disagrees"
         )
         results["decompose_native_s"] = _timed(
-            lambda: natk.decompose_flat(chain, cum, rows), repeat
+            lambda: natk.decompose_flat(csr, chain, table), repeat
         )
 
 

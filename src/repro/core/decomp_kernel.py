@@ -21,12 +21,15 @@ position.  Two entry points use them:
   set, one with an ``oracle``, admitting every edge), the fast path of
   :func:`~repro.core.decomposition.min_pieces_decompose` that every
   ``ConcatenationPolicy.evaluate_case`` takes.  It maps the path
-  onto the oracle's CSR index chain, sums ``cum`` from that CSR's
-  weight array (the same arrays the per-link ILM kernel reads; a hop
-  that is not a probe-graph edge sends the caller to the
-  :class:`SubpathProbe` fallback), warms the rows of chain positions
-  ``0 .. L-3`` in ascending order, and hands the whole O(L²) DP to the
-  kernel backend's ``decompose_flat``, which reads those rows in place.
+  onto the oracle's CSR index chain and makes one call to the kernel
+  backend's ``decompose_flat``, which sums ``cum`` from that CSR's
+  weight arrays with the per-link ILM kernel's hop lookup (a hop that
+  is not a probe-graph edge sends the caller to the
+  :class:`SubpathProbe` fallback), reads the rows of chain positions
+  ``0 .. L-3`` in place from the oracle's row table by node index,
+  has the oracle warm, in ascending order, only the positions whose
+  row is missing or not final at a later chain node, and runs the
+  whole O(L²) DP.
 * :class:`PrefixSumProbe` — the per-probe form the greedy, the
   base-path-budget and the edge-restricted min-pieces decompositions
   drive: two list indexings, a dict lookup and one float-tolerant
@@ -159,10 +162,16 @@ def min_pieces_choice(base_set, nodes: Sequence[Node]) -> Optional[list[int]]:
     starts.  Runs when *base_set* is an implicit shortest-path set that
     admits every edge: every one-hop piece is then a base path, so
     every prefix is reachable and the DP reads the oracle row of every
-    position ``j <= L - 3``.  Rows are warmed in ascending ``j`` and
-    read as they stand, so the ``oracle_*`` counters move exactly as
-    under the probe loop, and ``probe_calls`` / ``o1_probes`` grow by
-    the same L(L−1)/2.
+    position ``j <= L - 3``.  The path's nodes are mapped to the
+    oracle's CSR indices once, and one ``decompose_flat`` call does the
+    rest over the oracle's row table (:meth:`LazyDistanceOracle.row_table
+    <repro.graph.all_pairs.LazyDistanceOracle.row_table>`): it sums the
+    hop weights, warms the positions whose row is missing or not final
+    at a later chain node in ascending order (the rows other positions
+    hold already are what a warm would return), and runs the DP on the
+    rows as they stand.  The ``oracle_*`` counters therefore move
+    exactly as under the probe loop, and ``probe_calls`` /
+    ``o1_probes`` grow by the same L(L−1)/2.
 
     Returns ``None`` for a base set without an ``oracle`` or one that
     does not admit every edge, and when a node or hop of the path is
@@ -172,18 +181,19 @@ def min_pieces_choice(base_set, nodes: Sequence[Node]) -> Optional[list[int]]:
     oracle = base_set.oracle
     if oracle is None or not base_set.include_all_edges:
         return None
+    table = oracle.row_table()
+    if table is None:
+        return None
     csr = oracle.csr()
     index = csr.index
     try:
         chain = [index[node] for node in nodes]
     except KeyError:
         return None
-    cum = csr.prefix_costs(chain)
-    if cum is None:
+    result = kernel_backend().decompose_flat(csr, chain, table)
+    if result is None:
         return None
-    warm = oracle.warm
-    rows = [warm(nodes[j], nodes[j + 1 :]) for j in range(len(nodes) - 2)]
-    _best, choice, probes = kernel_backend().decompose_flat(chain, cum, rows)
+    _best, choice, probes = result
     COUNTERS.probe_calls += probes
     COUNTERS.o1_probes += probes
     return choice

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Optional
 
 from ..exceptions import NoPath
-from ..kernels import kernel_backend
+from ..kernels import OracleRows, kernel_backend
 from ..perf import COUNTERS, in_warm_up, warm_up_phase
 from .csr import INF, CsrView, dijkstra_csr_canonical, shared_csr
 from .graph import Node
@@ -146,6 +146,7 @@ class LazyDistanceOracle:
         "_complete",
         "_truncated",
         "_csr",
+        "_table",
         "break_ties_by_hops",
         "tie_free",
     )
@@ -161,6 +162,7 @@ class LazyDistanceOracle:
         self._complete: set[Node] = set()
         self._truncated: set[Node] = set()
         self._csr: Optional[CsrView] = None
+        self._table: Optional[OracleRows] = None
         self.break_ties_by_hops = break_ties_by_hops
         self.tie_free = tie_free
 
@@ -173,7 +175,34 @@ class LazyDistanceOracle:
         """The (lazily interned) CSR snapshot the canonical rows run on."""
         if self._csr is None:
             self._csr = CsrView(shared_csr(self._graph))
+            self._table = OracleRows(self._csr.csr.n, self._warm_chain)
         return self._csr
+
+    def _store(self, source: Node, i: int, dist, pred) -> None:
+        """Cache *source*'s rows; *i* is its CSR index.  The one place
+        rows enter the oracle, so the index table (:meth:`row_table`)
+        follows every store, promotions included."""
+        self._dist[source], self._pred[source] = dist, pred
+        if not self.break_ties_by_hops:
+            self._table.store(i, dist)
+
+    def row_table(self) -> Optional[OracleRows]:
+        """The distance rows by CSR node index, as they stand (truncated
+        rows included): the row source of the kernel backends'
+        ``decompose_flat``, whose warm requests go to :meth:`warm`.
+        ``None`` in hop-count tie mode."""
+        if self.break_ties_by_hops:
+            return None
+        self._csr_view()
+        return self._table
+
+    def _warm_chain(self, chain, positions) -> None:
+        """:meth:`warm` each listed position of an index chain toward
+        the chain's later nodes, in the order given."""
+        nodes = self._csr.csr.nodes
+        path = [nodes[a] for a in chain]
+        for j in positions:
+            self.warm(path[j], path[j + 1 :])
 
     def csr(self):
         """The interned :class:`CsrGraph` the array rows are indexed by.
@@ -210,10 +239,9 @@ class LazyDistanceOracle:
             )
         else:
             view = self._csr_view()
-            arr_dist, arr_pred, _ = dijkstra_csr_canonical(
-                view, view.csr.index[source]
-            )
-            self._dist[source], self._pred[source] = arr_dist, arr_pred
+            i = view.csr.index[source]
+            dist, pred, _ = dijkstra_csr_canonical(view, i)
+            self._store(source, i, dist, pred)
         self._complete.add(source)
         COUNTERS.oracle_rows_full += 1
         if not promoted and in_warm_up():
@@ -256,7 +284,7 @@ class LazyDistanceOracle:
             return
         warm_up = in_warm_up()
         for s, i in zip(missing, idxs):
-            self._dist[s], self._pred[s] = rows[i]
+            self._store(s, i, *rows[i])
             self._complete.add(s)
             COUNTERS.oracle_rows_full += 1
             if warm_up:
@@ -285,13 +313,15 @@ class LazyDistanceOracle:
             dist, pred, exhausted = dijkstra_pruned(
                 self._graph, source, targets
             )
+            self._dist[source], self._pred[source] = dist, pred
         else:
             view = self._csr_view()
             index = view.csr.index
+            i = index[source]
             dist, pred, exhausted = dijkstra_csr_canonical(
-                view, index[source], targets=[index[t] for t in targets]
+                view, i, targets=[index[t] for t in targets]
             )
-        self._dist[source], self._pred[source] = dist, pred
+            self._store(source, i, dist, pred)
         if exhausted:
             # A target-pruned query that happened to settle everything:
             # demand-driven, so not accounted as warm-up duplication.
@@ -450,7 +480,7 @@ class LazyDistanceOracle:
             s = nodes[i]
             if s in self._dist:
                 continue
-            self._dist[s], self._pred[s] = table.row(i)
+            self._store(s, i, *table.row(i))
             self._complete.add(s)
             adopted += 1
         COUNTERS.warm_rows_adopted += adopted

@@ -59,8 +59,9 @@ class CsrGraph:
     ``i``'s neighbors in adjacency order.  The buffers are
     :class:`array.array` instances (exposable as memoryviews), which
     shared-memory publication and the native kernels adopt unchanged;
-    ``native_state`` caches the native backend's addresses of them, as
-    :attr:`CsrView.native_state` does for a view's masks.
+    ``native_state`` holds the native backend's addresses of them and
+    the dead masks its calls over any view of this snapshot mark and
+    clear, one call at a time.
     """
 
     __slots__ = (
@@ -169,7 +170,9 @@ class CsrGraph:
         symmetric, exactly like :class:`~repro.graph.graph.FilteredView`
         on an undirected base.  On a directed snapshot only the ``u→v``
         slot is masked.  Edges whose endpoints are not interned are
-        ignored (a failed link elsewhere in a larger scenario).
+        ignored (a failed link elsewhere in a larger scenario).  Each
+        direction masks its first slot, found by ``indexOf`` on the
+        adjacency run.
         """
         slots: set[int] = set()
         indptr, indices = self.indptr, self.indices
@@ -179,10 +182,11 @@ class CsrGraph:
                 continue
             directions = ((iu, iv),) if self.directed else ((iu, iv), (iv, iu))
             for a, b in directions:
-                for slot in range(indptr[a], indptr[a + 1]):
-                    if indices[slot] == b:
-                        slots.add(slot)
-                        break
+                lo = indptr[a]
+                try:
+                    slots.add(lo + indexOf(indices[lo:indptr[a + 1]], b))
+                except ValueError:
+                    pass
         return frozenset(slots)
 
     def prefix_costs(self, chain: Sequence[int]) -> Optional[list[float]]:
@@ -232,11 +236,14 @@ class CsrView:
     (typically tiny) masks are per-view.  ``EMPTY`` masks make this a
     zero-cost pass-through, so kernels take a view unconditionally.
 
-    The dead sets are canonical (hashable, cheap to union/stack); the
-    kernels probe their flat bytearray projection (:meth:`masks`)
-    instead — an index costs what an empty-frozenset probe used to and
-    skips hashing whenever failures are present, and the native kernels
-    read the same buffers through pointers cached in ``native_state``.
+    The dead sets are canonical (hashable, cheap to union/stack).  The
+    reference backend probes their flat bytearray projection
+    (:meth:`masks`) instead — an index costs what an empty-frozenset
+    probe used to and skips hashing whenever failures are present.  The
+    native backend never builds those masks: ``native_state`` caches
+    the view's checked dead slots and nodes, which each native call
+    marks in the snapshot's own masks (:attr:`CsrGraph.native_state`)
+    for its duration.
     """
 
     __slots__ = (
@@ -260,7 +267,9 @@ class CsrView:
     def masks(self) -> tuple[bytearray, bytearray]:
         """Flat 0/1 ``(edge slot, node index)`` masks — 1 marks dead.
 
-        Built lazily, O(k) in the number of failures; views with no
+        The reference backend's dead probes; the native backend marks
+        the snapshot's own masks per call instead.  Built lazily, one
+        pair of snapshot-sized buffers per failure view; views with no
         failures share the snapshot's zero masks
         (:meth:`CsrGraph.zero_masks`), so the common unmasked path
         allocates nothing.  The returned buffers are read-only by

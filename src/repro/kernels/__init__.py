@@ -31,11 +31,14 @@ as ``array('d')`` and ``pred`` as ``array('q')``, and the caches
 :class:`~repro.graph.all_pairs.LazyDistanceOracle`, shared-memory
 publication) hold and index them as they are.  A restoration case
 stays inside the kernels end to end: ``repair_resettle`` finds the cut
-subtree, applies the fallback threshold and re-settles in one call,
-``decompose_flat`` reads the warmed oracle rows in place, and
-``ilm_account`` decomposes every affected demand of a source in one
-DP over the repaired tree, reading oracle rows from a
-:class:`RowTable`.
+subtree, applies the fallback threshold and re-settles in one call;
+``decompose_flat`` sums the backup chain's hop weights, reads the
+oracle's rows by node index from its :class:`OracleRows` and, when
+some are missing or not final at the chain's later nodes, has the
+oracle warm just those and runs again, one call per decomposition;
+and ``ilm_account`` decomposes every affected demand of a source in
+one DP over the repaired tree, reading oracle rows from a
+:class:`RowTable`, whose rows never change.
 
 Selection: the ``REPRO_KERNEL`` environment variable (``python``,
 ``native``, or ``auto`` — the default), or ``--kernel`` on every
@@ -51,6 +54,9 @@ treated as an obs-diff comparability key.
 from __future__ import annotations
 
 import os
+from array import array
+
+from .buffers import row_address
 
 #: Recognized values for REPRO_KERNEL / --kernel.
 KERNEL_CHOICES = ("auto", "python", "native")
@@ -81,6 +87,41 @@ class RowTable:
         self.rows: list = [None] * n
         self.fill = fill
         self.state: dict = {}
+
+
+class OracleRows:
+    """A distance oracle's rows by node index: the row source of every
+    backend's ``decompose_flat``.
+
+    ``rows[a]`` is node ``a``'s distance row (``array('d')`` or a
+    read-only ``'d'`` memoryview of ``n`` entries, full or truncated)
+    or ``None``; ``addrs[a]`` is its base address, 0 without a row,
+    which the native backend reads.  The owner stores every row
+    through :meth:`store`, which checks its shape and typecode once.
+    A row may be replaced (a truncated row promoted to a full one),
+    and its address is replaced with it; a stored row stays readable
+    (a shared-memory row's segment attached) while the table is in
+    use.  When a call finds rows missing, or not final at a later node
+    of its chain, the backend passes the chain and those positions,
+    ascending, to *warm*, which must store them.
+
+    Not a :class:`RowTable`: ``ilm_account`` reads an unsettled entry
+    as "not a base path" and caches row addresses for good, so it must
+    never see these rows change.
+    """
+
+    __slots__ = ("rows", "addrs", "warm")
+
+    def __init__(self, n: int, warm) -> None:
+        self.rows: list = [None] * n
+        self.addrs = array("Q", bytes(8 * n))
+        self.warm = warm
+
+    def store(self, a: int, row) -> None:
+        """Install *row* as node *a*'s row (``ValueError`` on a shape
+        or typecode mismatch)."""
+        self.addrs[a] = row_address(row, "d", len(self.rows), "rows")
+        self.rows[a] = row
 
 
 _BACKEND = None  # resolved backend module, cached per process

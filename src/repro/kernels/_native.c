@@ -3,8 +3,8 @@
  * Compiled at first use by repro/kernels/native_backend.py (system cc,
  * cached shared object) and driven through ctypes over the *same* flat
  * CSR buffers the pure-Python reference loops walk: int64 indptr /
- * indices, float64 weights, and the per-view dead-edge / dead-node
- * byte masks.  Every routine is a statement-for-statement emulation of
+ * indices, float64 weights, and dead-edge / dead-node byte masks (the
+ * snapshot's own, marked per call: see set_dead).  Every routine is a statement-for-statement emulation of
  * the reference backend (repro/kernels/python_backend.py): the same
  * lazy binary heap keyed by (distance, node index), the same canonical
  * (dist, index) tie rules, and counter accumulation at exactly the
@@ -143,6 +143,25 @@ heap_pop(heap *h)
 }
 
 /* ---------------------------------------------------------------- *
+ * Failure views.  A view's dead slots and nodes arrive as lists;
+ * `edge_dead` / `node_dead` are all-zero masks its snapshot owns.
+ * Each view-taking entry point marks the view's elements on entry and
+ * clears them before it returns, so a view costs O(k) and the masks
+ * are zero between calls: one call at a time per snapshot.
+ * ---------------------------------------------------------------- */
+
+static void
+set_dead(u8 *edge_dead, u8 *node_dead, const i64 *dead_slots,
+         i64 n_dead_slots, const i64 *dead_nodes, i64 n_dead_nodes,
+         u8 value)
+{
+    for (i64 k = 0; k < n_dead_slots; k++)
+        edge_dead[dead_slots[k]] = value;
+    for (i64 k = 0; k < n_dead_nodes; k++)
+        node_dead[dead_nodes[k]] = value;
+}
+
+/* ---------------------------------------------------------------- *
  * Canonical Dijkstra — the reference lazy-heap loop.
  * ---------------------------------------------------------------- */
 
@@ -213,8 +232,8 @@ dijkstra_core(const i64 *indptr, const i64 *indices, const double *weights,
     return 0;
 }
 
-int
-repro_dijkstra(const i64 *indptr, const i64 *indices, const double *weights,
+static int
+dijkstra_entry(const i64 *indptr, const i64 *indices, const double *weights,
                i64 n, const u8 *edge_dead, const u8 *node_dead, i64 source,
                const i64 *targets, i64 n_targets, double *dist, i64 *pred,
                i64 *out_exhausted, i64 *out_relaxations, i64 *out_settled)
@@ -249,6 +268,25 @@ repro_dijkstra(const i64 *indptr, const i64 *indices, const double *weights,
     free(best);
     free(want);
     free(h.a);
+    return status;
+}
+
+int
+repro_dijkstra(const i64 *indptr, const i64 *indices, const double *weights,
+               i64 n, u8 *edge_dead, u8 *node_dead, const i64 *dead_slots,
+               i64 n_dead_slots, const i64 *dead_nodes, i64 n_dead_nodes,
+               i64 source, const i64 *targets, i64 n_targets, double *dist,
+               i64 *pred, i64 *out_exhausted, i64 *out_relaxations,
+               i64 *out_settled)
+{
+    set_dead(edge_dead, node_dead, dead_slots, n_dead_slots, dead_nodes,
+             n_dead_nodes, 1);
+    int status = dijkstra_entry(indptr, indices, weights, n, edge_dead,
+                                node_dead, source, targets, n_targets, dist,
+                                pred, out_exhausted, out_relaxations,
+                                out_settled);
+    set_dead(edge_dead, node_dead, dead_slots, n_dead_slots, dead_nodes,
+             n_dead_nodes, 0);
     return status;
 }
 
@@ -319,18 +357,23 @@ bfs_core(const i64 *indptr, const i64 *indices, i64 n, const u8 *edge_dead,
 }
 
 int
-repro_bfs(const i64 *indptr, const i64 *indices, i64 n, const u8 *edge_dead,
-          const u8 *node_dead, i64 source, i64 target, double *dist,
-          i64 *pred, i64 *out_relaxations, i64 *out_settled)
+repro_bfs(const i64 *indptr, const i64 *indices, i64 n, u8 *edge_dead,
+          u8 *node_dead, const i64 *dead_slots, i64 n_dead_slots,
+          const i64 *dead_nodes, i64 n_dead_nodes, i64 source, i64 target,
+          double *dist, i64 *pred, i64 *out_relaxations, i64 *out_settled)
 {
     i64 *frontier = (i64 *)malloc(2 * (size_t)n * sizeof(i64));
     if (frontier == NULL)
         return -1;
     *out_relaxations = 0;
     *out_settled = 0;
+    set_dead(edge_dead, node_dead, dead_slots, n_dead_slots, dead_nodes,
+             n_dead_nodes, 1);
     int status = bfs_core(indptr, indices, n, edge_dead, node_dead, source,
                           target, dist, pred, frontier, frontier + n,
                           out_relaxations, out_settled);
+    set_dead(edge_dead, node_dead, dead_slots, n_dead_slots, dead_nodes,
+             n_dead_nodes, 0);
     free(frontier);
     return status;
 }
@@ -341,8 +384,8 @@ repro_bfs(const i64 *indptr, const i64 *indices, i64 n, const u8 *edge_dead,
  * per-source loop over repro_dijkstra / repro_bfs.
  * ---------------------------------------------------------------- */
 
-int
-repro_rows_many(const i64 *indptr, const i64 *indices, const double *weights,
+static int
+rows_many_entry(const i64 *indptr, const i64 *indices, const double *weights,
                 i64 n, const u8 *edge_dead, const u8 *node_dead,
                 const i64 *sources, i64 n_sources, i64 unit,
                 double *dist_block, i64 *pred_block, i64 *out_relaxations,
@@ -377,6 +420,25 @@ repro_rows_many(const i64 *indptr, const i64 *indices, const double *weights,
     }
     free(best);
     free(h.a);
+    return status;
+}
+
+int
+repro_rows_many(const i64 *indptr, const i64 *indices, const double *weights,
+                i64 n, u8 *edge_dead, u8 *node_dead, const i64 *dead_slots,
+                i64 n_dead_slots, const i64 *dead_nodes, i64 n_dead_nodes,
+                const i64 *sources, i64 n_sources, i64 unit,
+                double *dist_block, i64 *pred_block, i64 *out_relaxations,
+                i64 *out_settled)
+{
+    set_dead(edge_dead, node_dead, dead_slots, n_dead_slots, dead_nodes,
+             n_dead_nodes, 1);
+    int status = rows_many_entry(indptr, indices, weights, n, edge_dead,
+                                 node_dead, sources, n_sources, unit,
+                                 dist_block, pred_block, out_relaxations,
+                                 out_settled);
+    set_dead(edge_dead, node_dead, dead_slots, n_dead_slots, dead_nodes,
+             n_dead_nodes, 0);
     return status;
 }
 
@@ -608,8 +670,8 @@ oom:
     return -1;
 }
 
-int
-repro_repair(const i64 *indptr, const i64 *indices, const double *weights,
+static int
+repair_entry(const i64 *indptr, const i64 *indices, const double *weights,
              i64 n, const u8 *edge_dead, const u8 *node_dead, i64 source,
              const double *dist, const i64 *pred, const i64 *child_off,
              const i64 *kids, const i64 *dead_slots, i64 n_dead_slots,
@@ -682,13 +744,49 @@ repro_repair(const i64 *indptr, const i64 *indices, const double *weights,
     return status;
 }
 
+int
+repro_repair(const i64 *indptr, const i64 *indices, const double *weights,
+             i64 n, u8 *edge_dead, u8 *node_dead, const i64 *dead_slots,
+             i64 n_dead_slots, const i64 *dead_nodes, i64 n_dead_nodes,
+             i64 source, const double *dist, const i64 *pred,
+             const i64 *child_off, const i64 *kids, double threshold,
+             i64 unit, double *new_dist, i64 *new_pred,
+             i64 *out_relaxations, i64 *out_settled)
+{
+    set_dead(edge_dead, node_dead, dead_slots, n_dead_slots, dead_nodes,
+             n_dead_nodes, 1);
+    int status = repair_entry(indptr, indices, weights, n, edge_dead,
+                              node_dead, source, dist, pred, child_off, kids,
+                              dead_slots, n_dead_slots, dead_nodes,
+                              n_dead_nodes, threshold, unit, new_dist,
+                              new_pred, out_relaxations, out_settled);
+    set_dead(edge_dead, node_dead, dead_slots, n_dead_slots, dead_nodes,
+             n_dead_nodes, 0);
+    return status;
+}
+
 /* ---------------------------------------------------------------- *
- * Min-pieces decomposition DP — forward pass, first-minimal-j ties.
- * `rows[j]` is the already-warmed oracle distance row of chain[j] for
- * j = 0 .. n - 3 (the only positions whose row the DP reads); a probe
- * of the piece j -> i reads rows[j][chain[i]].  No allocation, no
+ * Min-pieces decomposition DP over an index chain of the probe graph
+ * — forward pass, first-minimal-j ties.  `rows[a]` is the oracle
+ * distance row of node a, or null; a probe of the piece j -> i reads
+ * rows[chain[j]][chain[i]], and the DP reads the rows of positions
+ * j = 0 .. len - 3 only.  `cum[k]` sums the chain's first k hop
+ * weights left to right (edge_weight's slot), and `flagged` lists
+ * positions, so both are len-entry scratch arrays.  No allocation, no
  * callback.
+ *
+ * Statuses: 0 decomposed (best, choice, out[0] = probes); 1 hop
+ * out[0] -> out[0] + 1 is not a probe-graph edge; 2 the out[0]
+ * positions listed in `flagged` (ascending) have no row or — with
+ * `check` — a row that is not finite at some later chain node, which
+ * the caller warms before calling again.
  * ---------------------------------------------------------------- */
+
+enum {
+    DECOMPOSE_DONE = 0,
+    DECOMPOSE_NOT_AN_EDGE = 1,
+    DECOMPOSE_NEED_ROWS = 2
+};
 
 static int
 costs_equal(double a, double b, double eps)
@@ -704,19 +802,62 @@ costs_equal(double a, double b, double eps)
     return fabs(a - b) <= eps * scale;
 }
 
-int
-repro_decompose(i64 n, const i64 *chain, const double *cum,
-                const double *const *rows, double eps, i64 *best,
-                i64 *choice, i64 *out_probes)
+/* Weight of the probe-graph edge u -> v from its last CSR slot (the
+ * one a slot-by-slot {(u, v): w} map keeps); 0 when there is none. */
+static int
+edge_weight(const i64 *indptr, const i64 *indices, const double *weights,
+            i64 u, i64 v, double *w)
 {
-    i64 unset = n + 1;
-    for (i64 i = 0; i < n; i++) {
+    for (i64 slot = indptr[u + 1] - 1; slot >= indptr[u]; slot--) {
+        if (indices[slot] == v) {
+            *w = weights[slot];
+            return 1;
+        }
+    }
+    return 0;
+}
+
+int
+repro_decompose(const i64 *indptr, const i64 *indices, const double *weights,
+                i64 len, const i64 *chain, const double *const *rows,
+                int check, double eps, double *cum, i64 *best,
+                i64 *choice, i64 *flagged, i64 *out)
+{
+    double total = 0.0;
+    cum[0] = 0.0;
+    for (i64 k = 1; k < len; k++) {
+        double w;
+        if (!edge_weight(indptr, indices, weights, chain[k - 1], chain[k],
+                         &w)) {
+            out[0] = k - 1;
+            return DECOMPOSE_NOT_AN_EDGE;
+        }
+        total += w;
+        cum[k] = total;
+    }
+
+    i64 lacking = 0;
+    for (i64 j = 0; j + 2 < len; j++) {
+        const double *row = rows[chain[j]];
+        int final = row != NULL;
+        for (i64 i = j + 1; final && check && i < len; i++)
+            final = !isinf(row[chain[i]]);
+        if (!final)
+            flagged[lacking++] = j;
+    }
+    if (lacking) {
+        out[0] = lacking;
+        return DECOMPOSE_NEED_ROWS;
+    }
+
+    i64 unset = len + 1;
+    for (i64 i = 0; i < len; i++) {
         best[i] = unset;
         choice[i] = 0;
     }
     best[0] = 0;
     i64 probes = 0;
-    for (i64 i = 1; i < n; i++) {
+    for (i64 i = 1; i < len; i++) {
         double cum_i = cum[i];
         i64 ci = chain[i];
         i64 bi = unset;
@@ -727,7 +868,7 @@ repro_decompose(i64 n, const i64 *chain, const double *cum,
                 continue;
             probes++;
             if (i - j > 1) {
-                double d = rows[j][ci];
+                double d = rows[chain[j]][ci];
                 if (isinf(d) || !costs_equal(cum_i - cum[j], d, eps))
                     continue;
             }
@@ -740,8 +881,8 @@ repro_decompose(i64 n, const i64 *chain, const double *cum,
         best[i] = bi;
         choice[i] = cj;
     }
-    *out_probes = probes;
-    return 0;
+    out[0] = probes;
+    return DECOMPOSE_DONE;
 }
 
 /* ---------------------------------------------------------------- *
@@ -781,21 +922,6 @@ enum {
     ILM_BAD_PARENT = 4,
     ILM_CYCLE = 5
 };
-
-/* Weight of the probe-graph edge u -> v from its last CSR slot (the
- * one a slot-by-slot {(u, v): w} map keeps); 0 when there is none. */
-static int
-edge_weight(const i64 *indptr, const i64 *indices, const double *weights,
-            i64 u, i64 v, double *w)
-{
-    for (i64 slot = indptr[u + 1] - 1; slot >= indptr[u]; slot--) {
-        if (indices[slot] == v) {
-            *w = weights[slot];
-            return 1;
-        }
-    }
-    return 0;
-}
 
 int
 repro_ilm_account(const i64 *indptr, const i64 *indices,

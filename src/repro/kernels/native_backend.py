@@ -24,11 +24,14 @@ backend while an explicit ``REPRO_KERNEL=native`` fails loudly.
 
 **Zero-copy.**  The C entry points take raw pointers into the existing
 CSR buffers — ``array.array`` snapshots or shared-memory memoryview
-casts from :mod:`repro.graph.shm` — and the per-view dead masks;
-addresses are resolved once and cached on the snapshot
-(``CsrGraph.native_state``) and view (``CsrView.native_state``).  Calls
-release the GIL (plain ``ctypes`` foreign calls), so ``--jobs`` workers
-and threads overlap native settles.
+casts from :mod:`repro.graph.shm` — and into dead-edge / dead-node
+masks the snapshot owns; addresses are resolved once and cached on the
+snapshot (``CsrGraph.native_state``).  A failure view costs O(k): its
+checked dead slots and nodes are cached on the view
+(``CsrView.native_state``), and each call marks them in the snapshot's
+masks in C and clears them before it returns.  A snapshot therefore
+runs one kernel call at a time; ``--jobs`` workers are processes, each
+with its own masks.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from ..graph.shortest_paths import EPSILON
 from ..perf import COUNTERS
 from . import REPAIRED
 from . import python_backend as _py
+from .buffers import buffer_address, row_address
 
 NAME = "native"
 INF = float("inf")
@@ -179,18 +183,21 @@ _ptr = ctypes.c_void_p
 
 _LIB = _load()
 
+#: A failure view's arguments: the snapshot's two masks, then the dead
+#: slots and dead nodes as (address, count) pairs (see ``_dead``).
+_VIEW = [_ptr, _ptr, _ptr, _i64, _ptr, _i64]
 _LIB.repro_dijkstra.restype = ctypes.c_int
 _LIB.repro_dijkstra.argtypes = [
-    _ptr, _ptr, _ptr, _i64, _ptr, _ptr, _i64, _ptr, _i64, _ptr, _ptr,
+    _ptr, _ptr, _ptr, _i64, *_VIEW, _i64, _ptr, _i64, _ptr, _ptr,
     _i64p, _i64p, _i64p,
 ]
 _LIB.repro_bfs.restype = ctypes.c_int
 _LIB.repro_bfs.argtypes = [
-    _ptr, _ptr, _i64, _ptr, _ptr, _i64, _i64, _ptr, _ptr, _i64p, _i64p,
+    _ptr, _ptr, _i64, *_VIEW, _i64, _i64, _ptr, _ptr, _i64p, _i64p,
 ]
 _LIB.repro_rows_many.restype = ctypes.c_int
 _LIB.repro_rows_many.argtypes = [
-    _ptr, _ptr, _ptr, _i64, _ptr, _ptr, _ptr, _i64, _i64, _ptr, _ptr,
+    _ptr, _ptr, _ptr, _i64, *_VIEW, _ptr, _i64, _i64, _ptr, _ptr,
     _i64p, _i64p,
 ]
 _LIB.repro_children.restype = _i64
@@ -199,13 +206,13 @@ _LIB.repro_preorder.restype = _i64
 _LIB.repro_preorder.argtypes = [_i64, _ptr, _i64, _ptr, _ptr, _ptr]
 _LIB.repro_repair.restype = ctypes.c_int
 _LIB.repro_repair.argtypes = [
-    _ptr, _ptr, _ptr, _i64, _ptr, _ptr, _i64, _ptr, _ptr, _ptr, _ptr,
-    _ptr, _i64, _ptr, _i64, ctypes.c_double, _i64, _ptr, _ptr,
-    _i64p, _i64p,
+    _ptr, _ptr, _ptr, _i64, *_VIEW, _i64, _ptr, _ptr, _ptr, _ptr,
+    ctypes.c_double, _i64, _ptr, _ptr, _i64p, _i64p,
 ]
 _LIB.repro_decompose.restype = ctypes.c_int
 _LIB.repro_decompose.argtypes = [
-    _i64, _ptr, _ptr, _ptr, ctypes.c_double, _ptr, _ptr, _ptr,
+    _ptr, _ptr, _ptr, _i64, _ptr, _ptr, ctypes.c_int, ctypes.c_double,
+    _ptr, _ptr, _ptr, _ptr, _ptr,
 ]
 _LIB.repro_count_paths.restype = ctypes.c_int
 _LIB.repro_count_paths.argtypes = [
@@ -217,6 +224,8 @@ _LIB.repro_ilm_account.argtypes = [
     ctypes.c_double, _ptr, _ptr, _ptr, _ptr, _ptr, _i64, _ptr,
 ]
 
+#: ``repro_decompose`` statuses besides 0 (decomposed).
+_DECOMPOSE_NOT_AN_EDGE, _DECOMPOSE_NEED_ROWS = 1, 2
 #: ``repro_count_paths`` statuses besides 0 (counted).
 _COUNT_OVERFLOW, _COUNT_BAD_ORDER = 1, 2
 #: ``repro_ilm_account`` statuses besides 0 (accounted).
@@ -245,69 +254,6 @@ def _check(status: int) -> None:
 # -- zero-copy pointer plumbing ------------------------------------------------
 
 
-class _PyBuffer(ctypes.Structure):
-    """CPython's ``Py_buffer`` (only ``buf`` is read)."""
-
-    _fields_ = [
-        ("buf", ctypes.c_void_p),
-        ("obj", ctypes.c_void_p),
-        ("len", ctypes.c_ssize_t),
-        ("itemsize", ctypes.c_ssize_t),
-        ("readonly", ctypes.c_int),
-        ("ndim", ctypes.c_int),
-        ("format", ctypes.c_char_p),
-        ("shape", ctypes.c_void_p),
-        ("strides", ctypes.c_void_p),
-        ("suboffsets", ctypes.c_void_p),
-        ("internal", ctypes.c_void_p),
-    ]
-
-
-_get_buffer = ctypes.pythonapi.PyObject_GetBuffer
-_get_buffer.argtypes = [ctypes.py_object, ctypes.POINTER(_PyBuffer), ctypes.c_int]
-_get_buffer.restype = ctypes.c_int
-_release_buffer = ctypes.pythonapi.PyBuffer_Release
-_release_buffer.argtypes = [ctypes.POINTER(_PyBuffer)]
-_release_buffer.restype = None
-#: PyBUF_C_CONTIGUOUS | PyBUF_FORMAT: a read-only request, so the
-#: read-only rows adopted from shared memory qualify.
-_PYBUF_C_CONTIGUOUS_FORMAT = 0x3C
-
-def _buffer_address(view: memoryview) -> int:
-    """Base address of a 1-D contiguous memoryview, read-only included."""
-    if view.ndim != 1 or not view.c_contiguous:
-        raise ValueError("buffer must be 1-D and contiguous")
-    if not view.nbytes:
-        return 0
-    info = _PyBuffer()
-    if _get_buffer(view, ctypes.byref(info), _PYBUF_C_CONTIGUOUS_FORMAT):
-        raise ValueError("buffer is not C-contiguous")  # pragma: no cover
-    addr = info.buf or 0
-    _release_buffer(ctypes.byref(info))
-    return addr
-
-
-#: id(view) -> (view, address, format) for memoryview rows (the
-#: read-only rows adopted from shared memory, reused across calls).
-#: The entry holds the view, so the id cannot be recycled while it is
-#: cached; a view released since (its segment closed) fails the length
-#: check in :func:`_row_addr` before its stale address is used.
-_VIEW_ADDRS: dict[int, tuple[memoryview, int, str]] = {}
-_VIEW_ADDRS_MAX = 1 << 16
-
-
-def _view_entry(view: memoryview) -> tuple[memoryview, int, str]:
-    """``(view, base address, format)`` of a row view, memoized."""
-    hit = _VIEW_ADDRS.get(id(view))
-    if hit is not None and hit[0] is view:
-        return hit
-    address = _buffer_address(view)
-    if len(_VIEW_ADDRS) >= _VIEW_ADDRS_MAX:
-        _VIEW_ADDRS.clear()
-    hit = _VIEW_ADDRS[id(view)] = (view, address, view.format)
-    return hit
-
-
 def _addr_of(buf) -> tuple[int, object]:
     """``(base address, keepalive)`` of a contiguous buffer, zero-copy.
 
@@ -321,63 +267,54 @@ def _addr_of(buf) -> tuple[int, object]:
         return (buf.buffer_info()[0] if len(buf) else 0), buf
     view = buf if isinstance(buf, memoryview) else memoryview(buf)
     if view.readonly or not view.nbytes:
-        return _buffer_address(view), view
+        return buffer_address(view), view
     pin = ctypes.c_char.from_buffer(view)
     return ctypes.addressof(pin), (view, pin)
 
 
-def _row_addr(buf, typecode: str, n: int, what: str) -> int:
-    """Address of a flat row buffer after checking its shape.
+class _GraphState:
+    """A snapshot's native state: its buffer addresses and the dead
+    masks every call over one of its views borrows.
 
-    Accepts ``array(typecode)`` and 1-D contiguous memoryviews of that
-    format (the read-only shared-memory rows); anything else — a list,
-    another typecode, a length other than *n*, a released view — raises
-    ``ValueError`` before C could read out of bounds.  The kernels only
-    ever read through these addresses.
+    The masks stay all zero between calls: each view-taking kernel
+    marks its view's dead slots and nodes (:func:`_dead`) on entry and
+    clears them before it returns, so a failure view costs O(k), not
+    two mask allocations of the snapshot's size.  One kernel call at a
+    time per snapshot.
     """
-    if type(buf) is array:
-        if buf.typecode != typecode or len(buf) != n:
-            raise ValueError(
-                f"{what}: expected array({typecode!r}) of {n} entries, got "
-                f"array({buf.typecode!r}) of {len(buf)}"
-            )
-        return buf.buffer_info()[0]
-    if isinstance(buf, memoryview):
-        try:
-            _view, addr, fmt = _view_entry(buf)
-            length = len(buf)
-        except ValueError as exc:  # released or non-contiguous view
-            raise ValueError(f"{what}: {exc}") from None
-        if fmt != typecode or length != n:
-            raise ValueError(
-                f"{what}: expected a {typecode!r} view of {n} entries, "
-                f"got format {fmt!r} of {length}"
-            )
-        return addr
-    raise ValueError(
-        f"{what}: expected array({typecode!r}) or memoryview, got "
-        f"{type(buf).__name__}"
-    )
+
+    __slots__ = ("indptr", "indices", "weights", "edge_mask", "node_mask",
+                 "masks", "keepalive")
+
+    def __init__(self, csr) -> None:
+        self.indptr, k1 = _addr_of(csr.indptr)
+        self.indices, k2 = _addr_of(csr.indices)
+        self.weights, k3 = _addr_of(csr.weights)
+        self.edge_mask = bytearray(len(csr.indices))
+        self.node_mask = bytearray(csr.n)
+        edge_dead, k4 = _addr_of(self.edge_mask)
+        node_dead, k5 = _addr_of(self.node_mask)
+        self.masks = (edge_dead, node_dead)
+        self.keepalive = (k1, k2, k3, k4, k5)
 
 
-def _graph_ptrs(csr) -> tuple[int, int, int, object]:
-    """``(indptr, indices, weights)`` addresses, cached per snapshot."""
-    ptrs = csr.native_state
-    if ptrs is None:
-        indptr, k1 = _addr_of(csr.indptr)
-        indices, k2 = _addr_of(csr.indices)
-        weights, k3 = _addr_of(csr.weights)
-        ptrs = csr.native_state = (indptr, indices, weights, (k1, k2, k3))
-    return ptrs
+def _graph_state(csr) -> _GraphState:
+    """The snapshot's :class:`_GraphState`, built once."""
+    state = csr.native_state
+    if state is None:
+        state = csr.native_state = _GraphState(csr)
+    return state
 
 
-def _view_ptrs(view) -> tuple[int, int, array, array, object]:
-    """Per-view native state, cached: ``(edge_dead, node_dead)`` mask
-    addresses plus the dead slots and dead nodes as ``array('q')``.
+def _dead(view) -> tuple[int, int, int, int]:
+    """A view's kernel arguments after the snapshot's masks: address and
+    count of its dead slots, then of its dead nodes.
 
-    One failure scenario serves every source it touches, so the fused
-    repair reads its roots from here; a dead index outside the
-    snapshot raises ``ValueError``.
+    Both lists are sorted ``array('q')`` buffers, checked against the
+    snapshot once (an index outside it raises ``ValueError``) and
+    cached on the view with the arguments; one failure scenario serves
+    every source it touches, and the fused repair reads its roots from
+    the same lists.
     """
     state = view.native_state
     if state is None:
@@ -390,13 +327,12 @@ def _view_ptrs(view) -> tuple[int, int, array, array, object]:
             )
         if nodes and (nodes[0] < 0 or nodes[-1] >= csr.n):
             raise ValueError(f"dead node index outside [0, {csr.n}) in view")
-        edge_mask, node_mask = view.masks()
-        edge_dead, k1 = _addr_of(edge_mask)
-        node_dead, k2 = _addr_of(node_mask)
-        state = view.native_state = (
-            edge_dead, node_dead, slots, nodes, (k1, k2)
+        args = (
+            slots.buffer_info()[0], len(slots),
+            nodes.buffer_info()[0], len(nodes),
         )
-    return state
+        state = view.native_state = (args, slots, nodes)
+    return state[0]
 
 
 _D0 = array("d", [0.0])
@@ -412,8 +348,8 @@ def dijkstra_canonical(
     """Canonical Dijkstra rows — native at every size, targeted or not."""
     csr = view.csr
     n = csr.n
-    indptr, indices, weights, _keep = _graph_ptrs(csr)
-    edge_dead, node_dead, *_vkeep = _view_ptrs(view)
+    g = _graph_state(csr)
+    dead = _dead(view)
     dist = _D0 * n
     pred = _Q0 * n
     if targets is None:
@@ -429,8 +365,8 @@ def dijkstra_canonical(
     relaxations = _i64()
     settled = _i64()
     _check(_LIB.repro_dijkstra(
-        indptr, indices, weights, n, edge_dead, node_dead, source,
-        t_addr, t_len, dist.buffer_info()[0], pred.buffer_info()[0],
+        g.indptr, g.indices, g.weights, n, *g.masks, *dead, source, t_addr,
+        t_len, dist.buffer_info()[0], pred.buffer_info()[0],
         ctypes.byref(exhausted), ctypes.byref(relaxations),
         ctypes.byref(settled),
     ))
@@ -444,14 +380,14 @@ def bfs(view, source: int, target: int = -1) -> tuple[array, array]:
     """Canonical index-ordered BFS with early target exit — native."""
     csr = view.csr
     n = csr.n
-    indptr, indices, _weights, _keep = _graph_ptrs(csr)
-    edge_dead, node_dead, *_vkeep = _view_ptrs(view)
+    g = _graph_state(csr)
+    dead = _dead(view)
     dist = _D0 * n
     pred = _Q0 * n
     relaxations = _i64()
     settled = _i64()
     _check(_LIB.repro_bfs(
-        indptr, indices, n, edge_dead, node_dead, source, target,
+        g.indptr, g.indices, n, *g.masks, *dead, source, target,
         dist.buffer_info()[0], pred.buffer_info()[0],
         ctypes.byref(relaxations), ctypes.byref(settled),
     ))
@@ -489,8 +425,8 @@ def rows_many(
         return out
     csr = view.csr
     n = csr.n
-    indptr, indices, weights, _keep = _graph_ptrs(csr)
-    edge_dead, node_dead, *_vkeep = _view_ptrs(view)
+    g = _graph_state(csr)
+    dead = _dead(view)
     srcs = list(sources)
     block = min(len(srcs), ROWS_CHUNK)
     dist_block, pred_block = _rows_scratch(n * block)
@@ -502,7 +438,7 @@ def rows_many(
         chunk = srcs[lo:lo + block]
         chunk_arr = array("q", chunk)
         _check(_LIB.repro_rows_many(
-            indptr, indices, weights, n, edge_dead, node_dead,
+            g.indptr, g.indices, g.weights, n, *g.masks, *dead,
             chunk_arr.buffer_info()[0], len(chunk), 1 if unit else 0,
             dist_block.buffer_info()[0], pred_block.buffer_info()[0],
             ctypes.byref(relaxations), ctypes.byref(settled),
@@ -522,7 +458,7 @@ def rows_many(
 def children_index(pred) -> tuple[array, array]:
     """``(offsets, kids)`` children index of a pre-failure SPT, in C."""
     n = len(pred)
-    pred_addr = _row_addr(pred, "q", n, "pred")
+    pred_addr = row_address(pred, "q", n, "pred")
     offsets = _Q0 * (n + 1)
     kids = _Q0 * n
     filled = _LIB.repro_children(
@@ -541,7 +477,7 @@ def preorder(pred, root: int) -> tuple[array, array, array]:
     C only ever walks a well-formed tree.
     """
     n = _py.check_tree(pred, root)
-    pred_addr = _row_addr(pred, "q", n, "pred")
+    pred_addr = row_address(pred, "q", n, "pred")
     order = _Q0 * n
     pos = _Q0 * n
     end = _Q0 * n
@@ -574,28 +510,27 @@ def repair_resettle(
     n = csr.n
     if not 0 <= source < n:
         raise ValueError(f"source {source} outside [0, {n})")
-    dist_addr = _row_addr(dist, "d", n, "dist")
-    pred_addr = _row_addr(pred, "q", n, "pred")
+    dist_addr = row_address(dist, "d", n, "dist")
+    pred_addr = row_address(pred, "q", n, "pred")
     offsets, kids = children
-    off_addr = _row_addr(offsets, "q", n + 1, "children offsets")
-    kids_addr = _row_addr(kids, "q", len(kids), "children")
+    off_addr = row_address(offsets, "q", n + 1, "children offsets")
+    kids_addr = row_address(kids, "q", len(kids), "children")
     if offsets[n] != len(kids):
         raise ValueError(
             f"children index ends at {offsets[n]}, holds {len(kids)} kids"
         )
-    indptr, indices, weights, _keep = _graph_ptrs(csr)
-    edge_dead, node_dead, slots, nodes, _vkeep = _view_ptrs(view)
+    g = _graph_state(csr)
+    dead = _dead(view)
     new_dist = _D0 * n
     new_pred = _Q0 * n
     relaxations = _i64()
     settled = _i64()
     outcome = _LIB.repro_repair(
-        indptr, indices, weights, n, edge_dead, node_dead, source,
-        dist_addr, pred_addr, off_addr, kids_addr,
-        slots.buffer_info()[0], len(slots), nodes.buffer_info()[0],
-        len(nodes), threshold, 1 if unit else 0,
-        new_dist.buffer_info()[0], new_pred.buffer_info()[0],
-        ctypes.byref(relaxations), ctypes.byref(settled),
+        g.indptr, g.indices, g.weights, n, *g.masks, *dead, source,
+        dist_addr, pred_addr, off_addr, kids_addr, threshold,
+        1 if unit else 0, new_dist.buffer_info()[0],
+        new_pred.buffer_info()[0], ctypes.byref(relaxations),
+        ctypes.byref(settled),
     )
     _check(outcome)
     if outcome != REPAIRED:
@@ -606,47 +541,55 @@ def repair_resettle(
 
 
 def decompose_flat(
-    chain: Sequence[int],
-    cum: Sequence[float],
-    rows: Sequence,
-) -> tuple[list[int], list[int], int]:
-    """Min-pieces decomposition DP over already-warmed oracle rows.
+    probe, chain: Sequence[int], table
+) -> Optional[tuple[list[int], list[int], int]]:
+    """Min-pieces decomposition DP over an index chain of *probe*, in C.
 
-    ``rows[j]`` is the distance row of ``chain[j]`` for j = 0 .. L−3;
-    C reads them in place through one pointer table (no callback, no
-    conversion).  Every row must be a ``'d'`` buffer of the same length
-    n and every chain index must lie in [0, n), else ``ValueError``.
-    ``best``, ``choice`` and the probe count come back in one buffer.
+    The reference's contract (``python_backend.decompose_flat``) in
+    one call: C sums the hop weights, checks the rows of positions
+    ``0 .. L-3`` in ``table.addrs`` (an
+    :class:`~repro.kernels.OracleRows`, whose rows were checked when
+    stored) and reports the positions whose row is missing or not
+    final at a later chain node; ``table.warm`` warms those, in
+    ascending order, and the DP runs again.  Chain indices are checked
+    first (``ValueError``); ``None`` when a hop is not a probe-graph
+    edge.
     """
     length = len(chain)
     if length == 0:
         return [], [], 0
-    if len(cum) != length:
-        raise ValueError(f"cum has {len(cum)} entries, chain {length}")
-    needed = length - 2
-    if needed > 0:
-        if len(rows) < needed:
-            raise ValueError(f"{len(rows)} rows for a {length}-node chain")
-        n = len(rows[0])
-        if min(chain) < 0 or max(chain) >= n:
-            raise ValueError(f"chain index outside [0, {n})")
-        table = array(
-            "Q", [_row_addr(row, "d", n, "rows") for row in rows[:needed]]
-        )
-        table_addr = table.buffer_info()[0]
-    else:
-        table_addr = 0
+    n = probe.n
     chain_arr = array("q", chain)
-    cum_arr = array("d", cum)
-    out = _Q0 * (2 * length + 1)
+    if min(chain_arr) < 0 or max(chain_arr) >= n:
+        raise ValueError(f"chain index outside [0, {n})")
+    addrs = table.addrs
+    if len(addrs) != n:
+        raise ValueError(f"rows: table holds {len(addrs)} rows, probe n={n}")
+    g = _graph_state(probe)
+    cum = _D0 * length
+    out = _Q0 * (3 * length + 1)
     out_addr = out.buffer_info()[0]
-    _check(_LIB.repro_decompose(
-        length, chain_arr.buffer_info()[0], cum_arr.buffer_info()[0],
-        table_addr, EPSILON,
-        out_addr, out_addr + 8 * length, out_addr + 16 * length,
-    ))
-    values = out.tolist()
-    return values[:length], values[length:-1], values[-1]
+    args = (
+        g.indptr, g.indices, g.weights, length, chain_arr.buffer_info()[0],
+        addrs.buffer_info()[0],
+    )
+    tail = (
+        EPSILON, cum.buffer_info()[0], out_addr, out_addr + 8 * length,
+        out_addr + 16 * length, out_addr + 24 * length,
+    )
+    status = _LIB.repro_decompose(*args, 1, *tail)
+    if status == _DECOMPOSE_NEED_ROWS:
+        table.warm(chain, out[2 * length:2 * length + out[-1]].tolist())
+        status = _LIB.repro_decompose(*args, 0, *tail)
+        if status == _DECOMPOSE_NEED_ROWS:
+            raise ValueError(
+                f"rows: no oracle row for node {chain[out[2 * length]]}"
+            )
+    if status == _DECOMPOSE_NOT_AN_EDGE:
+        return None
+    _check(status)
+    values = out[:2 * length].tolist()
+    return values[:length], values[length:], out[-1]
 
 
 class _IlmScratch:
@@ -683,7 +626,7 @@ def _install_rows(table, scratch: _IlmScratch, needed: list[int]) -> None:
         row = rows[a]
         if row is None:
             raise ValueError(f"rows: no oracle row for node {a}")
-        addrs[a] = _row_addr(row, "d", n, "rows")
+        addrs[a] = row_address(row, "d", n, "rows")
 
 
 def ilm_account(probe, source: int, targets, dist, pred, table, naive):
@@ -703,10 +646,10 @@ def ilm_account(probe, source: int, targets, dist, pred, table, naive):
     n = probe.n
     if not 0 <= source < n:
         raise ValueError(f"source {source} outside [0, {n})")
-    dist_addr = _row_addr(dist, "d", n, "dist")
-    pred_addr = _row_addr(pred, "q", n, "pred")
-    naive_addr = _row_addr(naive, "l", n, "naive")
-    indptr, indices, weights, _keep = _graph_ptrs(probe)
+    dist_addr = row_address(dist, "d", n, "dist")
+    pred_addr = row_address(pred, "q", n, "pred")
+    naive_addr = row_address(naive, "l", n, "naive")
+    g = _graph_state(probe)
     scratch = table.state.get(NAME)
     if scratch is None or scratch.n != n:
         scratch = table.state[NAME] = _IlmScratch(n)
@@ -717,7 +660,7 @@ def ilm_account(probe, source: int, targets, dist, pred, table, naive):
     while True:
         flat = scratch.flat
         status = _LIB.repro_ilm_account(
-            indptr, indices, weights, n, source, t_addr, len(t_arr),
+            g.indptr, g.indices, g.weights, n, source, t_addr, len(t_arr),
             dist_addr, pred_addr, addrs, EPSILON, naive_addr, work, cum,
             piece_off, flat.buffer_info()[0], len(flat), out,
         )
@@ -751,13 +694,13 @@ def count_paths(csr, source: int, dist, eps: float) -> list[int]:
     n = csr.n
     if not 0 <= source < n:
         raise ValueError(f"source {source} outside [0, {n})")
-    dist_addr = _row_addr(dist, "d", n, "dist")
-    indptr, indices, weights, _keep = _graph_ptrs(csr)
+    dist_addr = row_address(dist, "d", n, "dist")
+    g = _graph_state(csr)
     counts = array("Q", bytes(8 * n))
     bad_u = _i64()
     bad_v = _i64()
     status = _LIB.repro_count_paths(
-        indptr, indices, weights, n, source, dist_addr, eps,
+        g.indptr, g.indices, g.weights, n, source, dist_addr, eps,
         counts.buffer_info()[0], ctypes.byref(bad_u), ctypes.byref(bad_v),
     )
     _check(status)

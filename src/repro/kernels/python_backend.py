@@ -40,9 +40,13 @@ memoryviews of the same formats (rows adopted from shared memory).
     new_pred)`` — the rows only for :data:`~repro.kernels.REPAIRED`,
     ``None`` for ``UNTOUCHED`` / ``OVER_THRESHOLD`` / ``SOURCE_CUT`` —
     and accounts ``spt_nodes_resettled`` / ``csr_relaxations``.
-``decompose_flat(chain, cum, rows) -> (best, choice, probes)``
-    The min-pieces decomposition DP over prefix sums and the warmed
-    oracle rows of chain positions ``0 .. len(chain) - 3``.
+``decompose_flat(probe, chain, table) -> (best, choice, probes) | None``
+    The min-pieces decomposition DP over an index chain of *probe*:
+    sums its hop weights (``None`` when a hop is not an edge) and reads
+    the rows of chain positions ``0 .. len(chain) - 3`` from an
+    :class:`~repro.kernels.OracleRows`, asking ``table.warm`` first for
+    the positions whose row is missing or not final at a later chain
+    node.
 ``ilm_account(probe, source, targets, dist, pred, table, naive)``
     Per-link ILM accounting of one (scenario, source) pair: adds every
     restored backup chain (a tree path of the repaired ``pred`` row)
@@ -370,27 +374,65 @@ def resettle(
     return array("d", new_dist), array("q", new_pred)
 
 
-def decompose_flat(
-    chain: Sequence[int],
-    cum: Sequence[float],
-    rows: Sequence,
-) -> tuple[list[int], list[int], int]:
-    """Min-pieces DP over prefix sums — forward pass, first-minimal-j ties.
+def edge_weight(probe, u: int, v: int) -> Optional[float]:
+    """Weight of *probe*'s edge ``u -> v`` from its last CSR slot (the
+    one a slot-by-slot ``{(u, v): w}`` map keeps); ``None`` when there
+    is none.  The one hop lookup of :func:`decompose_flat` and
+    :func:`ilm_account`."""
+    indices = probe.indices
+    for slot in range(probe.indptr[u + 1] - 1, probe.indptr[u] - 1, -1):
+        if indices[slot] == v:
+            return probe.weights[slot]
+    return None
 
-    *cum* holds prefix sums of the chain's probe-graph weights;
-    ``rows[j]`` is the (already warmed) oracle distance row of
-    ``chain[j]`` for every ``j <= len(chain) - 3``.  Returns ``(best,
+
+def decompose_flat(
+    probe, chain: Sequence[int], table
+) -> Optional[tuple[list[int], list[int], int]]:
+    """Min-pieces DP over an index chain of *probe* — forward pass,
+    first-minimal-j ties.
+
+    ``cum`` sums the chain's hop weights left to right
+    (:func:`edge_weight`); a hop that is not a probe-graph edge returns
+    ``None``.  Rows come from *table*, an
+    :class:`~repro.kernels.OracleRows`: the DP reads the row of
+    ``chain[j]`` for every ``j <= len(chain) - 3``.  Positions whose
+    row is missing, or not finite at some later chain node, go to
+    ``table.warm(chain, positions)`` in one ascending list first; a
+    row still missing then raises ``ValueError``.  Returns ``(best,
     choice, probes)`` with ``best[i] == len(chain) + 1`` meaning unset;
     the caller extracts pieces and accounts the probes.
     """
     from ..graph.shortest_paths import costs_equal
 
     n = len(chain)
+    if not n:
+        return [], [], 0
+    if min(chain) < 0 or max(chain) >= probe.n:
+        raise ValueError(f"chain index outside [0, {probe.n})")
+    cum = [0.0]
+    total = 0.0
+    for u, v in zip(chain, chain[1:]):
+        w = edge_weight(probe, u, v)
+        if w is None:
+            return None
+        total += w
+        cum.append(total)
+    rows = table.rows
+    lacking = [
+        j for j in range(n - 2)
+        if rows[chain[j]] is None
+        or INF in map(rows[chain[j]].__getitem__, chain[j + 1:])
+    ]
+    if lacking:
+        table.warm(chain, lacking)
+    chain_rows = [rows[c] for c in chain[:n - 2]]
+    if None in chain_rows:
+        missing = chain[chain_rows.index(None)]
+        raise ValueError(f"rows: no oracle row for node {missing}")
     unset = n + 1
     best = [unset] * n
     choice = [0] * n
-    if not n:
-        return best, choice, 0
     best[0] = 0
     probes = 0
     for i in range(1, n):
@@ -404,7 +446,7 @@ def decompose_flat(
                 continue
             probes += 1
             if i - j > 1:
-                d = rows[j][ci]
+                d = chain_rows[j][ci]
                 if d == INF or not costs_equal(cum_i - cum[j], d):
                     continue
             candidate = bj + 1
@@ -449,7 +491,6 @@ def ilm_account(
     if dist is None:
         return [], 0, len(targets), 0
     n = probe.n
-    indptr, indices, weights = probe.indptr, probe.indices, probe.weights
     cum = {source: 0.0}  # keyed by the union of the restored chains
     parent: dict[int, int] = {}
     order: list[int] = []
@@ -476,16 +517,14 @@ def ilm_account(
             walk.append(x)
             x = p
         for v in reversed(walk):
-            for slot in range(indptr[x + 1] - 1, indptr[x] - 1, -1):
-                if indices[slot] == v:
-                    break
-            else:
+            w = edge_weight(probe, x, v)
+            if w is None:
                 raise ValueError(
                     f"pred of node {v} is outside the row or not a "
                     "probe-graph edge"
                 )
             parent[v] = x
-            cum[v] = cum[x] + weights[slot]
+            cum[v] = cum[x] + w
             order.append(v)
             x = v
 

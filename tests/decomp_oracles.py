@@ -6,17 +6,22 @@ The pre-kernel implementations of :func:`~repro.core.decomposition.greedy_decomp
 membership probe allocates the candidate sub-path and asks the base set
 (``is_base_path`` walks it), so they share no code with the O(1) probes
 and the kernel DP; the equivalence suites hold the library's
-decompositions to them piece for piece.
+decompositions to them piece for piece.  :func:`decompose_flat_reference`
+is the kernel DP itself over handed-in prefix sums and rows, the
+reference the tree DP and the numpy oracle are held to.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.core.base_paths import AllShortestPathsBase, BaseSet
 from repro.core.decomposition import Decomposition
 from repro.exceptions import DecompositionError
 from repro.graph.paths import Path
+from repro.graph.shortest_paths import costs_equal
+
+INF = float("inf")
 
 
 def _is_piece(sub: Path, base_set: BaseSet, allow_edges: bool) -> tuple[bool, bool]:
@@ -177,3 +182,45 @@ def min_base_paths_decompose_reference(
     pieces.reverse()
     flags.reverse()
     return Decomposition(pieces=tuple(pieces), base_flags=tuple(flags))
+
+
+def decompose_flat_reference(
+    chain: Sequence[int],
+    cum: Sequence[float],
+    rows: Sequence,
+) -> tuple[list[int], list[int], int]:
+    """The min-pieces DP over prefix sums and already-warmed rows.
+
+    *cum* holds the chain's prefix sums of probe-graph weights and
+    ``rows[j]`` the distance row of ``chain[j]`` for every ``j <=
+    len(chain) - 3``: the kernel DP with its inputs handed over, so the
+    tree DP (``ilm_account``) and the numpy oracle are held to the same
+    forward pass, first-minimal-``j`` ties included.  Returns ``(best,
+    choice, probes)`` with ``best[i] == len(chain) + 1`` meaning unset.
+    """
+    n = len(chain)
+    unset = n + 1
+    best = [unset] * n
+    choice = [0] * n
+    if not n:
+        return best, choice, 0
+    best[0] = 0
+    probes = 0
+    for i in range(1, n):
+        ci = chain[i]
+        bi = unset
+        cj = 0
+        for j in range(i):
+            if best[j] == unset:
+                continue
+            probes += 1
+            if i - j > 1:
+                d = rows[j][ci]
+                if d == INF or not costs_equal(cum[i] - cum[j], d):
+                    continue
+            if best[j] + 1 < bi:
+                bi = best[j] + 1
+                cj = j
+        best[i] = bi
+        choice[i] = cj
+    return best, choice, probes

@@ -49,6 +49,8 @@ from repro.kernels import REPAIRED
 from repro.kernels import python_backend as _py
 from repro.perf import COUNTERS
 
+from .decomp_oracles import decompose_flat_reference
+
 try:
     from scipy.sparse import csr_matrix as _sp_csr_matrix
     from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
@@ -406,7 +408,7 @@ def decompose_flat(
 ) -> tuple[list[int], list[int], int]:
     """Min-pieces DP; matrix recurrence above the chain-length gate."""
     if len(chain) < DECOMPOSE_MIN_CHAIN:
-        return _py.decompose_flat(chain, cum, rows)
+        return decompose_flat_reference(chain, cum, rows)
     return _decompose_flat_vec(chain, cum, rows)
 
 

@@ -40,6 +40,7 @@ from .decomp_oracles import (
     min_base_paths_decompose_reference,
     min_pieces_decompose_reference,
 )
+from .test_kernels import FAMILY_PARAMS
 
 
 def random_connected_graph(seed: int, n: int = 20, extra: int = 12) -> Graph:
@@ -345,3 +346,95 @@ class TestKernelDecomposition:
             for name in ORACLE_COUNTERS + ("csr_settled", "csr_relaxations"):
                 assert getattr(delta, name) == getattr(lazy_delta, name), name
         assert len(calls) == 8
+
+
+class TestOracleRowTable:
+    """The oracle's index table follows every stored row, and the one
+    ``decompose_flat`` call per decomposition moves the counters the
+    ascending warm loop moves."""
+
+    def test_a_promoted_row_is_read_at_its_new_address(self, kernel):
+        from repro.topology import cycle_graph
+
+        g = cycle_graph(20)
+        base = AllShortestPathsBase(g)
+        oracle = base.oracle
+        table = oracle.row_table()
+        index = oracle.csr().index
+        a = index[0]
+        # First call: position 0 gets a row truncated near the source.
+        min_pieces_decompose(Path([0, 1, 2]), base)
+        truncated = table.rows[a]
+        assert table.addrs[a] == truncated.buffer_info()[0]
+        assert truncated[index[8]] == float("inf")
+        # A query past the frontier promotes the row between two calls.
+        before = COUNTERS.snapshot()
+        oracle.distance(0, 8)
+        assert COUNTERS.delta(before).oracle_promotions == 1
+        full = oracle.row_arrays(0)[0]
+        assert full is not truncated
+        assert table.rows[a] is full
+        assert table.addrs[a] == full.buffer_info()[0]
+        # Second call: the whole shortest path is one piece only if the
+        # DP reads the promoted row.
+        path = Path(list(range(9)))
+        got = min_pieces_decompose(path, base)
+        assert got.num_pieces == 1
+        assert_same(
+            got, min_pieces_decompose_reference(path, AllShortestPathsBase(g))
+        )
+
+    def test_a_hop_off_the_graph_takes_the_fallback(self, kernel):
+        g = random_connected_graph(3)
+        base = UniqueShortestPathsBase(g)
+        u, v = next(
+            (u, v) for u in sorted(g.nodes) for v in sorted(g.nodes)
+            if u != v and not g.has_edge(u, v)
+        )
+        w = next(iter(sorted(g.neighbors(u))))
+        from repro.kernels import kernel_backend
+
+        backend = kernel_backend()
+        csr = base.oracle.csr()
+        chain = [csr.index[x] for x in (w, u, v)]
+        assert backend.decompose_flat(csr, chain, base.oracle.row_table()) is None
+        before = COUNTERS.snapshot()
+        with pytest.raises(DecompositionError):
+            min_pieces_decompose(Path([w, u, v]), base)
+        delta = COUNTERS.delta(before)
+        assert delta.path_probes > 0 and delta.o1_probes == 0
+
+    @FAMILY_PARAMS
+    def test_counter_deltas_equal_the_ascending_warm_loop(self, kernel, family):
+        g = family()
+        base, twin = UniqueShortestPathsBase(g), UniqueShortestPathsBase(g)
+        rng = random.Random(41)
+        nodes = list(g.nodes)  # insertion order: labels may mix types
+        for _ in range(6):
+            walk = [rng.choice(nodes)]
+            while len(walk) < 12:
+                options = [v for v in g.neighbors(walk[-1]) if v not in walk]
+                if not options:
+                    break
+                walk.append(rng.choice(options))
+            path = Path(walk)
+            if path.is_trivial:
+                continue
+            before = COUNTERS.snapshot()
+            got = min_pieces_decompose(path, base, allow_edges=True)
+            delta = COUNTERS.delta(before)
+            nodes = path.nodes
+            before = COUNTERS.snapshot()
+            for j in range(len(nodes) - 2):
+                twin.oracle.warm(nodes[j], nodes[j + 1:])
+            loop = COUNTERS.delta(before)
+            for name in ORACLE_COUNTERS + ("csr_settled", "csr_relaxations"):
+                assert getattr(delta, name) == getattr(loop, name), name
+            size = len(nodes)
+            assert delta.o1_probes == delta.probe_calls == size * (size - 1) // 2
+            assert_same(
+                got,
+                min_pieces_decompose_reference(
+                    path, UniqueShortestPathsBase(g), allow_edges=True
+                ),
+            )

@@ -11,8 +11,9 @@ here:
   graphs with BFS rows included) plus random tie-heavy weighted graphs,
   with rows passed as ``array`` and as read-only memoryviews, and with
   one row table reused across calls;
-* each target's pieces are exactly those of ``decompose_flat`` over its
-  chain, with the same probe count, and a multi-target call returns the
+* each target's pieces are exactly those of the kernel DP over its
+  chain (``decomp_oracles.decompose_flat_reference``), with the same
+  probe count, and a multi-target call returns the
   union of those pieces (the tree DP is exact);
 * malformed input raises ``ValueError`` before any count is written.
 """
@@ -29,6 +30,7 @@ from repro.graph.graph import Graph
 from repro.kernels import RowTable
 from repro.kernels import python_backend as pyk
 
+from .decomp_oracles import decompose_flat_reference
 from .test_kernels import TOPOLOGY_FAMILIES, _alive_sources, _view_variants
 
 try:  # importing builds the cached .so; no toolchain must skip
@@ -129,7 +131,7 @@ def _chain(pred, source, target):
 
 
 def _decompose_chain(csr, oracle, chain):
-    """``decompose_flat``'s pieces and probes over one chain."""
+    """The kernel DP's pieces and probes over one chain."""
     weight = {}
     for u in range(csr.n):
         for k in range(csr.indptr[u], csr.indptr[u + 1]):
@@ -138,7 +140,7 @@ def _decompose_chain(csr, oracle, chain):
     for u, v in zip(chain, chain[1:]):
         cum.append(cum[-1] + weight[(u, v)])
     rows = [oracle.row(c) for c in chain[:-2]]
-    _best, choice, probes = pyk.decompose_flat(chain, cum, rows)
+    _best, choice, probes = decompose_flat_reference(chain, cum, rows)
     pieces = []
     i = len(chain) - 1
     while i > 0:
@@ -198,7 +200,7 @@ class TestNativeMatchesReference:
 
 
 class TestTreeDpIsExact:
-    """Each chain's pieces and probes are ``decompose_flat``'s."""
+    """Each chain's pieces and probes are the kernel DP's."""
 
     @BACKENDS
     @GRAPH_PARAMS

@@ -51,6 +51,7 @@ from repro.graph.spt import ShortestPathDag
 from repro.kernels import (
     KERNEL_CHOICES,
     OVER_THRESHOLD,
+    OracleRows,
     REPAIRED,
     SOURCE_CUT,
     UNTOUCHED,
@@ -76,6 +77,8 @@ from repro.topology.classic import (
     weighted_comb_graph,
 )
 from repro.topology.powerlaw import preferential_attachment
+
+from .decomp_oracles import decompose_flat_reference
 
 try:  # try/except, not find_spec: a broken numpy must also skip
     from . import numpy_kernels as npk
@@ -549,7 +552,6 @@ class TestDecomposeBitIdentity:
     def test_decomposition_columns_match(self, family, accel):
         graph = family()
         mod = _accel_module(accel)
-        entry = mod._decompose_flat_vec if accel == "numpy" else mod.decompose_flat
         rng = random.Random(23)
         for view, chain, cum in self._chains(graph, rng):
             rows = [
@@ -557,17 +559,25 @@ class TestDecomposeBitIdentity:
                 for j in range(len(chain) - 2)
             ]
             before = COUNTERS.snapshot()
-            ref = pyk.decompose_flat(chain, cum, rows)
+            ref = decompose_flat_reference(chain, cum, rows)
             ref_delta = COUNTERS.delta(before)
+            if accel == "numpy":
+                args = (chain, cum, rows)
+                entry = mod._decompose_flat_vec
+            else:
+                args = (view.csr, chain, _row_table(view.csr, chain, rows))
+                entry = mod.decompose_flat
+                assert pyk.decompose_flat(*args) == ref
             before = COUNTERS.snapshot()
-            acc = entry(chain, cum, rows)
+            acc = entry(*args)
             acc_delta = COUNTERS.delta(before)
             assert acc == ref
             assert acc_delta == ref_delta
 
     @ACCEL_PARAMS
     def test_truncated_rows_are_read_as_they_stand(self, accel):
-        """Rows settled only up to the chain's later nodes suffice."""
+        """Rows settled only up to the chain's later nodes suffice: no
+        position is warmed."""
         mod = _accel_module(accel)
         graph = generate_isp_topology(n=40, seed=3)
         view = as_view(shared_csr(graph))
@@ -577,9 +587,100 @@ class TestDecomposeBitIdentity:
                 pyk.dijkstra_canonical(view, chain[j], chain[j + 1:])[0]
                 for j in range(len(chain) - 2)
             ]
-            assert mod.decompose_flat(chain, cum, rows) == pyk.decompose_flat(
-                chain, cum, rows
-            )
+            ref = decompose_flat_reference(chain, cum, rows)
+            if accel == "numpy":
+                assert mod.decompose_flat(chain, cum, rows) == ref
+                continue
+            table = _row_table(view.csr, chain, rows)
+            assert mod.decompose_flat(view.csr, chain, table) == ref
+            assert pyk.decompose_flat(view.csr, chain, table) == ref
+            assert table.warm.calls == []
+
+
+class _Warm:
+    """A ``warm`` callback for an :class:`OracleRows` over *view*: it
+    records each request and stores the full row of every listed
+    position."""
+
+    def __init__(self, view) -> None:
+        self.view = view
+        self.table = None
+        self.calls: list[list[int]] = []
+
+    def __call__(self, chain, positions) -> None:
+        self.calls.append(list(positions))
+        for j in positions:
+            row = pyk.dijkstra_canonical(self.view, chain[j])[0]
+            self.table.store(chain[j], row)
+
+
+def _row_table(csr, chain=(), rows=()):
+    """An :class:`OracleRows` holding ``rows[j]`` for ``chain[j]``, with
+    a recording :class:`_Warm` callback."""
+    warm = _Warm(as_view(csr))
+    table = warm.table = OracleRows(csr.n, warm)
+    for c, row in zip(chain, rows):
+        table.store(c, row)
+    return table
+
+
+@requires_native
+class TestDecomposeWarmContract:
+    """Both backends' ``decompose_flat`` warm the same positions — those
+    whose row is missing or not final at a later chain node, ascending,
+    in one request — and then return the same columns."""
+
+    STATES = ("full", "missing", "truncated", "mixed")
+
+    def _table(self, view, chain, state):
+        table = _row_table(view.csr)
+        for j in range(len(chain) - 2):
+            c = chain[j]
+            if state == "full" or (state == "mixed" and j % 2):
+                table.store(c, pyk.dijkstra_canonical(view, c)[0])
+            elif state == "truncated":
+                table.store(c, pyk.dijkstra_canonical(view, c, chain[j + 1:j + 2])[0])
+        return table
+
+    @FAMILY_PARAMS
+    def test_backends_warm_the_same_positions(self, family):
+        graph = family()
+        view = as_view(shared_csr(graph))
+        rng = random.Random(31)
+        for _, chain, cum in TestDecomposeBitIdentity()._chains(graph, rng):
+            for state in self.STATES:
+                ref_table = self._table(view, chain, state)
+                nat_table = self._table(view, chain, state)
+                want = pyk.decompose_flat(view.csr, chain, ref_table)
+                got = natk.decompose_flat(view.csr, chain, nat_table)
+                assert got == want, state
+                assert nat_table.warm.calls == ref_table.warm.calls, state
+                assert len(ref_table.warm.calls) <= 1
+                if state == "full":
+                    assert ref_table.warm.calls == []
+                if state == "missing":
+                    assert ref_table.warm.calls == [list(range(len(chain) - 2))]
+                rows = [ref_table.rows[c] for c in chain[:-2]]
+                assert want == decompose_flat_reference(chain, cum, rows)
+
+    @pytest.mark.parametrize("name", ["python", "native"])
+    def test_a_hop_off_the_probe_graph_returns_none(self, name):
+        mod = pyk if name == "python" else natk
+        graph = path_graph(6)
+        csr = shared_csr(graph)
+        index = csr.index
+        table = _row_table(csr)
+        chain = [index[0], index[1], index[3], index[4]]
+        assert mod.decompose_flat(csr, chain, table) is None
+        assert table.warm.calls == []
+
+    @pytest.mark.parametrize("name", ["python", "native"])
+    def test_a_row_the_warm_cannot_supply_raises(self, name):
+        mod = pyk if name == "python" else natk
+        csr = shared_csr(path_graph(6))
+        table = OracleRows(csr.n, lambda chain, positions: None)
+        with pytest.raises(ValueError, match="no oracle row"):
+            mod.decompose_flat(csr, list(range(5)), table)
 
 
 def _diamond_chain(k):
@@ -714,21 +815,29 @@ class TestNativeValidation:
 
     def test_dp_rejects_a_short_row_and_an_out_of_range_chain_index(self):
         view, _, _, _ = self._setup()
-        n = view.csr.n
-        chain = (0, 1, 2, 3)
-        cum = [0.0, 1.0, 2.0, 3.0]
+        csr = view.csr
+        n = csr.n
+        dist, pred, _ = pyk.dijkstra_canonical(view, 0)
+        chain = [0]
+        while len(chain) < 4:  # a tree path out of node 0
+            chain.append(next(v for v in range(n) if pred[v] == chain[-1]))
         rows = [pyk.dijkstra_canonical(view, c)[0] for c in chain[:2]]
-        assert natk.decompose_flat(chain, cum, rows) == pyk.decompose_flat(
-            chain, cum, rows
+        table = _row_table(csr, chain, rows)
+        assert natk.decompose_flat(csr, chain, table) == pyk.decompose_flat(
+            csr, chain, table
         )
         with pytest.raises(ValueError, match="rows"):
-            natk.decompose_flat(chain, cum, [rows[0], rows[1][:-1]])
-        with pytest.raises(ValueError, match="chain index"):
-            natk.decompose_flat((0, 1, n), cum[:3], rows[:1])
-        with pytest.raises(ValueError, match="chain index"):
-            natk.decompose_flat((0, 1, -1), cum[:3], rows[:1])
+            table.store(chain[1], rows[1][:-1])
         with pytest.raises(ValueError, match="rows"):
-            natk.decompose_flat(chain, cum, rows[:1])
+            table.store(chain[1], list(rows[1]))
+        with pytest.raises(ValueError, match="rows"):
+            table.store(chain[1], array("f", rows[1]))
+        with pytest.raises(ValueError, match="chain index"):
+            natk.decompose_flat(csr, (0, 1, n), table)
+        with pytest.raises(ValueError, match="chain index"):
+            natk.decompose_flat(csr, (0, 1, -1), table)
+        with pytest.raises(ValueError, match="rows"):
+            natk.decompose_flat(csr, chain, OracleRows(n - 1, None))
 
     def test_count_paths_rejects_a_short_or_mistyped_row(self):
         view, _, dist, _ = self._setup()
@@ -771,18 +880,98 @@ class TestNativeValidation:
                 assert got == want and got[0] == REPAIRED
                 assert list(ro_dist) == list(dist)
                 assert list(ro_pred) == list(pred)
-                chain = tuple(range(6))
-                cum = [float(k) for k in range(6)]
-                rows = [ro_dist] * 4
-                assert natk.decompose_flat(chain, cum, rows) == (
-                    pyk.decompose_flat(chain, cum, rows)
+                chain = [0]
+                while len(chain) < 6:  # a tree path out of node 0
+                    chain.append(
+                        next(v for v in range(n) if pred[v] == chain[-1])
+                    )
+                table = _row_table(view.csr, chain, [ro_dist])
+                assert natk.decompose_flat(view.csr, chain, table) == (
+                    pyk.decompose_flat(view.csr, chain, table)
                 )
+                assert table.rows[0] is ro_dist
                 assert list(ro_dist) == list(dist)
             finally:
                 attached.close()
         finally:
             seg.close()
             seg.unlink()
+
+
+@requires_native
+class TestSnapshotMasks:
+    """A failure view costs O(k) under the native backend: each call
+    marks its view's dead slots and nodes in masks its snapshot owns
+    and clears them before it returns, whatever its status."""
+
+    def _views(self):
+        graph = generate_isp_topology(n=40, seed=3)
+        csr = shared_csr(graph)
+        base = as_view(csr)
+        edges = sorted(graph.edges(), key=repr)
+        return csr, base.without(edges=edges[:3]), base.without(
+            nodes=csr.nodes[5:7]
+        )
+
+    @staticmethod
+    def _assert_clear(csr):
+        state = csr.native_state
+        assert not any(state.edge_mask) and not any(state.node_mask)
+
+    def _calls(self, view):
+        """Every view-taking entry point once, as ``(name, args)``."""
+        dist, pred, _ = pyk.dijkstra_canonical(as_view(view.csr), 0)
+        children = pyk.children_index(pred)
+        alive = _alive_sources(view)
+        return [
+            ("dijkstra_canonical", (view, alive[0])),
+            ("dijkstra_canonical", (view, alive[1], alive[-3:])),
+            ("bfs", (view, alive[0])),
+            ("repair_resettle", (view, 0, dist, pred, children, 1e9, False)),
+        ]
+
+    def test_masks_are_zero_after_every_call(self):
+        csr, failed_edges, failed_nodes = self._views()
+        for view in (failed_edges, failed_nodes):
+            for name, args in self._calls(view):
+                assert getattr(natk, name)(*args) == getattr(pyk, name)(*args)
+                self._assert_clear(csr)
+            sources = _alive_sources(view)[:5]
+            rows = natk.rows_many(view, sources, False)
+            assert rows == _reference_rows(view, sources, False)[0]
+            self._assert_clear(csr)
+
+    def test_interleaved_views_of_one_snapshot(self):
+        csr, failed_edges, failed_nodes = self._views()
+        pairs = list(zip(self._calls(failed_edges), self._calls(failed_nodes)))
+        for first, second in pairs + [p[::-1] for p in pairs]:
+            for name, args in (first, second):
+                assert getattr(natk, name)(*args) == getattr(pyk, name)(*args)
+            self._assert_clear(csr)
+
+    def test_a_call_that_raises_leaves_the_masks_clear(self, monkeypatch):
+        csr, failed_edges, failed_nodes = self._views()
+
+        def fail(status):
+            raise RuntimeError("native kernel failed")
+
+        monkeypatch.setattr(natk, "_check", fail)
+        for view in (failed_edges, failed_nodes):
+            for name, args in self._calls(view):
+                with pytest.raises(RuntimeError):
+                    getattr(natk, name)(*args)
+                self._assert_clear(csr)
+            with pytest.raises(RuntimeError):
+                natk.rows_many(view, _alive_sources(view)[:2], False)
+            self._assert_clear(csr)
+        monkeypatch.undo()
+        # A dead index outside the snapshot is refused before marking.
+        from repro.graph.csr import CsrView
+
+        bad = CsrView(csr, frozenset({0, len(csr.indices)}))
+        with pytest.raises(ValueError, match="dead edge slot"):
+            natk.dijkstra_canonical(bad, 1)
+        self._assert_clear(csr)
 
 
 class TestSelection:
