@@ -174,10 +174,7 @@ class UniqueShortestPathsBase(BaseSet):
         self.graph = graph
         self.include_all_edges = include_all_edges
         self._padded = padded_graph(graph, seed=seed, scale=pad_scale)
-        # Padding makes shortest paths unique, hence tie-free: the
-        # oracle may use the faster lazy-heap Dijkstra for full rows
-        # without changing any predecessor tree.
-        self._oracle = LazyDistanceOracle(self._padded, tie_free=True)
+        self._oracle = LazyDistanceOracle(self._padded)
 
     @property
     def padded(self) -> Graph:

@@ -4,13 +4,12 @@ Table 2, Table 3, Figure 10 and the benchmarks all evaluate the same
 four topologies, and each of them used to rebuild the padded graph and
 re-run identical Dijkstras from scratch.  This module gives every
 consumer the *same* base-set object (and therefore the same warm
-distance-oracle rows) for the same configuration.
+distance-oracle rows) for the same graph.
 
 Cache key: **graph identity** (the exact :class:`~repro.graph.graph.Graph`
-object, held weakly so caching never extends a graph's lifetime) plus
-the parameters that change what the base set answers — the padding
-*seed*, *pad_scale*, *include_all_edges*, and the tie-break mode (the
-class of base set: unique-choice padded vs. all-shortest-paths).
+object, held weakly so caching never extends a graph's lifetime); every
+consumer asks for the same base set, the default
+:class:`~repro.core.base_paths.UniqueShortestPathsBase` of the graph.
 Graph identity is the right key because base sets are defined on a
 specific object: two structurally equal graphs built separately get
 separate entries, which is exactly what the deterministic experiment
@@ -29,49 +28,26 @@ from typing import Union
 
 from ..graph.graph import DiGraph, Graph
 from ..graph.incremental import SptCache
-from .base_paths import AllShortestPathsBase, UniqueShortestPathsBase
+from .base_paths import UniqueShortestPathsBase
 
-#: graph -> {config key -> base set}.  Weak keys: dropping the last
-#: strong reference to a graph evicts its base sets.
-_CACHE: "weakref.WeakKeyDictionary[Graph, dict[tuple, Union[AllShortestPathsBase, UniqueShortestPathsBase]]]" = (
+#: graph -> its base set.  Weak keys: dropping the last strong
+#: reference to a graph evicts its base set.
+_CACHE: "weakref.WeakKeyDictionary[Graph, UniqueShortestPathsBase]" = (
     weakref.WeakKeyDictionary()
 )
 
 
-def shared_unique_base(
-    graph: Union[Graph, DiGraph],
-    seed: int = 1,
-    pad_scale: float = 1e-5,
-    include_all_edges: bool = True,
-) -> UniqueShortestPathsBase:
-    """The process-wide :class:`UniqueShortestPathsBase` for this config.
+def shared_unique_base(graph: Union[Graph, DiGraph]) -> UniqueShortestPathsBase:
+    """The process-wide :class:`UniqueShortestPathsBase` of *graph*.
 
-    Repeated calls with the same graph object and parameters return the
-    same instance, so its padded graph and oracle rows are computed at
-    most once per process.
+    Repeated calls with the same graph object return the same instance,
+    so its padded graph and oracle rows are computed at most once per
+    process.
     """
-    key = ("unique", seed, pad_scale, include_all_edges)
-    per_graph = _CACHE.setdefault(graph, {})
-    base = per_graph.get(key)
+    base = _CACHE.get(graph)
     if base is None:
-        base = UniqueShortestPathsBase(
-            graph, seed=seed, pad_scale=pad_scale, include_all_edges=include_all_edges
-        )
-        per_graph[key] = base
-    return base  # type: ignore[return-value]
-
-
-def shared_all_sp_base(
-    graph: Union[Graph, DiGraph], include_all_edges: bool = True
-) -> AllShortestPathsBase:
-    """The process-wide :class:`AllShortestPathsBase` for this config."""
-    key = ("all", include_all_edges)
-    per_graph = _CACHE.setdefault(graph, {})
-    base = per_graph.get(key)
-    if base is None:
-        base = AllShortestPathsBase(graph, include_all_edges=include_all_edges)
-        per_graph[key] = base
-    return base  # type: ignore[return-value]
+        base = _CACHE[graph] = UniqueShortestPathsBase(graph)
+    return base
 
 
 #: graph -> {weighted flag -> SptCache}.  Separate from the base-set
@@ -101,15 +77,6 @@ def shared_spt_cache(graph: Graph, weighted: bool = True) -> SptCache:
         cache = SptCache(graph, weighted=weighted)
         per_graph[weighted] = cache
     return cache
-
-
-def cache_stats() -> dict[str, int]:
-    """Entry counts, for tests and BENCH output."""
-    return {
-        "graphs": len(_CACHE),
-        "base_sets": sum(len(v) for v in _CACHE.values()),
-        "spt_caches": sum(len(v) for v in _SPT_CACHE.values()),
-    }
 
 
 def clear_cache() -> None:

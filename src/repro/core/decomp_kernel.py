@@ -182,8 +182,6 @@ def min_pieces_choice(base_set, nodes: Sequence[Node]) -> Optional[list[int]]:
     if oracle is None or not base_set.include_all_edges:
         return None
     table = oracle.row_table()
-    if table is None:
-        return None
     csr = oracle.csr()
     index = csr.index
     try:

@@ -76,7 +76,7 @@ from ..core.decomposition import min_pieces_decompose  # noqa: F401
 from ..failures.models import FailureScenario
 from ..graph.csr import shared_csr
 from ..graph.graph import Graph, Node
-from ..kernels import RowTable, kernel_backend
+from ..kernels import kernel_backend
 from ..obs import heartbeat
 from ..perf import COUNTERS, warm_up_phase
 
@@ -114,9 +114,6 @@ class IlmAccountant:
         self._source_idx = [index[source] for source in self.demand_sources]
         self._oracle = self._aligned_oracle()
         self._probe = self._oracle.csr()
-        # Oracle distance rows the tree DP reads, by node index (shared
-        # with the oracle's cache, filled one batch per kernel call).
-        self._rows = RowTable(self.csr.n, self._fill_rows)
         # source idx -> (order, pos, end, pred): its primary tree in
         # preorder, built lazily per source (the parent of a parallel
         # run that did not plan only builds the trees of sources its
@@ -164,7 +161,6 @@ class IlmAccountant:
         oracle = getattr(self.base, "oracle", None)
         if (
             oracle is None
-            or getattr(oracle, "break_ties_by_hops", False)
             or not getattr(self.base, "include_all_edges", False)
             or oracle.csr().nodes != self.csr.nodes
         ):
@@ -208,13 +204,6 @@ class IlmAccountant:
                     for si in dict.fromkeys(self._source_idx)
                 ]
         return universe
-
-    def _fill_rows(self, missing: list[int]) -> None:
-        """Fetch the oracle rows of *missing* nodes in one batch."""
-        nodes, oracle, rows = self.csr.nodes, self._oracle, self._rows.rows
-        oracle.warm_many(nodes[a] for a in missing)
-        for a in missing:
-            rows[a] = oracle.row_arrays(nodes[a])[0]
 
     # -- accounting -----------------------------------------------------------
 
@@ -339,7 +328,8 @@ class IlmAccountant:
         cache = shared_spt_cache(self.graph, weighted=self.weighted)
         rows = cache.repair_batch_idx(grouped, scenario)
         account = kernel_backend().ilm_account
-        probe, table, naive = self._probe, self._rows, self._backup_naive
+        probe, naive = self._probe, self._backup_naive
+        table = self._oracle.row_table()
         touched, pieces = self._touched, self._pieces
         affected_total = restored = unrestorable = probes = 0
         for si, ranges in grouped.items():

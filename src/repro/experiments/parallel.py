@@ -475,12 +475,9 @@ def publish_suite(
             if seg is not None:
                 segments.append(seg)
                 spt_name = seg.name
-            oracle = getattr(base, "oracle", None)
-            if oracle is not None and not getattr(
-                oracle, "break_ties_by_hops", False
-            ):
-                nodes = csr.nodes
-                oracle.ensure_rows(nodes[si] for si in sources)
+            if base is not None:
+                oracle = base.oracle
+                oracle.ensure_rows(csr.nodes[si] for si in sources)
                 ocsr = oracle.csr()
                 seg = shm.publish_rows(
                     "oracle", ocsr.n, True, ocsr.source_version,
@@ -557,12 +554,8 @@ def _adopt_network(network, shm_ref: ShmRef, with_base: bool):
     if not with_base:
         return None
     base = shared_unique_base(network.graph)
-    _adopt_shared(getattr(base, "padded", None), shm_ref, 1)
-    oracle = getattr(base, "oracle", None)
-    if oracle is not None and not getattr(
-        oracle, "break_ties_by_hops", False
-    ):
-        _adopt_row_slot(shm_ref, 3, oracle.adopt_rows)
+    _adopt_shared(base.padded, shm_ref, 1)
+    _adopt_row_slot(shm_ref, 3, base.oracle.adopt_rows)
     return base
 
 
@@ -717,11 +710,7 @@ def ilm_scenario_chunk(
             graph, weighted=network.weighted
         ).adopt_rows(table),
     )
-    oracle = getattr(base, "oracle", None)
-    if oracle is not None and not getattr(
-        oracle, "break_ties_by_hops", False
-    ):
-        _adopt_row_slot(row_ref, 1, oracle.adopt_rows)
+    _adopt_row_slot(row_ref, 1, base.oracle.adopt_rows)
     key = (scale, seed, index, mode, ilm_max_scenarios, failure_model)
     cached = _ILM_ACCOUNTANTS.get(key)
     if cached is None:

@@ -24,7 +24,7 @@ from ..perf import COUNTERS, in_warm_up, warm_up_phase
 from .csr import INF, CsrView, dijkstra_csr_canonical, shared_csr
 from .graph import Node
 from .paths import Path
-from .shortest_paths import costs_equal, dijkstra, dijkstra_pruned, reconstruct_path
+from .shortest_paths import costs_equal, dijkstra, reconstruct_path
 
 
 class ApspDistances:
@@ -105,20 +105,23 @@ class LazyDistanceOracle:
     queried.  The cache is unbounded by design — an experiment's working
     set is its sample of sources.
 
-    Rows are stored **array-native**: one flat ``(dist, pred)`` pair of
-    int-indexed buffers per source (``array('d')`` / ``array('q')``, or
-    read-only memoryviews when adopted from shared memory), straight
-    from the canonical CSR kernel
+    Rows are stored **array-native**, once, by CSR source index, in the
+    oracle's :class:`~repro.kernels.OracleRows` (:meth:`row_table`): one
+    flat ``(dist, pred)`` pair of int-indexed buffers per source
+    (``array('d')`` / ``array('q')``, or read-only memoryviews when
+    adopted from shared memory), straight from the canonical CSR kernel
     (:func:`~repro.graph.csr.dijkstra_csr_canonical`) — the same shape
     :class:`~repro.graph.incremental.SptCache` caches, so rows flow
     between the graph, cache, kernel, and experiment layers without
-    conversion.  Dict views (:meth:`distances_from`) are built on
-    demand, restricted to the requested targets.
+    conversion.  Both decomposition DPs of the kernel backends read
+    that table directly; dict views (:meth:`distances_from`) are built
+    on demand, restricted to the requested targets.
 
-    Two row flavors coexist:
+    Two row flavors coexist, told apart by the table's ``full`` flag:
 
     * **full rows** — the whole component settled; ``INF`` in the row
-      proves unreachability (what :meth:`distance` / :meth:`path` use);
+      proves unreachability (what :meth:`distance` / :meth:`path` and
+      the ILM tree DP use);
     * **truncated rows** — computed by :meth:`warm` with a target set,
       stopping as soon as every requested target settles.  This is the
       decomposition kernel's access pattern: a restoration path's O(1)
@@ -131,78 +134,40 @@ class LazyDistanceOracle:
 
     Predecessors follow the library-wide canonical ``(dist, index)``
     tie order, so :meth:`path` answers match every other canonical
-    consumer (SptCache backups, routing SPF) node-for-node.  *tie_free*
-    is retained for API compatibility but inert: it used to gate the
-    CSR kernel behind a no-ties guarantee; under the canonical contract
-    the kernel is deterministic with or without ties.  With
-    *break_ties_by_hops* the oracle keeps the dict pipeline (the CSR
-    kernels do not implement the hop-count tie rule).
+    consumer (SptCache backups, routing SPF) node-for-node.
     """
 
-    __slots__ = (
-        "_graph",
-        "_dist",
-        "_pred",
-        "_complete",
-        "_truncated",
-        "_csr",
-        "_table",
-        "break_ties_by_hops",
-        "tie_free",
-    )
+    __slots__ = ("_graph", "_csr", "_table")
 
-    def __init__(
-        self, graph, break_ties_by_hops: bool = False, tie_free: bool = False
-    ) -> None:
+    def __init__(self, graph) -> None:
         self._graph = graph
-        # Array mode: source -> flat buffers (array('d'), array('q')).
-        # Hops mode: source -> dict rows, as produced by dijkstra().
-        self._dist: dict[Node, object] = {}
-        self._pred: dict[Node, object] = {}
-        self._complete: set[Node] = set()
-        self._truncated: set[Node] = set()
+        # Both built on first use (a base set may never be queried).
         self._csr: Optional[CsrView] = None
         self._table: Optional[OracleRows] = None
-        self.break_ties_by_hops = break_ties_by_hops
-        self.tie_free = tie_free
 
     @property
     def graph(self):
         """The graph whose distances this oracle answers."""
         return self._graph
 
-    def _csr_view(self) -> CsrView:
-        """The (lazily interned) CSR snapshot the canonical rows run on."""
-        if self._csr is None:
+    def row_table(self) -> OracleRows:
+        """The rows by CSR node index, as they stand (truncated rows
+        included): what every query reads, and the row source of the
+        kernel backends' ``decompose_flat`` (whose warm requests run
+        :meth:`warm`) and ``ilm_account`` (whose fill requests build
+        and promote full rows)."""
+        table = self._table
+        if table is None:
             self._csr = CsrView(shared_csr(self._graph))
-            self._table = OracleRows(self._csr.csr.n, self._warm_chain)
-        return self._csr
+            table = self._table = OracleRows(
+                self._csr.csr.n, self._warm_chain, self._make_full
+            )
+        return table
 
-    def _store(self, source: Node, i: int, dist, pred) -> None:
-        """Cache *source*'s rows; *i* is its CSR index.  The one place
-        rows enter the oracle, so the index table (:meth:`row_table`)
-        follows every store, promotions included."""
-        self._dist[source], self._pred[source] = dist, pred
-        if not self.break_ties_by_hops:
-            self._table.store(i, dist)
-
-    def row_table(self) -> Optional[OracleRows]:
-        """The distance rows by CSR node index, as they stand (truncated
-        rows included): the row source of the kernel backends'
-        ``decompose_flat``, whose warm requests go to :meth:`warm`.
-        ``None`` in hop-count tie mode."""
-        if self.break_ties_by_hops:
-            return None
-        self._csr_view()
-        return self._table
-
-    def _warm_chain(self, chain, positions) -> None:
-        """:meth:`warm` each listed position of an index chain toward
-        the chain's later nodes, in the order given."""
-        nodes = self._csr.csr.nodes
-        path = [nodes[a] for a in chain]
-        for j in positions:
-            self.warm(path[j], path[j + 1 :])
+    def _index(self) -> dict:
+        """Node -> CSR index of the snapshot the rows live in."""
+        self.row_table()
+        return self._csr.csr.index
 
     def csr(self):
         """The interned :class:`CsrGraph` the array rows are indexed by.
@@ -211,38 +176,19 @@ class LazyDistanceOracle:
         check that their own index space (``shared_csr(other).nodes``)
         lines up before mixing buffers.
         """
-        return self._csr_view().csr
+        self.row_table()
+        return self._csr.csr
 
-    def row_arrays(self, source: Node) -> tuple:
-        """The full canonical ``(dist, pred)`` buffers for *source*.
-
-        The zero-conversion hand-off other layers consume; indices are
-        positions in ``shared_csr(graph).nodes``.  Unavailable in
-        hop-count tie mode.
-        """
-        if self.break_ties_by_hops:
-            raise ValueError("array rows unavailable with break_ties_by_hops")
-        self._ensure(source)
-        return self._dist[source], self._pred[source]  # type: ignore[return-value]
-
-    def _ensure(self, source: Node) -> None:
-        """Make the row for *source* a full row."""
-        if source in self._complete:
+    def _ensure(self, i: int) -> None:
+        """Make node index *i*'s row a full row."""
+        table = self._table
+        if table.full[i]:
             return
-        promoted = source in self._truncated
+        promoted = table.rows[i] is not None
         if promoted:
             COUNTERS.oracle_promotions += 1
-            self._truncated.discard(source)
-        if self.break_ties_by_hops:
-            self._dist[source], self._pred[source] = dijkstra(
-                self._graph, source, break_ties_by_hops=True
-            )
-        else:
-            view = self._csr_view()
-            i = view.csr.index[source]
-            dist, pred, _ = dijkstra_csr_canonical(view, i)
-            self._store(source, i, dist, pred)
-        self._complete.add(source)
+        dist, pred, _ = dijkstra_csr_canonical(self._csr, i)
+        table.store(i, dist, pred, True)
         COUNTERS.oracle_rows_full += 1
         if not promoted and in_warm_up():
             # Promotions are query-driven (a probe outran a truncated
@@ -251,44 +197,88 @@ class LazyDistanceOracle:
             # warm-row publication can eliminate.
             COUNTERS.warm_row_builds += 1
 
-    def _covered(self, row, t: Node) -> bool:
-        """Is *t*'s label in this (possibly truncated) row final?"""
-        if self.break_ties_by_hops:
-            return t in row
-        it = self._csr.csr.index.get(t)
-        return it is not None and row[it] != INF
-
-    def warm_many(self, sources: Iterable[Node]) -> None:
-        """Batch-build full rows for every source with no cached row yet.
+    def _build_many(self, idxs: Iterable[int]) -> None:
+        """Batch-build full rows for every listed index with no row yet.
 
         Hands the whole batch to the active kernel backend's
         ``rows_many`` — batched C calls under native; a no-op under
         the reference backend (``None`` return), where rows keep
         materializing lazily through :meth:`_ensure`.  Either
         way the rows, their flavors, and the oracle counters end up
-        identical: only sources with *no* row are batched (truncated
+        identical: only indices with *no* row are batched (truncated
         rows still promote through :meth:`_ensure`, preserving
         ``oracle_promotions``), and each batched row accounts one
         ``oracle_rows_full`` exactly as its lazy twin would.
         """
-        if self.break_ties_by_hops:
-            return
-        missing = [s for s in dict.fromkeys(sources) if s not in self._dist]
+        rows = self._table.rows
+        missing = [i for i in dict.fromkeys(idxs) if rows[i] is None]
         if len(missing) < 2:
             return
-        view = self._csr_view()
-        index = view.csr.index
-        idxs = [index[s] for s in missing]
-        rows = kernel_backend().rows_many(view, idxs, unit=False)
-        if rows is None:
+        built = kernel_backend().rows_many(self._csr, missing, unit=False)
+        if built is None:
             return
         warm_up = in_warm_up()
-        for s, i in zip(missing, idxs):
-            self._store(s, i, *rows[i])
-            self._complete.add(s)
+        for i in missing:
+            self._table.store(i, *built[i], True)
             COUNTERS.oracle_rows_full += 1
             if warm_up:
                 COUNTERS.warm_row_builds += 1
+
+    def _make_full(self, idxs: list[int]) -> None:
+        """Make the rows of *idxs* full: one :meth:`_build_many` batch
+        for those with no row, then :meth:`_ensure` each (a truncated
+        row is promoted).  The table's ``fill`` callback."""
+        self._build_many(idxs)
+        for i in idxs:
+            self._ensure(i)
+
+    def _warm(self, i: int, targets: Iterable[int]):
+        """:meth:`warm` by CSR index; *targets* is read only when the
+        row is not full."""
+        table = self._table
+        row = table.rows[i]
+        if table.full[i]:
+            return row
+        targets = list(targets)
+        if row is not None:
+            if INF not in map(row.__getitem__, targets):
+                return row
+            self._ensure(i)
+            return table.rows[i]
+        dist, pred, exhausted = dijkstra_csr_canonical(
+            self._csr, i, targets=targets
+        )
+        # A target-pruned query that happened to settle everything is a
+        # full row: demand-driven, so not accounted as warm-up work.
+        table.store(i, dist, pred, exhausted)
+        if exhausted:
+            COUNTERS.oracle_rows_full += 1
+        else:
+            COUNTERS.oracle_rows_truncated += 1
+        return dist
+
+    def _warm_chain(self, chain, positions) -> None:
+        """:meth:`warm` each listed position of an index chain toward
+        the chain's later nodes, in the order given (the table's
+        ``warm`` callback)."""
+        for j in positions:
+            self._warm(chain[j], chain[j + 1:])
+
+    def row_arrays(self, source: Node) -> tuple:
+        """The full canonical ``(dist, pred)`` buffers for *source*.
+
+        The zero-conversion hand-off other layers consume; indices are
+        positions in ``shared_csr(graph).nodes``.
+        """
+        i = self._index()[source]
+        self._ensure(i)
+        return self._table.rows[i], self._table.preds[i]
+
+    def warm_many(self, sources: Iterable[Node]) -> None:
+        """Batch-build full rows for every source with no cached row yet
+        (see :meth:`_build_many`)."""
+        index = self._index()
+        self._build_many(index[s] for s in sources)
 
     def warm(self, source: Node, targets: Iterable[Node]):
         """Guarantee each target is settled or provably unreachable.
@@ -301,36 +291,8 @@ class LazyDistanceOracle:
         but final at every target, which is all the decomposition DP
         reads (taking it as is keeps ``oracle_promotions`` untouched).
         """
-        if source in self._complete:
-            return self._dist[source]
-        row = self._dist.get(source)
-        if row is not None:
-            if all(self._covered(row, t) for t in targets):
-                return row
-            self._ensure(source)
-            return self._dist[source]
-        if self.break_ties_by_hops:
-            dist, pred, exhausted = dijkstra_pruned(
-                self._graph, source, targets
-            )
-            self._dist[source], self._pred[source] = dist, pred
-        else:
-            view = self._csr_view()
-            index = view.csr.index
-            i = index[source]
-            dist, pred, exhausted = dijkstra_csr_canonical(
-                view, i, targets=[index[t] for t in targets]
-            )
-            self._store(source, i, dist, pred)
-        if exhausted:
-            # A target-pruned query that happened to settle everything:
-            # demand-driven, so not accounted as warm-up duplication.
-            self._complete.add(source)
-            COUNTERS.oracle_rows_full += 1
-        else:
-            self._truncated.add(source)
-            COUNTERS.oracle_rows_truncated += 1
-        return dist
+        index = self._index()
+        return self._warm(index[source], (index[t] for t in targets))
 
     def distances_from(self, source: Node, targets: Iterable[Node]) -> dict[Node, float]:
         """Exact distances to *targets*; a missing key means unreachable.
@@ -340,55 +302,41 @@ class LazyDistanceOracle:
         the returned plain dict — the on-demand dict view of the flat
         buffers, restricted to the probe's targets — makes every
         subsequent probe a dictionary lookup plus one float comparison.
-        The min-pieces DP skips the dict and reads :meth:`warm`'s row.
+        The min-pieces DP skips the dict and reads the row table.
         """
+        index = self._index()
         targets = list(targets)
-        self.warm(source, targets)
-        row = self._dist[source]
-        if self.break_ties_by_hops:
-            return {t: row[t] for t in targets if t in row}
-        index = self._csr.csr.index
-        out: dict[Node, float] = {}
-        for t in targets:
-            it = index.get(t)
-            if it is not None and row[it] != INF:
-                out[t] = row[it]
-        return out
+        idxs = [index[t] for t in targets]
+        row = self._warm(index[source], idxs)
+        return {t: row[it] for t, it in zip(targets, idxs) if row[it] != INF}
+
+    def _label(self, u: Node, v: Node) -> float:
+        """*u*'s final label of *v* (``INF``: unreachable or not a
+        node), promoting or building *u*'s row unless it settles *v*."""
+        index = self._index()
+        i, j = index[u], index.get(v)
+        table = self._table
+        row = table.rows[i]
+        if row is None or not table.full[i] and (j is None or row[j] == INF):
+            self._ensure(i)
+            row = table.rows[i]
+        return INF if j is None else row[j]
 
     def distance(self, u: Node, v: Node) -> float:
         """Shortest distance source->target; raises NoPath if unreachable."""
-        row = self._dist.get(u)
-        if row is not None and self._covered(row, v):
-            return row[v] if self.break_ties_by_hops else row[self._csr.csr.index[v]]
-        if u not in self._complete:
-            self._ensure(u)
-            row = self._dist[u]
-            if self._covered(row, v):
-                return (
-                    row[v]
-                    if self.break_ties_by_hops
-                    else row[self._csr.csr.index[v]]
-                )
-        raise NoPath(f"no path from {u!r} to {v!r}")
+        d = self._label(u, v)
+        if d == INF:
+            raise NoPath(f"no path from {u!r} to {v!r}")
+        return d
 
     def has_path(self, u: Node, v: Node) -> bool:
         """True if a path exists (and the source is covered)."""
-        row = self._dist.get(u)
-        if row is not None and self._covered(row, v):
-            return True
-        if u in self._complete:
-            return False
-        self._ensure(u)
-        return self._covered(self._dist[u], v)
+        return self._label(u, v) != INF
 
     def path(self, u: Node, v: Node) -> Path:
         """One shortest path for the pair, from the cached pred buffers."""
-        if u not in self._complete:
-            self._ensure(u)
-        if self.break_ties_by_hops:
-            return reconstruct_path(self._pred[u], u, v)
+        dist, pred = self.row_arrays(u)
         csr = self._csr.csr
-        dist, pred = self._dist[u], self._pred[u]
         iv = csr.index.get(v)
         if iv is None or dist[iv] == INF:
             raise NoPath(f"no path from {u!r} to {v!r}")
@@ -402,40 +350,34 @@ class LazyDistanceOracle:
         return Path([csr.nodes[i] for i in chain])
 
     def cached_sources(self) -> list[Node]:
-        """Sources whose rows are currently cached."""
-        return list(self._dist)
+        """Sources whose rows are currently cached, in CSR index order."""
+        rows = self.row_table().rows
+        nodes = self._csr.csr.nodes
+        return [nodes[i] for i, row in enumerate(rows) if row is not None]
 
     def ensure_rows(self, sources: Iterable[Node]) -> None:
         """Build full rows for every listed source (publisher warm-up).
 
-        ``warm_many`` batches the cold sources through the kernel
-        backend, then a lazy ``_ensure`` sweep picks up whatever the
-        backend declined (reference backend, batches of one) plus any
-        truncated rows.  No-op in hop-count tie mode.
+        One batch through the kernel backend, then a lazy sweep picks up
+        whatever the backend declined (reference backend, batches of
+        one) plus any truncated rows (:meth:`_make_full`).
         """
-        if self.break_ties_by_hops:
-            return
-        wanted = list(dict.fromkeys(sources))
+        index = self._index()
         with warm_up_phase():
-            self.warm_many(wanted)
-            for s in wanted:
-                self._ensure(s)
+            self._make_full([index[s] for s in sources])
 
     def export_rows(self) -> dict[int, tuple]:
-        """Complete array-mode rows keyed by CSR source index.
+        """Full rows keyed by CSR source index.
 
         The publication payload for
         :func:`repro.graph.shm.publish_rows`: truncated rows are
         excluded (their ``INF`` labels are ambiguous — an adopter could
-        not tell unsettled from unreachable), and hop-count tie mode
-        exports nothing (dict rows have no flat layout).
+        not tell unsettled from unreachable).
         """
-        if self.break_ties_by_hops:
-            return {}
-        index = self._csr_view().csr.index
+        table = self.row_table()
         return {
-            index[s]: (self._dist[s], self._pred[s])
-            for s in self._complete
+            i: (table.rows[i], table.preds[i])
+            for i, full in enumerate(table.full) if full
         }
 
     def adopt_rows(self, table) -> int:
@@ -448,18 +390,13 @@ class LazyDistanceOracle:
         views are zero-copy and read-only, and the only counter moved
         is ``warm_rows_adopted`` — adoption must never look like
         search work.  Returns the number of rows installed; raises
-        ``ValueError`` on a kind/shape/version mismatch or in
-        hop-count tie mode.
+        ``ValueError`` on a kind/shape/version mismatch.
         """
-        if self.break_ties_by_hops:
-            raise ValueError(
-                "cannot adopt array rows with break_ties_by_hops"
-            )
         if table.kind != "oracle":
             raise ValueError(
                 f"cannot adopt {table.kind!r} rows into a distance oracle"
             )
-        csr = self._csr_view().csr
+        csr = self.csr()
         if table.n != csr.n:
             raise ValueError(
                 f"row table has n={table.n}, oracle graph has n={csr.n}"
@@ -474,14 +411,11 @@ class LazyDistanceOracle:
                 f"{table.source_version}, oracle snapshot is version "
                 f"{csr.source_version}"
             )
-        nodes = csr.nodes
+        own = self._table
         adopted = 0
         for i in table.sources:
-            s = nodes[i]
-            if s in self._dist:
-                continue
-            self._store(s, i, *table.row(i))
-            self._complete.add(s)
-            adopted += 1
+            if own.rows[i] is None:
+                own.store(i, *table.row(i), True)
+                adopted += 1
         COUNTERS.warm_rows_adopted += adopted
         return adopted

@@ -399,9 +399,11 @@ def dijkstra_csr_canonical(
     :mod:`repro.graph.incremental` without heap-history replay.
 
     With *targets*, stops once every live target is settled; returns
-    ``(dist, pred, exhausted)`` where *exhausted* mirrors
-    :func:`~repro.graph.shortest_paths.dijkstra_pruned`: only an
-    exhausted run proves unreached nodes unreachable.
+    ``(dist, pred, exhausted)`` where *exhausted* is true when the run
+    settled the source's whole live component (the search ran dry, or
+    the last target settled with the heap empty and no live unsettled
+    neighbour): only an exhausted run proves unreached nodes
+    unreachable.
 
     Dispatches to the active kernel backend (:mod:`repro.kernels`);
     every backend returns bit-identical rows — ``dist`` as

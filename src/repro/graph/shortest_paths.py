@@ -23,8 +23,7 @@ failures" is just running them on a view.
 
 from __future__ import annotations
 
-import heapq
-from typing import Iterable, Optional
+from typing import Optional
 
 from ..exceptions import NodeNotFound, NoPath
 from ..perf import COUNTERS
@@ -96,71 +95,6 @@ def dijkstra(
     COUNTERS.dijkstra_settled += len(dist)
     COUNTERS.dijkstra_relaxations += relaxations
     return dist, pred
-
-
-def dijkstra_pruned(
-    graph,
-    source: Node,
-    targets: Optional[Iterable[Node]] = None,
-) -> tuple[dict[Node, float], dict[Node, Node], bool]:
-    """Target-pruned single-source Dijkstra on a lazy binary heap.
-
-    The workhorse behind the distance oracle's row computation: a
-    ``heapq``-based Dijkstra (decrease-key replaced by lazy stale-entry
-    skipping, which is substantially faster in pure Python than an
-    addressable heap) that stops as soon as every node in *targets* is
-    settled.  With ``targets=None`` the whole component is settled.
-
-    Returns ``(dist, pred, exhausted)`` where *exhausted* is True when
-    the search ran to completion — only then does a node's absence from
-    ``dist`` prove it unreachable.
-
-    Distances are exact for every settled node regardless of pruning,
-    so truncation never changes a comparison made against the returned
-    rows.  Tie-breaking between equal-cost predecessors follows the
-    same "first strict improvement wins" rule as :func:`dijkstra`; on
-    the padded (tie-free) graphs the oracle runs on, the predecessor
-    tree is therefore bit-identical to the classic implementation's.
-    """
-    if not graph.has_node(source):
-        raise NodeNotFound(f"no node {source!r}")
-    dist: dict[Node, float] = {}
-    pred: dict[Node, Node] = {}
-    best: dict[Node, float] = {source: 0.0}
-    remaining: Optional[set[Node]] = None
-    if targets is not None:
-        remaining = {t for t in targets if t != source}
-    heap: list[tuple[float, int, Node]] = [(0.0, 0, source)]
-    seq = 0
-    relaxations = 0
-    exhausted = True
-    push = heapq.heappush
-    pop = heapq.heappop
-    while heap:
-        d_u, _, u = pop(heap)
-        if u in dist:
-            continue
-        dist[u] = d_u
-        if remaining is not None:
-            remaining.discard(u)
-            if not remaining:
-                exhausted = not heap
-                break
-        for v, w in graph.adjacency(u):
-            relaxations += 1
-            if v in dist:
-                continue
-            candidate = d_u + w
-            old = best.get(v)
-            if old is None or candidate < old:
-                best[v] = candidate
-                seq += 1
-                push(heap, (candidate, seq, v))
-                pred[v] = u
-    COUNTERS.dijkstra_runs += 1
-    COUNTERS.dijkstra_settled += len(dist)
-    COUNTERS.dijkstra_relaxations += relaxations
-    return dist, pred, exhausted
 
 
 def bfs_shortest_paths(

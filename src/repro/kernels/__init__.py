@@ -37,8 +37,9 @@ oracle's rows by node index from its :class:`OracleRows` and, when
 some are missing or not final at the chain's later nodes, has the
 oracle warm just those and runs again, one call per decomposition;
 and ``ilm_account`` decomposes every affected demand of a source in
-one DP over the repaired tree, reading oracle rows from a
-:class:`RowTable`, whose rows never change.
+one DP over the repaired tree, reading the full rows of the same
+:class:`OracleRows` after the oracle has built or promoted the ones
+it lacks.
 
 Selection: the ``REPRO_KERNEL`` environment variable (``python``,
 ``native``, or ``auto`` — the default), or ``--kernel`` on every
@@ -68,60 +69,49 @@ KERNEL_CHOICES = ("auto", "python", "native")
 REPAIRED, UNTOUCHED, OVER_THRESHOLD, SOURCE_CUT = range(4)
 
 
-class RowTable:
-    """Oracle distance rows by node index, filled on demand: the row
-    source of every backend's ``ilm_account``.
-
-    ``rows[a]`` is node ``a``'s distance row (``array('d')`` or a
-    read-only ``'d'`` memoryview) or ``None``.  When a call needs rows
-    the table lacks, the backend passes their indices, in one list, to
-    *fill*, which must set them.  A row, once set, stays, and stays
-    readable (a shared-memory row's segment attached) while the table
-    is in use: backends keep per-table state in ``state``, keyed by
-    backend name, and the native backend caches row addresses there.
-    """
-
-    __slots__ = ("rows", "fill", "state")
-
-    def __init__(self, n: int, fill=None) -> None:
-        self.rows: list = [None] * n
-        self.fill = fill
-        self.state: dict = {}
-
-
 class OracleRows:
     """A distance oracle's rows by node index: the row source of every
-    backend's ``decompose_flat``.
+    backend's ``decompose_flat`` and ``ilm_account``.
 
     ``rows[a]`` is node ``a``'s distance row (``array('d')`` or a
-    read-only ``'d'`` memoryview of ``n`` entries, full or truncated)
-    or ``None``; ``addrs[a]`` is its base address, 0 without a row,
-    which the native backend reads.  The owner stores every row
-    through :meth:`store`, which checks its shape and typecode once.
-    A row may be replaced (a truncated row promoted to a full one),
-    and its address is replaced with it; a stored row stays readable
-    (a shared-memory row's segment attached) while the table is in
-    use.  When a call finds rows missing, or not final at a later node
-    of its chain, the backend passes the chain and those positions,
-    ascending, to *warm*, which must store them.
+    read-only ``'d'`` memoryview of ``n`` entries) or ``None``, and
+    ``preds[a]`` its predecessor row; ``addrs[a]`` is the distance
+    row's base address, 0 without a row, which the native backend
+    reads; ``full[a]`` is 1 when the row is full (its whole component
+    settled, so ``INF`` proves unreachability) and 0 when it is
+    truncated (settled up to some targets: ``INF`` may be unsettled)
+    or missing.  The owner stores every row through :meth:`store`,
+    which checks its shape and typecode once.  A truncated row may be
+    replaced by a full one (a promotion), and its address with it; a
+    full row is never replaced, and a stored row stays readable (a
+    shared-memory row's segment attached) while the table is in use.
 
-    Not a :class:`RowTable`: ``ilm_account`` reads an unsettled entry
-    as "not a base path" and caches row addresses for good, so it must
-    never see these rows change.
+    The backends ask the owner for rows through two callbacks.
+    ``decompose_flat`` reads a row wherever it is final at the chain's
+    later nodes, truncated or not, and passes the chain and the
+    positions whose row is missing or not final there, ascending, to
+    *warm*.  ``ilm_account`` reads an unsettled entry as "not a base
+    path", so it reads full rows only, and passes the nodes whose row
+    is not full, in one list, to *fill*, which must make them full.
     """
 
-    __slots__ = ("rows", "addrs", "warm")
+    __slots__ = ("rows", "preds", "addrs", "full", "warm", "fill")
 
-    def __init__(self, n: int, warm) -> None:
+    def __init__(self, n: int, warm=None, fill=None) -> None:
         self.rows: list = [None] * n
+        self.preds: list = [None] * n
         self.addrs = array("Q", bytes(8 * n))
+        self.full = array("B", bytes(n))
         self.warm = warm
+        self.fill = fill
 
-    def store(self, a: int, row) -> None:
-        """Install *row* as node *a*'s row (``ValueError`` on a shape
-        or typecode mismatch)."""
+    def store(self, a: int, row, pred=None, full: bool = False) -> None:
+        """Install *row* (and *pred*) as node *a*'s rows, full or
+        truncated (``ValueError`` on a shape or typecode mismatch)."""
         self.addrs[a] = row_address(row, "d", len(self.rows), "rows")
         self.rows[a] = row
+        self.preds[a] = pred
+        self.full[a] = full
 
 
 _BACKEND = None  # resolved backend module, cached per process

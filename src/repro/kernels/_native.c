@@ -205,7 +205,15 @@ dijkstra_core(const i64 *indptr, const i64 *indices, const double *weights,
                 remaining--;
             }
             if (remaining == 0) {
+                /* u's out-edges are not relaxed yet: the component is
+                 * settled only if none leads to a live unsettled node. */
                 exhausted = h->len == 0;
+                for (i64 slot = indptr[u]; exhausted && slot < indptr[u + 1];
+                     slot++) {
+                    i64 v = indices[slot];
+                    if (isinf(dist[v]) && !node_dead[v] && !edge_dead[slot])
+                        exhausted = 0;
+                }
                 break;
             }
         }
@@ -896,16 +904,19 @@ repro_decompose(const i64 *indptr, const i64 *indices, const double *weights,
  * root down (the chain's prefix sums, the same additions) and ties go
  * to the shallowest ancestor (repro_decompose's first-minimal j).
  *
- * `rows[a]` is the oracle distance row of node a, or null; the DP
- * reads it only for nodes with a union descendant two or more levels
- * down.  `work` holds eleven n-entry scratch arrays the caller keeps
- * between calls: depth (all -1 on entry, and restored to -1 on every
- * return), then parent, best, choice, sub, height, mark, order, stack,
- * path, nodes.  Only the entries of touched nodes are written, so a
- * call costs O(union + probes), never O(n).
+ * `rows[a]` is the oracle distance row of node a, or null, and
+ * `full[a]` is 1 when that row is full (a truncated row's INF may be
+ * unsettled, which the DP would read as "not a base path").  The DP
+ * reads the rows of nodes with a union descendant two or more levels
+ * down, full ones only.  `work` holds eleven n-entry scratch arrays
+ * the caller keeps between calls: depth (all -1 on entry, and
+ * restored to -1 on every return), then parent, best, choice, sub,
+ * height, mark, order, stack, path, nodes.  Only the entries of
+ * touched nodes are written, so a call costs O(union + probes), never
+ * O(n).
  *
- * Statuses: 0 accounted; 1 the DP needs the rows of the out[4] nodes
- * listed in `nodes`, whose `rows` entry is null; 2 the pieces need
+ * Statuses: 0 accounted; 1 the DP needs full rows for the out[4]
+ * nodes listed in `nodes`, whose `full` flag is clear; 2 the pieces need
  * out[4] flat entries, more than flat_cap; 3 target out[5] lies
  * outside [0, n); 4 pred[out[5]] is outside the row or not a
  * probe-graph edge; 5 pred has a cycle through out[5].  Only status 0
@@ -927,9 +938,10 @@ int
 repro_ilm_account(const i64 *indptr, const i64 *indices,
                   const double *weights, i64 n, i64 source,
                   const i64 *targets, i64 n_targets, const double *dist,
-                  const i64 *pred, const double *const *rows, double eps,
-                  i64 *naive, i64 *work, double *cum, i64 *piece_off,
-                  i64 *flat, i64 flat_cap, i64 *out)
+                  const i64 *pred, const double *const *rows,
+                  const u8 *full, double eps, i64 *naive, i64 *work,
+                  double *cum, i64 *piece_off, i64 *flat, i64 flat_cap,
+                  i64 *out)
 {
     i64 *depth = work;
     i64 *parent = work + n;
@@ -1022,7 +1034,7 @@ repro_ilm_account(const i64 *indptr, const i64 *indices,
         }
         for (i64 i = 0; i < n_order; i++) {
             i64 a = order[i];
-            if (height[a] >= 2 && rows[a] == NULL)
+            if (height[a] >= 2 && !full[a])
                 nodes[missing++] = a;
         }
         if (missing) {

@@ -220,7 +220,7 @@ _LIB.repro_count_paths.argtypes = [
 ]
 _LIB.repro_ilm_account.restype = ctypes.c_int
 _LIB.repro_ilm_account.argtypes = [
-    _ptr, _ptr, _ptr, _i64, _i64, _ptr, _i64, _ptr, _ptr, _ptr,
+    _ptr, _ptr, _ptr, _i64, _i64, _ptr, _i64, _ptr, _ptr, _ptr, _ptr,
     ctypes.c_double, _ptr, _ptr, _ptr, _ptr, _ptr, _i64, _ptr,
 ]
 
@@ -235,7 +235,7 @@ _ILM_ERRORS = {
     4: "pred of node {} is outside the row or not a probe-graph edge",
     5: "pred has a cycle through node {}",
 }
-#: Scratch arrays per row table (see ``repro_ilm_account``).
+#: Index-sized scratch arrays of ``repro_ilm_account``.
 _ILM_WORK_ARRAYS = 11
 
 
@@ -273,8 +273,9 @@ def _addr_of(buf) -> tuple[int, object]:
 
 
 class _GraphState:
-    """A snapshot's native state: its buffer addresses and the dead
-    masks every call over one of its views borrows.
+    """A snapshot's native state: its buffer addresses, the dead masks
+    every call over one of its views borrows, and ``ilm_account``'s
+    work arrays (built on first use).
 
     The masks stay all zero between calls: each view-taking kernel
     marks its view's dead slots and nodes (:func:`_dead`) on entry and
@@ -284,7 +285,7 @@ class _GraphState:
     """
 
     __slots__ = ("indptr", "indices", "weights", "edge_mask", "node_mask",
-                 "masks", "keepalive")
+                 "masks", "keepalive", "ilm")
 
     def __init__(self, csr) -> None:
         self.indptr, k1 = _addr_of(csr.indptr)
@@ -296,6 +297,7 @@ class _GraphState:
         node_dead, k5 = _addr_of(self.node_mask)
         self.masks = (edge_dead, node_dead)
         self.keepalive = (k1, k2, k3, k4, k5)
+        self.ilm: Optional[_IlmScratch] = None
 
 
 def _graph_state(csr) -> _GraphState:
@@ -593,15 +595,12 @@ def decompose_flat(
 
 
 class _IlmScratch:
-    """What one row table keeps between ``ilm_account`` calls: the
-    cached row addresses and the kernel's index-sized work arrays."""
+    """``ilm_account``'s index-sized work arrays over one snapshot,
+    kept between calls (the kernel restores what it marks)."""
 
-    __slots__ = ("n", "addrs", "work", "cum", "piece_off", "flat", "out",
-                 "ptrs")
+    __slots__ = ("work", "cum", "piece_off", "flat", "out", "ptrs")
 
     def __init__(self, n: int) -> None:
-        self.n = n
-        self.addrs = array("Q", bytes(8 * n))
         self.work = array("q", [-1]) * n + _Q0 * ((_ILM_WORK_ARRAYS - 1) * n)
         self.cum = _D0 * n
         self.piece_off = _Q0 * (n + 1)
@@ -609,37 +608,21 @@ class _IlmScratch:
         self.out = _Q0 * 6
         self.ptrs = tuple(
             buf.buffer_info()[0]
-            for buf in (self.addrs, self.work, self.cum, self.piece_off,
-                        self.out)
+            for buf in (self.work, self.cum, self.piece_off, self.out)
         )
-
-
-def _install_rows(table, scratch: _IlmScratch, needed: list[int]) -> None:
-    """Cache the addresses of *needed* rows, asking the table to fill
-    the ones it lacks first; a row it cannot supply is a ValueError."""
-    rows = table.rows
-    lacking = [a for a in needed if rows[a] is None]
-    if lacking and table.fill is not None:
-        table.fill(lacking)
-    addrs, n = scratch.addrs, scratch.n
-    for a in needed:
-        row = rows[a]
-        if row is None:
-            raise ValueError(f"rows: no oracle row for node {a}")
-        addrs[a] = row_address(row, "d", n, "rows")
 
 
 def ilm_account(probe, source: int, targets, dist, pred, table, naive):
     """One (scenario, source) pair's ILM accounting in C.
 
     The reference's walk, tree DP and piece extraction in one call
-    (``repro_ilm_account``), reading the repaired row and the oracle
-    rows in place.  The row addresses and work arrays live in
-    ``table.state`` between calls; a call that needs rows the table has
-    no address for reports them, the rows are installed (``table.fill``
-    first builds missing ones), and the call runs again — as it does
-    when the pieces outgrow the flat buffer.  Shapes, indices and
-    ``pred`` are checked before any row is read: ``ValueError``.
+    (``repro_ilm_account``), reading the repaired row and the full
+    rows of *table* (an :class:`~repro.kernels.OracleRows`) in place.
+    A call that needs rows whose ``full`` flag is clear reports them,
+    ``table.fill`` makes them full, and the call runs again — as it
+    does when the pieces outgrow the flat buffer.  The work arrays live
+    on the probe snapshot between calls.  Shapes, indices and ``pred``
+    are checked before any row is read: ``ValueError``.
     """
     if dist is None:
         return [], 0, len(targets), 0
@@ -649,11 +632,15 @@ def ilm_account(probe, source: int, targets, dist, pred, table, naive):
     dist_addr = row_address(dist, "d", n, "dist")
     pred_addr = row_address(pred, "q", n, "pred")
     naive_addr = row_address(naive, "l", n, "naive")
+    addrs, full = table.addrs, table.full
+    if len(addrs) != n or len(full) != n:
+        raise ValueError(f"rows: table holds {len(addrs)} rows, probe n={n}")
     g = _graph_state(probe)
-    scratch = table.state.get(NAME)
-    if scratch is None or scratch.n != n:
-        scratch = table.state[NAME] = _IlmScratch(n)
-    addrs, work, cum, piece_off, out = scratch.ptrs
+    scratch = g.ilm
+    if scratch is None:
+        scratch = g.ilm = _IlmScratch(n)
+    work, cum, piece_off, out = scratch.ptrs
+    rows_addr, full_addr = addrs.buffer_info()[0], full.buffer_info()[0]
     t_arr = array("q", targets)
     t_addr = t_arr.buffer_info()[0] if t_arr else 0
     result = scratch.out
@@ -661,16 +648,18 @@ def ilm_account(probe, source: int, targets, dist, pred, table, naive):
         flat = scratch.flat
         status = _LIB.repro_ilm_account(
             g.indptr, g.indices, g.weights, n, source, t_addr, len(t_arr),
-            dist_addr, pred_addr, addrs, EPSILON, naive_addr, work, cum,
-            piece_off, flat.buffer_info()[0], len(flat), out,
+            dist_addr, pred_addr, rows_addr, full_addr, EPSILON, naive_addr,
+            work, cum, piece_off, flat.buffer_info()[0], len(flat), out,
         )
         if status == 0:
             break
         if status == _ILM_NEED_ROWS:
             listed = (_ILM_WORK_ARRAYS - 1) * n  # the last work array
-            _install_rows(
-                table, scratch, scratch.work[listed:listed + result[4]].tolist()
-            )
+            lacking = scratch.work[listed:listed + result[4]].tolist()
+            table.fill(lacking)
+            for a in lacking:
+                if not full[a]:
+                    raise ValueError(f"rows: no full oracle row for node {a}")
         elif status == _ILM_NEED_SPACE:
             scratch.flat = _Q0 * max(result[4], 2 * len(flat))
         elif status in _ILM_ERRORS:

@@ -51,10 +51,11 @@ memoryviews of the same formats (rows adopted from shared memory).
     Per-link ILM accounting of one (scenario, source) pair: adds every
     restored backup chain (a tree path of the repaired ``pred`` row)
     to the naive counts in place, runs the min-pieces DP once per node
-    of the union of those chains over *probe*'s weights and the oracle
-    rows of a :class:`~repro.kernels.RowTable`, and returns ``(pieces,
-    restored, unrestorable, probes)`` with the distinct pieces as
-    index tuples.
+    of the union of those chains over *probe*'s weights and the full
+    rows of the same :class:`~repro.kernels.OracleRows`, asking
+    ``table.fill`` first for the nodes whose row is not full, and
+    returns ``(pieces, restored, unrestorable, probes)`` with the
+    distinct pieces as index tuples.
 ``count_paths(csr, source, dist, eps) -> counts``
     Shortest-path counts from *source* over the tight-edge DAG of its
     canonical ``dist`` row, one exact ``int`` per node index (0 for
@@ -104,7 +105,14 @@ def dijkstra_canonical(
         if remaining is not None:
             remaining.discard(u)
             if not remaining:
-                exhausted = not heap
+                # u's out-edges are not relaxed yet: the component is
+                # settled only if none leads to a live unsettled node.
+                exhausted = not heap and not any(
+                    dist[indices[slot]] == INF
+                    and not node_dead[indices[slot]]
+                    and not edge_dead[slot]
+                    for slot in range(indptr[u], indptr[u + 1])
+                )
                 break
         for slot in range(indptr[u], indptr[u + 1]):
             v = indices[slot]
@@ -475,15 +483,17 @@ def ilm_account(
     the same additions) and ties go to the shallowest ancestor (the
     first-minimal ``j``).  The DP reads the oracle row of every node
     with a union descendant two or more levels down from
-    ``table.rows`` (a :class:`~repro.kernels.RowTable`), after asking
-    ``table.fill`` for the missing ones in one list.
+    ``table.rows`` (an :class:`~repro.kernels.OracleRows`), full rows
+    only (a truncated row's ``INF`` may be unsettled), after asking
+    ``table.fill`` for the nodes whose ``table.full`` flag is clear, in
+    one list.
 
     Returns ``(pieces, restored, unrestorable, probes)``: the distinct
     pieces of the restored chains as index tuples (targets in order,
     each backtracked until it meets a piece already listed), and one
     probe per ancestor of each union node.  A target outside the row,
     a parent outside the row or off the probe graph, a ``pred`` cycle
-    and a row the table cannot supply raise ``ValueError`` before
+    and a full row the table cannot supply raise ``ValueError`` before
     *naive* is touched.
     """
     from ..graph.shortest_paths import costs_equal
@@ -536,14 +546,14 @@ def ilm_account(
         p = parent[v]
         height[p] = max(height[p], height[v] + 1)
         sub[p] += sub[v]
-    rows = table.rows
+    rows, full = table.rows, table.full
     needed = [a for a in (source, *order) if height[a] >= 2]
-    lacking = [a for a in needed if rows[a] is None]
-    if lacking and table.fill is not None:
+    lacking = [a for a in needed if not full[a]]
+    if lacking:
         table.fill(lacking)
     for a in needed:
-        if rows[a] is None:
-            raise ValueError(f"rows: no oracle row for node {a}")
+        if not full[a]:
+            raise ValueError(f"rows: no full oracle row for node {a}")
 
     best = {source: 0}
     choice: dict[int, int] = {}

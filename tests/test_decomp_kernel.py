@@ -250,22 +250,6 @@ class TestTruncatedOracle:
                 assert oracle.distance(source, t) == reference.distance(source, t)
         assert COUNTERS.delta(before).oracle_promotions >= 0
 
-    def test_tie_free_full_rows_match_classic(self):
-        from repro.core.base_paths import padded_graph
-
-        g = padded_graph(random_connected_graph(23, n=30, extra=25), seed=1)
-        classic = LazyDistanceOracle(g, tie_free=False)
-        fast = LazyDistanceOracle(g, tie_free=True)
-        nodes = sorted(g.nodes)
-        for s in nodes[:5]:
-            for t in nodes:
-                if s == t:
-                    continue
-                assert classic.has_path(s, t) == fast.has_path(s, t)
-                if classic.has_path(s, t):
-                    assert classic.distance(s, t) == fast.distance(s, t)
-                    assert classic.path(s, t) == fast.path(s, t)
-
 
 ORACLE_COUNTERS = ("oracle_rows_full", "oracle_rows_truncated", "oracle_promotions")
 
@@ -362,11 +346,17 @@ class TestOracleRowTable:
         table = oracle.row_table()
         index = oracle.csr().index
         a = index[0]
-        # First call: position 0 gets a row truncated near the source.
+        # A full store sets the full flag (position 1's row, built whole).
+        b = index[1]
+        oracle.row_arrays(1)
+        assert table.full[b] == 1
+        # First call: position 0 gets a row truncated near the source,
+        # with the flag clear.
         min_pieces_decompose(Path([0, 1, 2]), base)
         truncated = table.rows[a]
         assert table.addrs[a] == truncated.buffer_info()[0]
         assert truncated[index[8]] == float("inf")
+        assert table.full[a] == 0
         # A query past the frontier promotes the row between two calls.
         before = COUNTERS.snapshot()
         oracle.distance(0, 8)
@@ -375,6 +365,7 @@ class TestOracleRowTable:
         assert full is not truncated
         assert table.rows[a] is full
         assert table.addrs[a] == full.buffer_info()[0]
+        assert table.full[a] == 1
         # Second call: the whole shortest path is one piece only if the
         # DP reads the promoted row.
         path = Path(list(range(9)))
@@ -383,6 +374,19 @@ class TestOracleRowTable:
         assert_same(
             got, min_pieces_decompose_reference(path, AllShortestPathsBase(g))
         )
+
+    def test_a_row_truncated_as_the_heap_empties_stays_truncated(self, kernel):
+        """A targeted warm whose last target settles with the heap empty
+        but an onward edge unrelaxed files a truncated row, which a far
+        query promotes (it used to be filed full and raise NoPath)."""
+        from repro.topology import path_graph
+
+        oracle = LazyDistanceOracle(path_graph(10))
+        oracle.warm(0, [1, 2])
+        assert oracle.row_table().full[oracle.csr().index[0]] == 0
+        before = COUNTERS.snapshot()
+        assert oracle.distance(0, 9) == 9.0
+        assert COUNTERS.delta(before).oracle_promotions == 1
 
     def test_a_hop_off_the_graph_takes_the_fallback(self, kernel):
         g = random_connected_graph(3)

@@ -10,12 +10,14 @@ here:
   the 13-family sweep of ``tests/test_kernels.py`` (tie-heavy unit
   graphs with BFS rows included) plus random tie-heavy weighted graphs,
   with rows passed as ``array`` and as read-only memoryviews, and with
-  one row table reused across calls;
+  one :class:`~repro.kernels.OracleRows` reused across calls;
 * each target's pieces are exactly those of the kernel DP over its
   chain (``decomp_oracles.decompose_flat_reference``), with the same
   probe count, and a multi-target call returns the
   union of those pieces (the tree DP is exact);
-* malformed input raises ``ValueError`` before any count is written.
+* malformed input raises ``ValueError`` before any count is written,
+  and only full rows are read: a distance oracle's truncated row is
+  promoted first.
 """
 
 from __future__ import annotations
@@ -25,10 +27,12 @@ from array import array
 
 import pytest
 
+from repro.graph.all_pairs import LazyDistanceOracle
 from repro.graph.csr import INF, as_view, shared_csr
 from repro.graph.graph import Graph
-from repro.kernels import RowTable
+from repro.kernels import OracleRows
 from repro.kernels import python_backend as pyk
+from repro.perf import COUNTERS
 
 from .decomp_oracles import decompose_flat_reference
 from .test_kernels import TOPOLOGY_FAMILIES, _alive_sources, _view_variants
@@ -93,15 +97,15 @@ class _Oracle:
         return row
 
     def table(self):
-        table = RowTable(self.view.csr.n)
-
         def fill(missing):
             self.requests.append(list(missing))
             for a in missing:
                 row = self.row(a)
-                table.rows[a] = _read_only(row) if self.read_only else row
+                table.store(
+                    a, _read_only(row) if self.read_only else row, full=True
+                )
 
-        table.fill = fill
+        table = OracleRows(self.view.csr.n, fill=fill)
         return table
 
 
@@ -159,8 +163,8 @@ class TestNativeMatchesReference:
         csr = shared_csr(graph)
         ref_oracle = _Oracle(csr, read_only)
         nat_oracle = _Oracle(csr, read_only)
-        # One table per backend across every call: cached row addresses
-        # and scratch must carry over between calls without leaking.
+        # One table per backend across every call: stored rows and the
+        # native scratch must carry over between calls without leaking.
         ref_table, nat_table = ref_oracle.table(), nat_oracle.table()
         ref_naive = array("l", bytes(8 * csr.n))
         nat_naive = array("l", bytes(8 * csr.n))
@@ -188,7 +192,7 @@ class TestNativeMatchesReference:
         targets = list(range(csr.n))
         table = _Oracle(csr).table()
         natk.ilm_account(csr, 0, [], dist, pred, table, array("l", [0] * csr.n))
-        table.state[natk.NAME].flat = array("q", [0])
+        natk._graph_state(csr).ilm.flat = array("q", [0])
         got = natk.ilm_account(
             csr, 0, targets, dist, pred, table, array("l", [0] * csr.n)
         )
@@ -243,7 +247,7 @@ class TestTreeDpIsExact:
         mod = _backend(name)
         csr = shared_csr(_random_graph(10, 15, (1.0, 2.0), seed=1))
         naive = array("l", bytes(8 * csr.n))
-        got = mod.ilm_account(csr, 0, [3, 4], None, None, RowTable(csr.n), naive)
+        got = mod.ilm_account(csr, 0, [3, 4], None, None, OracleRows(csr.n), naive)
         assert got == ([], 0, 2, 0)
         assert not any(naive)
 
@@ -319,17 +323,20 @@ class TestMalformedInput:
     def test_missing_needed_row(self, name):
         mod = _backend(name)
         csr, dist, pred, chain = self._setup()
+        lazy = OracleRows(csr.n, fill=lambda missing: None)
         self._assert_rejected(
-            mod, csr, dist, pred, [chain[-1]], "no oracle row",
-            table=RowTable(csr.n),
+            mod, csr, dist, pred, [chain[-1]], "no full oracle row", table=lazy
         )
-        lazy = RowTable(csr.n, fill=lambda missing: None)
+        # A truncated row is not read: the fill must make it full.
+        view = as_view(csr)
+        for a in chain[:-2]:
+            lazy.store(a, pyk.dijkstra_canonical(view, a, chain[-1:])[0])
         self._assert_rejected(
-            mod, csr, dist, pred, [chain[-1]], "no oracle row", table=lazy
+            mod, csr, dist, pred, [chain[-1]], "no full oracle row", table=lazy
         )
         # Two-hop chains read no row at all.
         assert mod.ilm_account(
-            csr, 0, [chain[1]], dist, pred, RowTable(csr.n),
+            csr, 0, [chain[1]], dist, pred, OracleRows(csr.n),
             array("l", bytes(8 * csr.n)),
         )[1] == 1
 
@@ -350,8 +357,42 @@ class TestMalformedInput:
             )
         with pytest.raises(ValueError, match="source"):
             natk.ilm_account(csr, csr.n, t, dist, pred, table, naive)
-        bad_rows = RowTable(csr.n)
-        bad_rows.rows = [dist[:-1]] * csr.n
         with pytest.raises(ValueError, match="rows"):
-            natk.ilm_account(csr, 0, t, dist, pred, bad_rows, naive)
+            natk.ilm_account(
+                csr, 0, t, dist, pred, OracleRows(csr.n - 1), naive
+            )
+        with pytest.raises(ValueError, match="rows"):
+            OracleRows(csr.n).store(0, dist[:-1])
         assert not any(naive)
+
+
+class TestDistanceOracleRows:
+    """``ilm_account`` reads a distance oracle's own row table."""
+
+    @BACKENDS
+    def test_a_truncated_row_left_by_a_decomposition_is_promoted(self, name):
+        mod = _backend(name)
+        graph = _random_graph(30, 50, (1.0, 2.0, 3.0), seed=12)
+        csr = shared_csr(graph)
+        dist, pred, _ = pyk.dijkstra_canonical(as_view(csr), 0)
+        target = max(range(csr.n), key=lambda t: len(_chain(pred, 0, t)))
+        chain = _chain(pred, 0, target)
+        assert len(chain) >= 4
+        oracle = LazyDistanceOracle(graph)
+        table = oracle.row_table()
+        # A decomposition of chain[1:4] leaves chain[1] a truncated row.
+        assert mod.decompose_flat(csr, chain[1:4], table) is not None
+        a = chain[1]
+        assert table.rows[a] is not None and not table.full[a]
+        naive = array("l", bytes(8 * csr.n))
+        before = COUNTERS.snapshot()
+        got = mod.ilm_account(csr, 0, [target], dist, pred, table, naive)
+        delta = COUNTERS.delta(before)
+        assert delta.oracle_promotions == 1
+        assert table.full[a]
+        fresh_naive = array("l", bytes(8 * csr.n))
+        want = mod.ilm_account(
+            csr, 0, [target], dist, pred,
+            LazyDistanceOracle(graph).row_table(), fresh_naive,
+        )
+        assert got == want and naive == fresh_naive

@@ -234,6 +234,20 @@ class TestRowsBitIdentity:
         assert delta == ref_delta
         assert delta.csr_settled < view.csr.n  # truncated, not exhaustive
 
+    @pytest.mark.parametrize("name", ["python", "native"])
+    def test_a_last_target_settled_as_the_heap_empties_is_not_exhausted(
+        self, name
+    ):
+        """On a path the last target settles with an empty heap and its
+        onward edge unrelaxed: the row is truncated, not complete."""
+        mod = pyk if name == "python" else _accel_module("native")
+        view = as_view(shared_csr(path_graph(10)))
+        dist, _pred, exhausted = mod.dijkstra_canonical(view, 0, targets=[1, 2])
+        assert list(dist[:4]) == [0.0, 1.0, 2.0, float("inf")]
+        assert not exhausted
+        # The path's far end has no unsettled neighbour: a complete run.
+        assert mod.dijkstra_canonical(view, 0, targets=[9])[2]
+
 
 def _pre_failure_row(view, source, unit):
     if unit:
