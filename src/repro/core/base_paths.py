@@ -31,7 +31,6 @@ from ..graph.all_pairs import LazyDistanceOracle
 from ..graph.graph import Graph, Node
 from ..graph.paths import Path
 from ..graph.shortest_paths import costs_equal, dijkstra, reconstruct_path
-from .decomp_kernel import PrefixSumProbe, SubpathProbe
 
 
 class BaseSet:
@@ -45,6 +44,9 @@ class BaseSet:
       LSP packets ride before any failure);
     * :meth:`iter_canonical_paths` — one path per covered ordered pair,
       for provisioning and ILM accounting.
+
+    The methods here answer them for the implicit shortest-path sets,
+    from :attr:`oracle` alone; :class:`ExplicitBaseSet` overrides them.
     """
 
     graph: Graph
@@ -53,40 +55,42 @@ class BaseSet:
     #: The implicit shortest-path sets' distance oracle, over the graph
     #: whose costs define membership: a valid path of two or more hops
     #: is basic iff its cost there equals the oracle's distance.
-    #: ``None`` for every other set.  The decomposition fast paths (the
-    #: prefix-sum prober and ``decomp_kernel.min_pieces_choice``) key
-    #: on it alone.
+    #: ``None`` for every other set.  The oracle's rows are indexed by
+    #: ``shared_csr(oracle.graph).nodes``, which matches
+    #: ``shared_csr(graph).nodes`` (padding keeps the node insertion
+    #: order), so array consumers such as the ILM accountant mix them
+    #: with the graph's own.  The decomposition fast paths
+    #: (``decomp_kernel``) key on it alone.
     oracle: Optional[LazyDistanceOracle] = None
 
     def is_base_path(self, path: Path) -> bool:
         """True if *path* may be one pre-provisioned base LSP."""
-        raise NotImplementedError
+        if path.is_trivial or not path.is_valid_in(self.graph):
+            return False
+        if self.include_all_edges and path.hops == 1:
+            return True
+        try:
+            best = self.oracle.distance(path.source, path.target)
+        except NoPath:
+            return False
+        return costs_equal(path.cost(self.oracle.graph), best)
 
     def path_for(self, source: Node, target: Node) -> Path:
         """The canonical base path for the ordered pair (source, target)."""
-        raise NotImplementedError
+        return self.oracle.path(source, target)
 
     def has_pair(self, source: Node, target: Node) -> bool:
         """True if this base set covers the ordered pair."""
-        raise NotImplementedError
+        return source != target and self.oracle.has_path(source, target)
 
     def iter_canonical_paths(self) -> Iterator[Path]:
-        """Yield one canonical base path per covered ordered pair."""
-        raise NotImplementedError
-
-    def subpath_probe(self, path: Path):
-        """A sub-path membership prober for *path* (see ``decomp_kernel``).
-
-        With an :attr:`oracle` and a *path* valid in the graph, the
-        O(1) prefix-sum prober over the oracle's graph; otherwise each
-        probe materializes the sub-path and calls :meth:`is_base_path`.
-        """
+        """Yield one canonical base path per covered ordered pair —
+        O(n^2) for the implicit sets, so small graphs only."""
         oracle = self.oracle
-        if oracle is None or not path.is_valid_in(self.graph):
-            return SubpathProbe(path, self)
-        return PrefixSumProbe(
-            path, self, oracle.graph, oracle, self.include_all_edges
-        )
+        for s in self.graph.nodes:
+            for t in self.graph.nodes:
+                if s != t and oracle.has_path(s, t):
+                    yield oracle.path(s, t)
 
 
 class AllShortestPathsBase(BaseSet):
@@ -105,45 +109,7 @@ class AllShortestPathsBase(BaseSet):
     def __init__(self, graph: Graph, include_all_edges: bool = True) -> None:
         self.graph = graph
         self.include_all_edges = include_all_edges
-        self._oracle = LazyDistanceOracle(graph)
-
-    @property
-    def oracle(self) -> LazyDistanceOracle:
-        """The underlying distance oracle (shared with metrics code)."""
-        return self._oracle
-
-    def distance(self, source: Node, target: Node) -> float:
-        """Shortest distance source->target; raises NoPath if unreachable."""
-        return self._oracle.distance(source, target)
-
-    def is_base_path(self, path: Path) -> bool:
-        """True if *path* may be one pre-provisioned base LSP."""
-        if path.is_trivial:
-            return False
-        if not path.is_valid_in(self.graph):
-            return False
-        if self.include_all_edges and path.hops == 1:
-            return True
-        try:
-            best = self._oracle.distance(path.source, path.target)
-        except NoPath:
-            return False
-        return costs_equal(path.cost(self.graph), best)
-
-    def path_for(self, source: Node, target: Node) -> Path:
-        """The canonical base path for the ordered pair (source, target)."""
-        return self._oracle.path(source, target)
-
-    def has_pair(self, source: Node, target: Node) -> bool:
-        """True if this base set covers the ordered pair."""
-        return source != target and self._oracle.has_path(source, target)
-
-    def iter_canonical_paths(self) -> Iterator[Path]:
-        """One shortest path per ordered pair — O(n^2); small graphs only."""
-        for s in self.graph.nodes:
-            for t in self.graph.nodes:
-                if s != t and self._oracle.has_path(s, t):
-                    yield self._oracle.path(s, t)
+        self.oracle = LazyDistanceOracle(graph)
 
 
 class UniqueShortestPathsBase(BaseSet):
@@ -156,70 +122,22 @@ class UniqueShortestPathsBase(BaseSet):
     admitted.
 
     The choice is realized by infinitesimal weight padding (the
-    Theorem 3 construction): on the padded graph shortest paths are
-    unique, so "is this path the chosen one?" becomes "does its padded
-    cost equal the padded distance?" — an O(path length) probe against
-    a lazy distance oracle, with no enumeration.  Uniqueness also gives
-    sub-path closure for free: any sub-path of the unique shortest
-    path is the unique shortest path of its own endpoints.
+    Theorem 3 construction): on the :attr:`padded` graph shortest paths
+    are unique, so "is this path the chosen one?" becomes "does its
+    padded cost equal the padded distance?" — an O(path length) probe
+    against a lazy distance oracle over the padded graph, with no
+    enumeration.  Uniqueness also gives sub-path closure for free: any
+    sub-path of the unique shortest path is the unique shortest path of
+    its own endpoints.
     """
 
     def __init__(
-        self,
-        graph: Graph,
-        seed: int = 1,
-        pad_scale: float = 1e-5,
-        include_all_edges: bool = True,
+        self, graph: Graph, seed: int = 1, include_all_edges: bool = True
     ) -> None:
         self.graph = graph
         self.include_all_edges = include_all_edges
-        self._padded = padded_graph(graph, seed=seed, scale=pad_scale)
-        self._oracle = LazyDistanceOracle(self._padded)
-
-    @property
-    def padded(self) -> Graph:
-        """The padded graph the unique choice is defined on."""
-        return self._padded
-
-    @property
-    def oracle(self) -> LazyDistanceOracle:
-        """The padded-graph distance oracle the unique choice lives in.
-
-        Its flat rows are indexed by ``shared_csr(padded).nodes``, which
-        matches ``shared_csr(graph).nodes`` because padding preserves
-        the node insertion order — array consumers (e.g. the ILM
-        accountant's primary-chain fast path) rely on that alignment.
-        """
-        return self._oracle
-
-    def is_base_path(self, path: Path) -> bool:
-        """True if *path* may be one pre-provisioned base LSP."""
-        if path.is_trivial:
-            return False
-        if not path.is_valid_in(self.graph):
-            return False
-        if self.include_all_edges and path.hops == 1:
-            return True
-        try:
-            best = self._oracle.distance(path.source, path.target)
-        except NoPath:
-            return False
-        return costs_equal(path.cost(self._padded), best)
-
-    def path_for(self, source: Node, target: Node) -> Path:
-        """The canonical base path for the ordered pair (source, target)."""
-        return self._oracle.path(source, target)
-
-    def has_pair(self, source: Node, target: Node) -> bool:
-        """True if this base set covers the ordered pair."""
-        return source != target and self._oracle.has_path(source, target)
-
-    def iter_canonical_paths(self) -> Iterator[Path]:
-        """One unique shortest path per ordered pair — small graphs only."""
-        for s in self.graph.nodes:
-            for t in self.graph.nodes:
-                if s != t and self._oracle.has_path(s, t):
-                    yield self._oracle.path(s, t)
+        self.padded = padded_graph(graph, seed=seed)
+        self.oracle = LazyDistanceOracle(self.padded)
 
 
 class ExplicitBaseSet(BaseSet):

@@ -8,32 +8,33 @@ path?".  The straightforward implementation allocates a
 its cost — O(L) work per probe, repeated O(L²) times by the dynamic
 programs.
 
-For the implicit shortest-path base sets the membership test is "does
-the sub-path's cost (in the probe graph — padded for the Theorem 3
-unique-choice set) equal the shortest distance between its
-endpoints?".  Both sides are precomputed: ``cum[t]``, the probe-graph
-cost of the path's first ``t`` hops, so a sub-path costs ``cum[i] -
-cum[j]``; and one target-pruned row of the base set's shared
-:class:`~repro.graph.all_pairs.LazyDistanceOracle` per probed source
-position.  Two entry points use them:
+For the implicit shortest-path base sets (those with an ``oracle``) the
+membership test is "does the sub-path's cost (on the oracle's graph —
+padded for the Theorem 3 unique-choice set) equal the shortest distance
+between its endpoints?".  Both sides live in the oracle's index space:
+the path maps once onto its CSR index *chain* (:func:`_index_chain`),
+``cum[t]`` is the cost of the chain's first ``t`` hops, so a sub-path
+costs ``cum[i] - cum[j]``, and the distance is entry ``chain[i]`` of
+``chain[j]``'s row in the oracle's row table
+(:class:`~repro.kernels.OracleRows`), warmed toward the chain's later
+nodes.  Two entry points use them:
 
 * :func:`min_pieces_choice` — Table 2's configuration (an implicit
-  set, one with an ``oracle``, admitting every edge), the fast path of
+  set admitting every edge), the fast path of
   :func:`~repro.core.decomposition.min_pieces_decompose` that every
-  ``ConcatenationPolicy.evaluate_case`` takes.  It maps the path
-  onto the oracle's CSR index chain and makes one call to the kernel
-  backend's ``decompose_flat``, which sums ``cum`` from that CSR's
-  weight arrays with the per-link ILM kernel's hop lookup (a hop that
-  is not a probe-graph edge sends the caller to the
-  :class:`SubpathProbe` fallback), reads the rows of chain positions
-  ``0 .. L-3`` in place from the oracle's row table by node index,
-  has the oracle warm, in ascending order, only the positions whose
-  row is missing or not final at a later chain node, and runs the
-  whole O(L²) DP.
-* :class:`PrefixSumProbe` — the per-probe form the greedy, the
+  ``ConcatenationPolicy.evaluate_case`` takes.  One call to the kernel
+  backend's ``decompose_flat`` sums ``cum`` from the CSR's weight
+  arrays (a hop that is not an edge there sends the caller to the
+  probe loop), reads the rows of chain positions ``0 .. L-3`` in place
+  by node index, has the oracle warm, in ascending order, only the
+  positions whose row is missing or not final at a later chain node,
+  and runs the whole O(L²) DP.
+* :func:`subpath_probe` — the per-probe form the greedy, the
   base-path-budget and the edge-restricted min-pieces decompositions
-  drive: two list indexings, a dict lookup and one float-tolerant
-  comparison per probe.
+  drive: a :class:`ChainProbe` when the oracle's CSR holds the whole
+  path (two list indexings and one float-tolerant comparison per
+  probe, each position's row warmed through the table's entry on its
+  first probe), else the allocating :class:`SubpathProbe`.
 
 Float caveat (see ``docs/performance.md``): ``cum[i] - cum[j]``
 accumulates rounding differently than the direct left-to-right summation
@@ -48,6 +49,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from ..graph.csr import INF
 from ..graph.graph import Node
 from ..graph.paths import Path
 from ..graph.shortest_paths import costs_equal
@@ -59,9 +61,9 @@ class SubpathProbe:
     """Fallback probe: allocate the sub-path and ask the base set.
 
     Correct for *any* base set (explicit sets, invalid walks, graphs the
-    oracle does not cover) — the O(1) kernel falls back to this whenever
-    its preconditions do not hold.  Probes are counted in
-    ``COUNTERS.path_probes``.
+    oracle does not cover) — :func:`subpath_probe` falls back to this
+    whenever the chain probe's preconditions do not hold.  Probes are
+    counted in ``COUNTERS.path_probes``.
     """
 
     __slots__ = ("path", "base_set")
@@ -91,45 +93,38 @@ class SubpathProbe:
         return False, False
 
 
-class PrefixSumProbe(SubpathProbe):
-    """O(1) probe for implicit shortest-path base sets.
+class ChainProbe(SubpathProbe):
+    """O(1) probe over the path's index chain in the oracle's CSR.
 
-    Preconditions (enforced by ``BaseSet.subpath_probe``, which builds
-    this prober for base sets with an oracle):
+    Built by :func:`subpath_probe` only when every hop of the path is an
+    edge of the oracle's CSR, so every contiguous sub-path is valid too
+    and the validity clause of ``is_base_path`` is discharged once up
+    front.  *cum* is :meth:`CsrGraph.prefix_costs
+    <repro.graph.csr.CsrGraph.prefix_costs>` of *chain*.
 
-    * the restoration path is valid in the base set's graph — then every
-      contiguous sub-path is valid too, so the validity clause of
-      ``is_base_path`` is discharged once up front;
-    * *probe_graph* carries the weights membership is defined on (the
-      padded graph for :class:`UniqueShortestPathsBase`, the original
-      for :class:`AllShortestPathsBase`) and *oracle* its distances.
-
-    Distance rows are pulled lazily, one target-pruned oracle request
-    per probed source position; the greedy decomposition touches only
-    the positions its binary search visits, while the dynamic programs
+    Position *j*'s row is warmed on its first probe, through the same
+    ``table.warm(chain, (j,))`` entry ``decompose_flat`` uses, and read
+    in place from the row table after: the greedy decomposition touches
+    only the positions its search visits, while the dynamic programs
     end up warming every position exactly once.
     """
 
-    __slots__ = ("_nodes", "_cum", "_oracle", "_rows", "_include_edges")
+    __slots__ = ("_chain", "_cum", "_table", "_rows", "_include_edges")
 
-    def __init__(self, path: Path, base_set, probe_graph, oracle, include_all_edges: bool) -> None:
+    def __init__(self, path: Path, base_set, table, chain: list[int], cum: list[float]) -> None:
         super().__init__(path, base_set)
-        self._nodes = path.nodes
-        cum = [0.0]
-        total = 0.0
-        for u, v in path.edges():
-            total += probe_graph.weight(u, v)
-            cum.append(total)
+        self._chain = chain
         self._cum = cum
-        self._oracle = oracle
-        self._rows: dict[int, dict] = {}
-        self._include_edges = include_all_edges
+        self._table = table
+        self._rows: list = [None] * len(chain)
+        self._include_edges = base_set.include_all_edges
 
-    def _row(self, j: int) -> dict:
-        row = self._rows.get(j)
+    def _row(self, j: int):
+        row = self._rows[j]
         if row is None:
-            row = self._oracle.distances_from(self._nodes[j], self._nodes[j + 1 :])
-            self._rows[j] = row
+            table = self._table
+            table.warm(self._chain, (j,))
+            row = self._rows[j] = table.rows[self._chain[j]]
         return row
 
     def is_base(self, j: int, i: int) -> bool:
@@ -140,10 +135,8 @@ class PrefixSumProbe(SubpathProbe):
             return False
         if self._include_edges and i - j == 1:
             return True
-        d = self._row(j).get(self._nodes[i])
-        if d is None:
-            return False
-        return costs_equal(self._cum[i] - self._cum[j], d)
+        d = self._row(j)[self._chain[i]]
+        return d != INF and costs_equal(self._cum[i] - self._cum[j], d)
 
     def piece(self, j: int, i: int, allow_edges: bool) -> tuple[bool, bool]:
         """``(admissible, is_base)`` — single-edge pieces of a valid path
@@ -155,6 +148,37 @@ class PrefixSumProbe(SubpathProbe):
         return False, False
 
 
+def _index_chain(oracle, nodes: Sequence[Node]):
+    """``(table, csr, chain)``: *oracle*'s row table and CSR, and
+    *nodes* as indices of that CSR; ``None`` when a node is not in it."""
+    table = oracle.row_table()
+    csr = oracle.csr()
+    index = csr.index
+    try:
+        return table, csr, [index[node] for node in nodes]
+    except KeyError:
+        return None
+
+
+def subpath_probe(base_set, path: Path) -> SubpathProbe:
+    """A sub-path membership prober for *path* over *base_set*.
+
+    A :class:`ChainProbe` when *base_set* has an ``oracle`` whose CSR
+    holds every node and hop of *path*; otherwise a
+    :class:`SubpathProbe`, whose probes materialize the sub-path and
+    call ``is_base_path``.
+    """
+    oracle = base_set.oracle
+    if oracle is not None:
+        mapped = _index_chain(oracle, path.nodes)
+        if mapped is not None:
+            table, csr, chain = mapped
+            cum = csr.prefix_costs(chain)
+            if cum is not None:
+                return ChainProbe(path, base_set, table, chain, cum)
+    return SubpathProbe(path, base_set)
+
+
 def min_pieces_choice(base_set, nodes: Sequence[Node]) -> Optional[list[int]]:
     """The min-pieces DP's ``choice`` column for the path through *nodes*.
 
@@ -163,8 +187,9 @@ def min_pieces_choice(base_set, nodes: Sequence[Node]) -> Optional[list[int]]:
     admits every edge: every one-hop piece is then a base path, so
     every prefix is reachable and the DP reads the oracle row of every
     position ``j <= L - 3``.  The path's nodes are mapped to the
-    oracle's CSR indices once, and one ``decompose_flat`` call does the
-    rest over the oracle's row table (:meth:`LazyDistanceOracle.row_table
+    oracle's CSR indices once (:func:`_index_chain`), and one
+    ``decompose_flat`` call does the rest over the oracle's row table
+    (:meth:`LazyDistanceOracle.row_table
     <repro.graph.all_pairs.LazyDistanceOracle.row_table>`): it sums the
     hop weights, warms the positions whose row is missing or not final
     at a later chain node in ascending order (the rows other positions
@@ -181,13 +206,10 @@ def min_pieces_choice(base_set, nodes: Sequence[Node]) -> Optional[list[int]]:
     oracle = base_set.oracle
     if oracle is None or not base_set.include_all_edges:
         return None
-    table = oracle.row_table()
-    csr = oracle.csr()
-    index = csr.index
-    try:
-        chain = [index[node] for node in nodes]
-    except KeyError:
+    mapped = _index_chain(oracle, nodes)
+    if mapped is None:
         return None
+    table, csr, chain = mapped
     result = kernel_backend().decompose_flat(csr, chain, table)
     if result is None:
         return None

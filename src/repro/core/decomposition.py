@@ -22,6 +22,13 @@ paths (Section 4.1).  Three algorithms are provided:
 Pieces that are single edges but not base paths are permitted when
 *allow_edges* is set (the Theorem 2 / weighted situation) and are
 reported separately.
+
+The three decompositions of a given path ask their membership questions
+through :mod:`repro.core.decomp_kernel`, which answers them for the
+implicit base sets from the oracle's row table along the path's index
+chain.  They record only where each piece starts and whether it is a
+base path, and build their ``Path`` pieces once, through
+:meth:`Decomposition.from_choice`.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from ..graph.graph import Node
 from ..graph.heap import AddressableHeap
 from ..graph.paths import Path, concat_all
 from .base_paths import AllShortestPathsBase, BaseSet, ExplicitBaseSet
-from .decomp_kernel import min_pieces_choice
+from .decomp_kernel import min_pieces_choice, subpath_probe
 
 
 @dataclass(frozen=True)
@@ -54,18 +61,29 @@ class Decomposition:
             raise ValueError("pieces and base_flags must align")
 
     @classmethod
-    def from_choice(cls, path: Path, choice: Sequence[int]) -> "Decomposition":
-        """The all-base-path decomposition a min-pieces ``choice`` column
-        encodes: ``choice[i]`` starts the last piece covering
-        ``path[0 .. i]``."""
+    def from_choice(
+        cls,
+        path: Path,
+        choice: Sequence[int],
+        base_at: Optional[Sequence[bool]] = None,
+    ) -> "Decomposition":
+        """The decomposition a ``choice`` column encodes: the last piece
+        covering ``path[0 .. i]`` starts at ``choice[i]``, and
+        ``base_at[i]`` tells whether it is a base path (every piece is
+        when *base_at* is omitted).  Every decomposition DP records its
+        cuts this way and builds its pieces here, once."""
+        nodes = path.nodes
         pieces: list[Path] = []
-        i = len(path.nodes) - 1
+        flags: list[bool] = []
+        i = len(nodes) - 1
         while i > 0:
             j = choice[i]
-            pieces.append(path.subpath(j, i))
+            pieces.append(Path(nodes[j : i + 1]))
+            flags.append(base_at is None or base_at[i])
             i = j
         pieces.reverse()
-        return cls(pieces=tuple(pieces), base_flags=(True,) * len(pieces))
+        flags.reverse()
+        return cls(pieces=tuple(pieces), base_flags=tuple(flags))
 
     @property
     def num_pieces(self) -> int:
@@ -111,10 +129,10 @@ def greedy_decompose(
     or ``"linear"`` (default otherwise — correct for any base set).
     Raises :class:`DecompositionError` if no progress can be made.
 
-    Membership probes go through the base set's sub-path prober (O(1)
-    prefix-sum arithmetic for the implicit shortest-path sets — see
-    ``repro.core.decomp_kernel``); the probe sequence, and therefore the
-    result, is identical to the path-allocating reference's
+    Membership probes go through :func:`~repro.core.decomp_kernel.subpath_probe`
+    (O(1) arithmetic over the oracle's index chain for the implicit
+    shortest-path sets); the probe sequence, and therefore the result,
+    is identical to the path-allocating reference's
     (``tests/decomp_oracles.py``).
     """
     if path.is_trivial:
@@ -126,11 +144,11 @@ def greedy_decompose(
     if prefix_probe not in ("binary", "linear"):
         raise ValueError(f"unknown prefix_probe {prefix_probe!r}")
 
-    probe = base_set.subpath_probe(path)
+    probe = subpath_probe(base_set, path)
     n = path.hops
     pos = 0
-    pieces: list[Path] = []
-    flags: list[bool] = []
+    choice = [0] * (n + 1)
+    base_at = [True] * (n + 1)
     while pos < n:
         if prefix_probe == "binary":
             lo, hi = 0, n - pos
@@ -147,21 +165,17 @@ def greedy_decompose(
             for cand in range(1, n - pos + 1):
                 if probe.is_base(pos, pos + cand):
                     length = cand
-        if length >= 1:
-            pieces.append(path.subpath(pos, pos + length))
-            flags.append(True)
-            pos += length
-        else:
-            admissible, is_base = probe.piece(pos, pos + 1, allow_edges)
+        if length < 1:
+            admissible, base_at[pos + 1] = probe.piece(pos, pos + 1, allow_edges)
             if not admissible:
                 raise DecompositionError(
                     f"no base path or admissible edge covers "
                     f"{path.subpath(pos, pos + 1)!r}"
                 )
-            pieces.append(path.subpath(pos, pos + 1))
-            flags.append(is_base)
-            pos += 1
-    return Decomposition(pieces=tuple(pieces), base_flags=tuple(flags))
+            length = 1
+        choice[pos + length] = pos
+        pos += length
+    return Decomposition.from_choice(path, choice, base_at)
 
 
 def min_pieces_decompose(
@@ -180,21 +194,24 @@ def min_pieces_decompose(
     whole DP runs in the kernel backend's ``decompose_flat`` over the
     path's CSR index chain (:func:`~repro.core.decomp_kernel.min_pieces_choice`).
     Otherwise — or when the path leaves the oracle's graph — the O(L²)
-    loop runs on the base set's sub-path prober, O(1) arithmetic per
-    probe for the implicit sets.  Results equal the path-allocating
-    reference DP's piece for piece either way (``tests/decomp_oracles.py``).
+    loop runs on :func:`~repro.core.decomp_kernel.subpath_probe`, O(1)
+    arithmetic per probe for the implicit sets.  Results equal the
+    path-allocating reference DP's piece for piece either way
+    (``tests/decomp_oracles.py``).
     """
     if path.is_trivial:
         return Decomposition(pieces=(), base_flags=())
     choice = min_pieces_choice(base_set, path.nodes)
     if choice is not None:
         return Decomposition.from_choice(path, choice)
-    probe = base_set.subpath_probe(path)
+    probe = subpath_probe(base_set, path)
     n = len(path.nodes)
     INF = (n + 1, n + 1)
-    # best[i] = (pieces, extra_edges) to cover path[0..i]; choice[i] = (j, is_base)
+    # best[i] = (pieces, extra_edges) to cover path[0..i]; the last piece
+    # runs from choice[i] to i and is a base path iff base_at[i].
     best: list[tuple[int, int]] = [INF] * n
-    choice: list[Optional[tuple[int, bool]]] = [None] * n
+    choice = [0] * n
+    base_at = [False] * n
     best[0] = (0, 0)
     for i in range(1, n):
         for j in range(i):
@@ -206,20 +223,11 @@ def min_pieces_decompose(
             candidate = (best[j][0] + 1, best[j][1] + (0 if is_base else 1))
             if candidate < best[i]:
                 best[i] = candidate
-                choice[i] = (j, is_base)
+                choice[i] = j
+                base_at[i] = is_base
     if best[n - 1] == INF:
         raise DecompositionError(f"{path!r} cannot be covered by the base set")
-    pieces: list[Path] = []
-    flags: list[bool] = []
-    i = n - 1
-    while i > 0:
-        j, is_base = choice[i]  # type: ignore[misc]
-        pieces.append(path.subpath(j, i))
-        flags.append(is_base)
-        i = j
-    pieces.reverse()
-    flags.reverse()
-    return Decomposition(pieces=tuple(pieces), base_flags=tuple(flags))
+    return Decomposition.from_choice(path, choice, base_at)
 
 
 def min_base_paths_decompose(
@@ -239,7 +247,7 @@ def min_base_paths_decompose(
         return Decomposition(pieces=(), base_flags=())
     if max_edges < 0:
         raise ValueError("max_edges must be >= 0")
-    probe = base_set.subpath_probe(path)
+    probe = subpath_probe(base_set, path)
     nodes = path.nodes
     n = len(nodes)
     INF = n + 1
@@ -271,17 +279,15 @@ def min_base_paths_decompose(
         raise DecompositionError(
             f"{path!r} cannot be covered with <= {max_edges} bare edges"
         )
-    pieces: list[Path] = []
-    flags: list[bool] = []
+    # Backtrack the (position, edges) table into one choice column.
+    column = [0] * n
+    base_at = [False] * n
     i, e = n - 1, final_e
     while i > 0:
-        j, prev_e, is_base = choice[i][e]  # type: ignore[misc]
-        pieces.append(path.subpath(j, i))
-        flags.append(is_base)
-        i, e = j, prev_e
-    pieces.reverse()
-    flags.reverse()
-    return Decomposition(pieces=tuple(pieces), base_flags=tuple(flags))
+        j, e, base_at[i] = choice[i][e]  # type: ignore[misc]
+        column[i] = j
+        i = j
+    return Decomposition.from_choice(path, column, base_at)
 
 
 def concatenation_shortest_path(

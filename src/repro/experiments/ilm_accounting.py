@@ -158,10 +158,10 @@ class IlmAccountant:
     def _aligned_oracle(self):
         """The base set's oracle; ``ValueError`` unless the tree DP can
         read it (flat rows in our index space, every edge admitted)."""
-        oracle = getattr(self.base, "oracle", None)
+        oracle = self.base.oracle
         if (
             oracle is None
-            or not getattr(self.base, "include_all_edges", False)
+            or not self.base.include_all_edges
             or oracle.csr().nodes != self.csr.nodes
         ):
             raise ValueError(

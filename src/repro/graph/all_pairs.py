@@ -113,9 +113,10 @@ class LazyDistanceOracle:
     (:func:`~repro.graph.csr.dijkstra_csr_canonical`) — the same shape
     :class:`~repro.graph.incremental.SptCache` caches, so rows flow
     between the graph, cache, kernel, and experiment layers without
-    conversion.  Both decomposition DPs of the kernel backends read
-    that table directly; dict views (:meth:`distances_from`) are built
-    on demand, restricted to the requested targets.
+    conversion.  Every decomposition reads that table directly: the
+    kernel backends' ``decompose_flat`` and ``ilm_account``, and the
+    per-probe chain prober of :mod:`repro.core.decomp_kernel`, each
+    through the table's ``warm`` / ``fill`` entries.
 
     Two row flavors coexist, told apart by the table's ``full`` flag:
 
@@ -297,12 +298,12 @@ class LazyDistanceOracle:
     def distances_from(self, source: Node, targets: Iterable[Node]) -> dict[Node, float]:
         """Exact distances to *targets*; a missing key means unreachable.
 
-        The O(1) sub-path probes' bulk accessor (greedy and
-        base-path-budget decompositions): one call warms the row, and
-        the returned plain dict — the on-demand dict view of the flat
-        buffers, restricted to the probe's targets — makes every
-        subsequent probe a dictionary lookup plus one float comparison.
-        The min-pieces DP skips the dict and reads the row table.
+        A public dict view of the flat buffers, restricted to *targets*:
+        one :meth:`warm` of *source*'s row, then one entry per reachable
+        target.  Nothing in the library calls it — every decomposition
+        reads the row table (:meth:`row_table`) by node index — but it
+        stays for callers that want plain dicts, and the benchmark
+        harness's tracer wraps it.
         """
         index = self._index()
         targets = list(targets)

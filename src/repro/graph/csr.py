@@ -224,10 +224,6 @@ class CsrGraph:
         """A cheap masked view: same buffers, *edges*/*nodes* failed."""
         return CsrView(self, self.edge_slots(edges), self.node_indices(nodes))
 
-    def view_of(self, scenario) -> "CsrView":
-        """Masked view for a :class:`~repro.failures.models.FailureScenario`."""
-        return self.with_edges_removed(scenario.links, scenario.routers)
-
 
 class CsrView:
     """A :class:`CsrGraph` minus a set of dead edge slots / node indices.

@@ -129,13 +129,17 @@ def suurballe_disjoint_pair(
         )
     second_walk = reconstruct_path(pred, source, target)
 
-    # Cancel opposite arcs, then split the union into two paths.
-    arcs: set[tuple[Node, Node]] = set(first_arcs)
+    # Cancel opposite arcs, then split the union into two paths.  The
+    # arcs stay in insertion order (the first path's, then the second
+    # walk's): a set of node tuples would iterate in hash order, which
+    # varies with PYTHONHASHSEED for string labels, and so would the
+    # split.
+    arcs = dict.fromkeys(first.edges())
     for u, v in second_walk.edges():
         if (v, u) in arcs:
-            arcs.remove((v, u))
+            del arcs[(v, u)]
         else:
-            arcs.add((u, v))
+            arcs[(u, v)] = None
     out: dict[Node, list[Node]] = {}
     for u, v in arcs:
         out.setdefault(u, []).append(v)

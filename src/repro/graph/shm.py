@@ -692,11 +692,6 @@ def segment_exists(name: str) -> bool:
     return True
 
 
-def created_segment_names() -> frozenset[str]:
-    """Every segment name this process has created (closed or not)."""
-    return frozenset(_CREATED)
-
-
 def residual_segments() -> list[str]:
     """Leak check: created-here names whose backing object still exists.
 

@@ -21,7 +21,7 @@ from repro.core.base_paths import (
     UniqueShortestPathsBase,
     unique_shortest_path_base,
 )
-from repro.core.decomp_kernel import PrefixSumProbe, SubpathProbe
+from repro.core.decomp_kernel import ChainProbe, SubpathProbe, subpath_probe
 from repro.core.decomposition import (
     greedy_decompose,
     min_base_paths_decompose,
@@ -158,7 +158,7 @@ class TestProbeMechanics:
         g = random_connected_graph(3)
         base = UniqueShortestPathsBase(g)
         path = backup_paths(g, 5, limit=1)[0]
-        assert isinstance(base.subpath_probe(path), PrefixSumProbe)
+        assert isinstance(subpath_probe(base, path), ChainProbe)
         before = COUNTERS.snapshot()
         min_pieces_decompose(path, base)
         delta = COUNTERS.delta(before)
@@ -180,9 +180,9 @@ class TestProbeMechanics:
             if non_edge:
                 break
         assert non_edge is not None
-        probe = base.subpath_probe(Path(list(non_edge)))
+        probe = subpath_probe(base, Path(list(non_edge)))
         assert isinstance(probe, SubpathProbe)
-        assert not isinstance(probe, PrefixSumProbe)
+        assert not isinstance(probe, ChainProbe)
 
     @pytest.mark.parametrize("flavor", [AllShortestPathsBase, UniqueShortestPathsBase])
     def test_path_leaving_the_graph_takes_the_fallback(self, flavor):
@@ -203,11 +203,43 @@ class TestProbeMechanics:
             delta = COUNTERS.delta(before)
             assert delta.path_probes > 0 and delta.o1_probes == 0
 
+    @pytest.mark.parametrize("flavor", [AllShortestPathsBase, UniqueShortestPathsBase])
+    def test_python_dps_read_the_row_table(self, kernel, flavor, monkeypatch):
+        """The greedy, edge-restricted min-pieces and base-path-budget
+        DPs probe the oracle's row table, never its dict view."""
+
+        def refuse(*_args):
+            raise AssertionError("distances_from is not a decomposition input")
+
+        monkeypatch.setattr(LazyDistanceOracle, "distances_from", refuse)
+        g = random_connected_graph(13)
+        base, ref = flavor(g), flavor(g)
+        edge_free = flavor(g, include_all_edges=False)
+        ref_edge_free = flavor(g, include_all_edges=False)
+        before = COUNTERS.snapshot()
+        for path in backup_paths(g, 17, limit=6):
+            for order in ("binary", "linear"):
+                assert_same(
+                    greedy_decompose(path, base, prefix_probe=order),
+                    greedy_decompose_reference(path, ref, prefix_probe=order),
+                )
+            assert_same(
+                min_pieces_decompose(path, edge_free),
+                min_pieces_decompose_reference(path, ref_edge_free),
+            )
+            assert_same(
+                min_base_paths_decompose(path, base, max_edges=1),
+                min_base_paths_decompose_reference(path, ref, max_edges=1),
+            )
+        delta = COUNTERS.delta(before)
+        assert delta.path_probes == 0
+        assert delta.o1_probes == delta.probe_calls > 0
+
     def test_probe_matches_is_base_path_exhaustively(self):
         g = random_connected_graph(9)
         base = UniqueShortestPathsBase(g)
         for path in backup_paths(g, 2, limit=4):
-            probe = base.subpath_probe(path)
+            probe = subpath_probe(base, path)
             n = len(path.nodes)
             for j in range(n):
                 for i in range(j + 1, n):

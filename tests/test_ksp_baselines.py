@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import networkx as nx
 import pytest
 
+import repro
 from repro.core.base_paths import UniqueShortestPathsBase
 from repro.core.baselines import (
     BaselineOutcome,
@@ -137,6 +141,36 @@ class TestSuurballe:
     def test_ordering(self, weighted_diamond):
         p1, p2 = suurballe_disjoint_pair(weighted_diamond, 1, 4)
         assert p1.cost(weighted_diamond) <= p2.cost(weighted_diamond)
+
+    def test_pair_does_not_depend_on_the_hash_seed(self):
+        """The union of the two walks splits in insertion order, so the
+        pair over string-labelled nodes is the same in every process."""
+        script = (
+            "from repro.exceptions import NoPath\n"
+            "from repro.graph.ksp import suurballe_disjoint_pair\n"
+            "from repro.topology.isp import generate_isp_topology\n"
+            "g = generate_isp_topology(n=30, seed=1)\n"
+            "nodes = list(g.nodes)\n"
+            "for s in nodes[:10]:\n"
+            "    for t in nodes:\n"
+            "        if s != t:\n"
+            "            try:\n"
+            "                print(s, t, *suurballe_disjoint_pair(g, s, t))\n"
+            "            except NoPath:\n"
+            "                print(s, t, '-')\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        outputs = []
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            result = subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True, text=True, env=env, timeout=300,
+            )
+            assert result.returncode == 0, result.stderr
+            outputs.append(result.stdout)
+        assert outputs[0], "the script printed no pairs"
+        assert outputs[0] == outputs[1]
 
 
 class TestEdgeDisjointBackup:
