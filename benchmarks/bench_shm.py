@@ -1,24 +1,23 @@
-"""Shared-memory CSR fan-out benchmark: attach vs. per-worker rebuild.
+"""Shared-memory warm-row benchmark: adopt vs. per-worker re-settle.
 
-Measures what the zero-copy publication layer (:mod:`repro.graph.shm`)
-buys the ``--jobs`` fan-out:
+Measures what warm-row publication (:mod:`repro.graph.shm`) buys the
+``--jobs`` fan-out for rows the parent builds after its workers
+started (state built before the pool starts reaches the forked workers
+by inheritance and needs no publication):
 
-* in-process: segment publish time, attach time, and the CSR snapshot
-  build it replaces (the cost every worker used to pay after fork);
+* in-process: publish / attach / adopt times for an ``RROW`` segment
+  of warm :class:`~repro.graph.incremental.SptCache` rows vs. the
+  re-settle (fresh Dijkstra per source) it displaces;
 * per-worker: setup time and post-setup memory (VmRSS, plus PSS when
-  ``/proc/self/smaps_rollup`` exists) for a worker that *attaches* the
-  published segment vs. one that *rebuilds* topology + CSR from the
-  work reference, each in its own single-worker pool;
-* warm rows: publish / attach / adopt times for an ``RROW`` segment of
-  warm :class:`~repro.graph.incremental.SptCache` rows vs. the
-  re-settle (fresh Dijkstra per source) it displaces, plus a
-  per-worker adopt-vs-resettle pair whose counter deltas pin that
-  adoption does zero search work (``warm_row_builds`` stays 0).
+  ``/proc/self/smaps_rollup`` exists) for a worker that *adopts* the
+  published rows vs. one that *re-settles* them, each in its own
+  single-worker pool, with counter deltas pinning that adoption does
+  zero search work (``warm_row_builds`` stays 0).
 
 Emits ``results/BENCH_shm.json`` in the established BENCH schema.
 ``--smoke`` shrinks the graph and repeat count to a CI-friendly run
-that still asserts attach == in-process buffers and zero residual
-segments.
+that still asserts the adopted rows, zero adopt-side warm-up and zero
+residual segments.
 """
 
 from __future__ import annotations
@@ -28,15 +27,8 @@ import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-from repro.graph.csr import CsrGraph
 from repro.graph.incremental import SptCache
-from repro.graph.shm import (
-    attach_csr,
-    attach_rows,
-    publish_csr,
-    publish_rows,
-    residual_segments,
-)
+from repro.graph.shm import attach_rows, publish_rows, residual_segments
 from repro.perf import COUNTERS
 from repro.topology.isp import generate_isp_topology
 
@@ -72,33 +64,6 @@ def _memory_kb() -> dict:
     except OSError:
         pass
     return out
-
-
-def _attach_then_close(name: str) -> None:
-    csr, seg = attach_csr(name)
-    try:
-        assert csr.n >= 0
-    finally:
-        seg.close()
-
-
-def _worker_attach(name: str) -> dict:
-    """Worker body: attach the published segment, report setup cost."""
-    from repro.graph.shm import attach_csr_cached
-
-    t0 = time.perf_counter()
-    csr = attach_csr_cached(name)
-    setup_s = time.perf_counter() - t0
-    return {"setup_s": setup_s, "n": csr.n, **_memory_kb()}
-
-
-def _worker_rebuild(n: int, seed: int) -> dict:
-    """Worker body: the displaced path — regenerate topology, build CSR."""
-    t0 = time.perf_counter()
-    graph = generate_isp_topology(n=n, seed=seed)
-    csr = CsrGraph(graph)
-    setup_s = time.perf_counter() - t0
-    return {"setup_s": setup_s, "n": csr.n, **_memory_kb()}
 
 
 def _rows_attach_then_close(name: str) -> None:
@@ -167,8 +132,8 @@ def main(argv=None) -> None:
     parser.add_argument("--repeat", type=int, default=5)
     parser.add_argument(
         "--smoke", action="store_true",
-        help="CI smoke mode: tiny graph, fewer repeats; the attach == "
-             "in-process buffer assertions and the leak check still run",
+        help="CI smoke mode: tiny graph, fewer repeats; the adoption "
+             "assertions and the leak check still run",
     )
     parser.add_argument(
         "--bench-json", type=str, default=None,
@@ -186,55 +151,23 @@ def main(argv=None) -> None:
     before = COUNTERS.snapshot()
     wall_start = time.perf_counter()
 
-    results: dict[str, float] = {
-        "csr_build_s": _timed(CsrGraph, graph, repeat=args.repeat),
-    }
-    csr = CsrGraph(graph)
-    seg = publish_csr(csr)
-    if seg is None:
-        raise SystemExit(
-            "shared memory unavailable (or REPRO_SHM=0); nothing to measure"
-        )
-    try:
-        results["publish_s"] = _timed(
-            lambda: publish_csr(csr).__exit__(None, None, None),
-            repeat=args.repeat,
-        )
-        results["attach_s"] = _timed(
-            _attach_then_close, seg.name, repeat=args.repeat
-        )
-
-        attached, handle = attach_csr(seg.name)
-        try:
-            assert attached.nodes == csr.nodes
-            assert bytes(attached.indptr) == bytes(csr.indptr)
-            assert bytes(attached.indices) == bytes(csr.indices)
-            assert bytes(attached.weights) == bytes(csr.weights)
-        finally:
-            handle.close()
-
-        workers = {
-            "attach": _one_worker(_worker_attach, seg.name),
-            "rebuild": _one_worker(_worker_rebuild, args.n, args.seed),
-        }
-    finally:
-        seg.close()
-        seg.unlink()
-
-    # -- warm rows: RROW publication vs. per-worker re-settle ------------
     sources = list(range(min(args.n, 64)))
     cache = SptCache(graph, weighted=True)
     cache.ensure_rows(sources)
     rows = cache.export_rows()
-    results["rows_settle_s"] = _timed(
-        lambda: SptCache(graph, weighted=True).ensure_rows(sources),
-        repeat=args.repeat,
-    )
+    results: dict[str, float] = {
+        "rows_settle_s": _timed(
+            lambda: SptCache(graph, weighted=True).ensure_rows(sources),
+            repeat=args.repeat,
+        ),
+    }
     row_seg = publish_rows(
         "spt", cache.csr.n, True, cache.csr.source_version, rows
     )
     if row_seg is None:
-        raise SystemExit("row segment publication failed; nothing to measure")
+        raise SystemExit(
+            "shared memory unavailable (or REPRO_SHM=0); nothing to measure"
+        )
     try:
         results["rows_publish_s"] = _timed(
             lambda: publish_rows(
@@ -278,25 +211,11 @@ def main(argv=None) -> None:
         "seed": args.seed,
         "repeat": args.repeat,
         "smoke": bool(args.smoke),
-        "segment_bytes": (
-            len(csr.indptr) * csr.indptr.itemsize
-            + len(csr.indices) * csr.indices.itemsize
-            + len(csr.weights) * csr.weights.itemsize
-        ),
         "wall_clock_s": round(time.perf_counter() - wall_start, 4),
         "warm_rows": len(sources),
         "results": {k: round(v, 6) for k, v in results.items()},
-        "workers": workers,
         "row_workers": row_workers,
         "speedups": {
-            "attach_vs_rebuild_inproc": round(
-                results["csr_build_s"] / max(results["attach_s"], 1e-12), 2
-            ),
-            "worker_attach_vs_rebuild": round(
-                workers["rebuild"]["setup_s"]
-                / max(workers["attach"]["setup_s"], 1e-12),
-                2,
-            ),
             "rows_adopt_vs_resettle_inproc": round(
                 results["rows_settle_s"]
                 / max(results["rows_adopt_s"], 1e-12),
@@ -313,15 +232,6 @@ def main(argv=None) -> None:
     if args.bench_json != "-":
         out = write_bench_json("shm", payload, path=args.bench_json)
         print(f"[bench] wrote {out}")
-    print(
-        "attach {attach_s:.6f}s vs rebuild {csr_build_s:.6f}s in-process; "
-        "worker setup attach {wa:.4f}s vs rebuild {wr:.4f}s".format(
-            attach_s=results["attach_s"],
-            csr_build_s=results["csr_build_s"],
-            wa=workers["attach"]["setup_s"],
-            wr=workers["rebuild"]["setup_s"],
-        )
-    )
     print(
         "rows ({rows}): adopt {adopt:.6f}s vs re-settle {settle:.6f}s "
         "in-process; worker adopt {wa:.4f}s vs re-settle {wr:.4f}s "

@@ -157,7 +157,10 @@ class ExplicitBaseSet(BaseSet):
     ) -> None:
         self.graph = graph
         self.include_all_edges = include_all_edges
-        self._paths: set[Path] = set()
+        # Insertion-ordered, not a set: ``iter_all_paths`` order must
+        # not follow the string-hash seed (searches over the stored
+        # paths break ties by it).
+        self._paths: dict[Path, None] = {}
         self._canonical: dict[tuple[Node, Node], Path] = {}
         for path in paths:
             self.add(path)
@@ -168,7 +171,7 @@ class ExplicitBaseSet(BaseSet):
             raise ValueError("trivial paths cannot be base paths")
         if not path.is_valid_in(self.graph):
             raise ValueError(f"{path!r} is not a path of the graph")
-        self._paths.add(path)
+        self._paths[path] = None
         self._canonical.setdefault((path.source, path.target), path)
 
     def is_base_path(self, path: Path) -> bool:

@@ -16,7 +16,7 @@ holds exactly the :class:`~repro.runconfig.RunConfig` fields the CLI
 declares, and :func:`write_bench_json` adds what the process decides
 (``tie_order`` — the canonical path contract; ``repair_fallback`` —
 the constant :data:`~repro.graph.incremental.REPAIR_FALLBACK_FRACTION`;
-``shm_enabled`` — whether the shared-memory CSR substrate of
+``shm_enabled`` — whether the shared-memory warm-row publication of
 :mod:`repro.graph.shm` was available and not disabled via
 ``REPRO_SHM=0``; ``kernel_backend``; ``jobs``, ``1`` unless declared)
 plus provenance.  Runs that differ in any of these do different work,

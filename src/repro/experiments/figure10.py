@@ -202,18 +202,15 @@ def run(
             isp.graph, isp.weighted, isp.sample_pairs, seed=seed, model=model
         )
     pairs = sample_pairs(isp.graph, isp.sample_pairs, seed=seed)
-    publication = publish_suite([isp], with_base=True)
-    try:
-        with executor:
-            items = run_chunked(
-                executor,
-                figure10_stretch_chunk,
-                (scale, seed, publication.ref(0), model_name),
-                len(pairs),
-                jobs,
-            )
-    finally:
-        publication.release()
+    publish_suite([isp], with_base=True)
+    with executor:
+        items = run_chunked(
+            executor,
+            figure10_stretch_chunk,
+            (scale, seed, model_name),
+            len(pairs),
+            jobs,
+        )
     return _assemble(items)
 
 

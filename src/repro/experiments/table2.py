@@ -33,7 +33,6 @@ from .ilm_accounting import IlmAccountant, scenarios_from_cases
 from .metrics import CaseResult, TableTwoRow, build_row
 from .networks import ExperimentNetwork, cached_suite
 from .parallel import (
-    ShmRef,
     ilm_scenario_chunk,
     make_executor,
     publish_suite,
@@ -149,7 +148,6 @@ def evaluate_network(
     jobs: int = 1,
     suite_ref: Optional[tuple[str, int, int]] = None,
     executor: Optional[Executor] = None,
-    shm_ref: ShmRef = None,
     timer: Optional[StageTimer] = None,
     stats: Optional[dict] = None,
     policy: Optional[str] = None,
@@ -172,9 +170,8 @@ def evaluate_network(
     the accounting's failure scenarios — are fanned out over worker
     processes per mode; chunk reassembly (and the order-free
     accountant-state merge) keeps every row byte-identical to the
-    sequential loop.  *shm_ref* carries the network's published
-    shared-memory segment names to the workers (see
-    :func:`~repro.experiments.parallel.publish_suite`).
+    sequential loop; workers inherit the state
+    :func:`~repro.experiments.parallel.publish_suite` built.
     *timer*/*stats*, when given, receive per-stage wall-clock and case
     counts for the BENCH output.
 
@@ -224,8 +221,8 @@ def evaluate_network(
                 results = run_chunked(
                     executor,
                     table2_case_chunk,
-                    (scale, suite_seed, index, mode, shm_ref,
-                     policy_name, model_name),
+                    (scale, suite_seed, index, mode, policy_name,
+                     model_name),
                     len(pairs),
                     jobs,
                 )
@@ -265,7 +262,7 @@ def evaluate_network(
                             executor,
                             ilm_scenario_chunk,
                             (scale, suite_seed, index, mode,
-                             ilm_max_scenarios, shm_ref, row_ref, model_name),
+                             ilm_max_scenarios, row_ref, model_name),
                             weighted_chunks(costs, jobs),
                             jobs,
                             len(scenarios),
@@ -343,15 +340,13 @@ def run(
     with timer.stage("topologies") if timer else _null():
         networks = cached_suite(scale=scale, seed=seed)
     executor = make_executor(jobs)
-    publication = None
     try:
         if executor is not None:
-            # Publish every network's CSR (and padded-base CSR) plus
-            # the warm pair-source rows before the first submit:
-            # workers attach one shared copy of the buffers — and the
-            # parent's warm-up — instead of rebuilding their own.
+            # Build every network's CSR, base set and warm pair-source
+            # rows before the first submit: forked workers inherit
+            # them instead of rebuilding their own.
             with timer.stage("shm-publish") if timer else _null():
-                publication = publish_suite(
+                publish_suite(
                     networks, with_base=True, with_rows=True, seed=seed
                 )
         per_network = [
@@ -363,7 +358,6 @@ def run(
                 jobs=jobs,
                 suite_ref=(scale, seed, index),
                 executor=executor,
-                shm_ref=publication.ref(index) if publication else None,
                 timer=timer,
                 stats=stats,
                 policy=policy,
@@ -372,13 +366,8 @@ def run(
             for index, n in enumerate(networks)
         ]
     finally:
-        # Executor first (workers drain their attachments at exit),
-        # then unlink — the order keeps /dev/shm clean even when a
-        # chunk raised or the run was interrupted.
         if executor is not None:
             executor.shutdown()
-        if publication is not None:
-            publication.release()
     return {
         mode: [rows[mode] for rows in per_network] for mode in modes
     }

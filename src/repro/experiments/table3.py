@@ -137,25 +137,22 @@ def run(
                 model=make_failure_model(model_name, network.graph, seed=seed),
             )
         return results
-    # Bypass sweeps never touch a base set, so only the graph CSRs are
-    # published; release after the pool drains (exception-safe).
-    publication = publish_suite(networks, with_base=False)
-    try:
-        with executor:
-            for index, network in enumerate(networks):
-                n_links = network.graph.number_of_edges()
-                if max_links is not None:
-                    n_links = min(n_links, max_links)
-                hops_list = run_chunked(
-                    executor,
-                    table3_bypass_chunk,
-                    (scale, seed, index, publication.ref(index), model_name),
-                    n_links,
-                    jobs,
-                )
-                results[network.name] = _aggregate(hops_list)
-    finally:
-        publication.release()
+    # Bypass sweeps never touch a base set: workers inherit the graph
+    # CSRs only.
+    publish_suite(networks, with_base=False)
+    with executor:
+        for index, network in enumerate(networks):
+            n_links = network.graph.number_of_edges()
+            if max_links is not None:
+                n_links = min(n_links, max_links)
+            hops_list = run_chunked(
+                executor,
+                table3_bypass_chunk,
+                (scale, seed, index, model_name),
+                n_links,
+                jobs,
+            )
+            results[network.name] = _aggregate(hops_list)
     return results
 
 

@@ -393,25 +393,7 @@ class LazyDistanceOracle:
         search work.  Returns the number of rows installed; raises
         ``ValueError`` on a kind/shape/version mismatch.
         """
-        if table.kind != "oracle":
-            raise ValueError(
-                f"cannot adopt {table.kind!r} rows into a distance oracle"
-            )
-        csr = self.csr()
-        if table.n != csr.n:
-            raise ValueError(
-                f"row table has n={table.n}, oracle graph has n={csr.n}"
-            )
-        if (
-            table.source_version is not None
-            and csr.source_version is not None
-            and table.source_version != csr.source_version
-        ):
-            raise ValueError(
-                f"row table published for graph version "
-                f"{table.source_version}, oracle snapshot is version "
-                f"{csr.source_version}"
-            )
+        table.check_adoptable("oracle", self.csr())
         own = self._table
         adopted = 0
         for i in table.sources:

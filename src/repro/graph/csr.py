@@ -57,11 +57,10 @@ class CsrGraph:
     graph's ``nodes`` iteration order, which also fixes tie-breaking);
     slots ``indptr[i]:indptr[i+1]`` of ``indices`` / ``weights`` hold
     ``i``'s neighbors in adjacency order.  The buffers are
-    :class:`array.array` instances (exposable as memoryviews), which
-    shared-memory publication and the native kernels adopt unchanged;
-    ``native_state`` holds the native backend's addresses of them and
-    the dead masks its calls over any view of this snapshot mark and
-    clear, one call at a time.
+    :class:`array.array` instances, which the native kernels read in
+    place; ``native_state`` holds the native backend's addresses of
+    them and the dead masks its calls over any view of this snapshot
+    mark and clear, one call at a time.
     """
 
     __slots__ = (
@@ -73,13 +72,11 @@ class CsrGraph:
         "n",
         "directed",
         "source_version",
-        "keepalive",
         "_zero_masks",
         "native_state",
     )
 
     def __init__(self, graph) -> None:
-        self.keepalive = None
         self._zero_masks = None
         self.native_state = None
         self.directed = bool(getattr(graph, "directed", False))
@@ -102,41 +99,6 @@ class CsrGraph:
         self.n = len(nodes)
         COUNTERS.csr_builds += 1
 
-    @classmethod
-    def from_buffers(
-        cls,
-        nodes: list[Node],
-        indptr,
-        indices,
-        weights,
-        directed: bool,
-        source_version=None,
-        keepalive=None,
-    ) -> "CsrGraph":
-        """Adopt pre-built buffers without re-interning a graph.
-
-        The buffers may be :class:`array.array` instances *or*
-        memoryview casts over a shared-memory segment
-        (:mod:`repro.graph.shm`) — the kernels only index them.
-        *keepalive* pins whatever owns the buffers (e.g. the attached
-        segment handle) to the snapshot's lifetime.  Does **not** bump
-        ``COUNTERS.csr_builds``: nothing was rebuilt, which is the
-        point.
-        """
-        self = cls.__new__(cls)
-        self.nodes = nodes
-        self.index = {node: i for i, node in enumerate(nodes)}
-        self.indptr = indptr
-        self.indices = indices
-        self.weights = weights
-        self.n = len(nodes)
-        self.directed = directed
-        self.source_version = source_version
-        self.keepalive = keepalive
-        self._zero_masks = None
-        self.native_state = None
-        return self
-
     def zero_masks(self) -> tuple[bytearray, bytearray]:
         """Shared all-zero ``(edge, node)`` masks for unmasked views.
 
@@ -153,14 +115,6 @@ class CsrGraph:
         return masks
 
     # -- views --------------------------------------------------------------
-
-    def buffers(self) -> tuple[memoryview, memoryview, memoryview]:
-        """``(indptr, indices, weights)`` as memoryviews (zero-copy)."""
-        return (
-            memoryview(self.indptr),
-            memoryview(self.indices),
-            memoryview(self.weights),
-        )
 
     def edge_slots(self, edges: Iterable[Edge]) -> frozenset[int]:
         """CSR slot positions covering *edges* (both directions).
@@ -203,8 +157,6 @@ class CsrGraph:
         for v in chain[1:]:
             lo = indptr[u]
             try:
-                # indexOf, not index(): shared-memory snapshots hold
-                # memoryviews, which have no index().
                 total += weights[lo + indexOf(indices[lo:indptr[u + 1]], v)]
             except ValueError:
                 return None
@@ -334,26 +286,6 @@ def shared_csr(graph) -> CsrGraph:
         except TypeError:
             pass
     return csr
-
-
-def adopt_csr(graph, csr: CsrGraph) -> bool:
-    """Install *csr* as *graph*'s cached snapshot (shared-memory path).
-
-    Validates the node interning matches (same nodes, same order — the
-    canonical tie order is an *index* order, so a permuted snapshot
-    would silently change every tie) before stamping the graph's
-    current mutation version onto the snapshot and seeding the
-    :func:`shared_csr` cache.  Returns ``False`` — caller keeps the
-    local rebuild path — on any mismatch or an unweakrefable graph.
-    """
-    if csr.n != len(csr.nodes) or list(graph.nodes) != csr.nodes:
-        return False
-    csr.source_version = getattr(graph, "version", None)
-    try:
-        _CSR_CACHE[graph] = csr
-    except TypeError:
-        return False
-    return True
 
 
 def _require_alive(view: CsrView, src: int) -> None:

@@ -347,29 +347,7 @@ class SptCache:
         silently corrupt every downstream repair.  Returns the number
         of rows installed.
         """
-        if table.kind != "spt":
-            raise ValueError(
-                f"cannot adopt {table.kind!r} rows into an SptCache"
-            )
-        if table.n != self.csr.n:
-            raise ValueError(
-                f"row table has n={table.n}, cache has n={self.csr.n}"
-            )
-        if table.weighted != self.weighted:
-            raise ValueError(
-                f"row table weighted={table.weighted}, "
-                f"cache weighted={self.weighted}"
-            )
-        if (
-            table.source_version is not None
-            and self.csr.source_version is not None
-            and table.source_version != self.csr.source_version
-        ):
-            raise ValueError(
-                f"row table published for graph version "
-                f"{table.source_version}, cache snapshot is version "
-                f"{self.csr.source_version}"
-            )
+        table.check_adoptable("spt", self.csr, self.weighted)
         adopted = 0
         for i in table.sources:
             if i not in self._rows:

@@ -23,10 +23,10 @@ available, so ``REPRO_KERNEL=auto`` silently degrades to the reference
 backend while an explicit ``REPRO_KERNEL=native`` fails loudly.
 
 **Zero-copy.**  The C entry points take raw pointers into the existing
-CSR buffers — ``array.array`` snapshots or shared-memory memoryview
-casts from :mod:`repro.graph.shm` — and into dead-edge / dead-node
-masks the snapshot owns; addresses are resolved once and cached on the
-snapshot (``CsrGraph.native_state``).  A failure view costs O(k): its
+buffers — the snapshot's ``array.array`` CSR arrays, rows (read-only
+shared-memory row views from :mod:`repro.graph.shm` included) and the
+dead-edge / dead-node masks the snapshot owns; snapshot addresses are
+resolved once and cached on the snapshot (``CsrGraph.native_state``).  A failure view costs O(k): its
 checked dead slots and nodes are cached on the view
 (``CsrView.native_state``), and each call marks them in the snapshot's
 masks in C and clears them before it returns.  A snapshot therefore

@@ -47,21 +47,17 @@ Counter meanings:
     per-failure work), and repairs abandoned for a full recompute
     because the affected region exceeded the threshold.
 ``shm_segments`` / ``shm_attach`` / ``shm_fallbacks``
-    Shared-memory CSR substrate (:mod:`repro.graph.shm`): segments
-    published by a creator process, read-only attaches performed by
-    workers, and publish/attach attempts that fell back to a
-    per-process CSR rebuild (shared memory unavailable, disabled via
-    ``REPRO_SHM=0``, over the size knob, or a header mismatch).  The
-    obs-gate asserts the attach path stays hot: a fan-out that
-    silently rebuilds per worker shows up as ``shm_fallbacks`` growth.
+    Shared-memory warm-row substrate (:mod:`repro.graph.shm` ``RROW``
+    segments): row tables published by a creator process, read-only
+    attaches performed by workers, and publish/attach attempts that
+    fell back to per-process warm-up (shared memory unavailable,
+    disabled via ``REPRO_SHM=0``, over the size cap, or a header
+    mismatch).  The obs-gate asserts the attach path stays hot: a
+    fan-out that silently warms up per worker shows up as
+    ``shm_fallbacks`` growth.
 ``ilm_scenario_chunks``
     Per-link ILM accounting fan-out: deterministic scenario chunks
     dispatched to ``--jobs`` workers (0 in a sequential run).
-``shm_row_segments`` / ``shm_row_attach``
-    Warm-row shared-memory substrate (:mod:`repro.graph.shm` ``RROW``
-    segments): row tables published by a creator process and read-only
-    attaches performed by workers.  Failures fall back to per-process
-    warm-up and count under ``shm_fallbacks`` like the CSR segments.
 ``warm_rows_published`` / ``warm_rows_adopted``
     Individual pre-failure ``dist``/``pred`` rows shipped through a row
     segment and rows installed into a worker-side
@@ -79,7 +75,8 @@ Counter meanings:
     fetches) is query cost, not duplicated warm-up, and is tracked by
     the search counters instead.  With publication on,
     ``worker_warm_row_builds`` dropping to zero is the proof that
-    workers attach instead of re-settling sources.
+    workers inherit or attach their rows instead of re-settling
+    sources.
 """
 
 from __future__ import annotations
@@ -114,8 +111,6 @@ class PerfCounters:
     shm_attach: int = 0
     shm_fallbacks: int = 0
     ilm_scenario_chunks: int = 0
-    shm_row_segments: int = 0
-    shm_row_attach: int = 0
     warm_rows_published: int = 0
     warm_rows_adopted: int = 0
     warm_row_builds: int = 0

@@ -96,14 +96,6 @@ class TestSnapshotStructure:
             ]
             assert got == list(topo.adjacency(node))
 
-    def test_buffers_are_zero_copy_memoryviews(self):
-        csr = CsrGraph(path_graph(5))
-        indptr, indices, weights = csr.buffers()
-        assert indptr.obj is csr.indptr
-        assert indices.obj is csr.indices
-        assert weights.obj is csr.weights
-        assert indices.format == "l" and weights.format == "d"
-
     def test_edge_slots_mask_both_directions(self):
         g = path_graph(4)
         csr = CsrGraph(g)
@@ -139,10 +131,6 @@ class TestSnapshotStructure:
 
     def test_prefix_costs_sum_left_to_right(self, topo):
         csr = CsrGraph(topo)
-        # The shared-memory form: the same buffers as memoryviews.
-        attached = CsrGraph.from_buffers(
-            csr.nodes, *csr.buffers(), directed=csr.directed
-        )
         rng = random.Random(5)
         for _ in range(20):
             walk = [rng.randrange(csr.n)]
@@ -157,15 +145,12 @@ class TestSnapshotStructure:
             for u, v in zip(nodes, nodes[1:]):
                 want.append(want[-1] + topo.weight(u, v))
             assert csr.prefix_costs(walk) == want
-            assert attached.prefix_costs(walk) == want
 
     def test_prefix_costs_reject_a_missing_hop(self):
         csr = CsrGraph(path_graph(4))
-        attached = CsrGraph.from_buffers(csr.nodes, *csr.buffers(), directed=False)
-        for snapshot in (csr, attached):
-            assert snapshot.prefix_costs([0, 1, 2]) == [0.0, 1.0, 2.0]
-            assert snapshot.prefix_costs([0, 2]) is None
-            assert snapshot.prefix_costs([3]) == [0.0]
+        assert csr.prefix_costs([0, 1, 2]) == [0.0, 1.0, 2.0]
+        assert csr.prefix_costs([0, 2]) is None
+        assert csr.prefix_costs([3]) == [0.0]
 
 
 class TestSharedCsrCache:

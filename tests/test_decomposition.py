@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro.core.base_paths import (
     AllShortestPathsBase,
     ExplicitBaseSet,
@@ -193,6 +197,41 @@ class TestConcatenationShortestPath:
         d = concatenation_shortest_path(view, base, s, t)
         for piece in d.pieces:
             assert piece.is_valid_in(view)
+
+    def test_route_does_not_depend_on_the_hash_seed(self):
+        """Equal-cost, equal-piece routes tie-break in the base set's
+        insertion order, so every process returns the same pieces."""
+        script = (
+            "from repro.core.base_paths import unique_shortest_path_base\n"
+            "from repro.core.decomposition import concatenation_shortest_path\n"
+            "from repro.exceptions import NoPath\n"
+            "from repro.topology.isp import generate_isp_topology\n"
+            "g = generate_isp_topology(n=30, seed=1)\n"
+            "base = unique_shortest_path_base(g, seed=1)\n"
+            "nodes = list(g.nodes)[:6]\n"
+            "for u, v in list(g.edges())[:20]:\n"
+            "    view = g.without(edges=[(u, v)])\n"
+            "    for s in nodes:\n"
+            "        for t in nodes:\n"
+            "            if s != t:\n"
+            "                try:\n"
+            "                    d = concatenation_shortest_path(view, base, s, t)\n"
+            "                    print(s, t, *d.pieces)\n"
+            "                except NoPath:\n"
+            "                    print(s, t, '-')\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        outputs = []
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            result = subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True, text=True, env=env, timeout=300,
+            )
+            assert result.returncode == 0, result.stderr
+            outputs.append(result.stdout)
+        assert outputs[0], "the script printed no routes"
+        assert outputs[0] == outputs[1]
 
 
 # -- property tests ------------------------------------------------------------

@@ -37,7 +37,7 @@ import pytest
 import repro.kernels as kernels
 from repro.experiments import table2
 from repro.experiments.networks import cached_suite
-from repro.experiments.parallel import make_executor, publish_suite
+from repro.experiments.parallel import make_executor
 from repro.graph.shm import residual_segments
 from repro.kernels import backend_name, set_backend
 from repro.perf import COUNTERS
@@ -293,10 +293,7 @@ class TestTable2NativeParity:
     def _rows(self, jobs: int) -> dict:
         network = cached_suite(scale="tiny", seed=1)[0]
         executor = make_executor(jobs) if jobs > 1 else None
-        publication = None
         try:
-            if executor is not None:
-                publication = publish_suite([network], with_base=True)
             return table2.evaluate_network(
                 network,
                 modes=("link",),
@@ -306,13 +303,10 @@ class TestTable2NativeParity:
                 jobs=jobs,
                 suite_ref=("tiny", 1, 0),
                 executor=executor,
-                shm_ref=publication.ref(0) if publication else None,
             )
         finally:
             if executor is not None:
                 executor.shutdown()
-            if publication is not None:
-                publication.release()
 
     def test_rows_and_counters_match_at_jobs1(self):
         set_backend("python")

@@ -1,47 +1,53 @@
-"""Shared-memory CSR publication: format, lifecycle, and fan-out identity.
+"""Shared-memory row publication, inherited worker state, and fan-out
+identity.
 
-Four contracts pinned here:
+Five contracts pinned here:
 
-* **Format round-trip** — a published segment attaches back to a
-  ``CsrGraph`` whose buffers are byte-identical to the in-process
-  snapshot, with zero payload copies (the attached arrays are
-  memoryview casts over the shared pages).
+* **Format round-trip** — a published ``RROW`` segment attaches back to
+  a :class:`RowTable` whose rows are byte-identical to the published
+  ones, with zero payload copies (the attached blocks are memoryview
+  casts over the shared pages).
 * **Validation** — segments with a wrong magic, a future format
   version, or a foreign tie-order contract are refused with
   :class:`ShmFormatError`, never reinterpreted.
 * **Lifecycle / leak-freedom** — after normal teardown *and* after an
   exception inside the publication scope, ``residual_segments()`` is
   empty; attach-side handles can never unlink a creator's segment.
+* **Inherited state** — fan-out workers are forked, so the snapshots
+  the parent built are the ones every worker cache holds, and only
+  rows built after the fork travel through shared memory.
 * **Fan-out identity** — per-link ILM accounting produces byte-identical
   results at ``--jobs 1`` and ``--jobs 4``, with shared memory enabled
-  and with ``REPRO_SHM=0`` (the rebuild fallback).
+  and with ``REPRO_SHM=0`` (the per-worker warm-up fallback).
 """
 
 from __future__ import annotations
 
+import json
+import os
 import random
+from array import array
 
 import pytest
 
-from repro.core.cache import shared_unique_base
-from repro.experiments import table2
+from repro.core.cache import shared_spt_cache, shared_unique_base
+from repro.experiments import figure10, parallel, table2, table3
 from repro.experiments.ilm_accounting import IlmAccountant
 from repro.experiments.networks import cached_suite
 from repro.experiments.parallel import chunk_bounds, make_executor, publish_suite
 from repro.failures.sampler import sample_pairs
 from repro.graph import shm
-from repro.graph.csr import CsrGraph, shared_csr
+from repro.graph.csr import shared_csr
 from repro.graph.shm import (
     ShmFormatError,
-    attach_csr,
-    attach_csr_cached,
     attach_rows,
+    attach_rows_cached,
     detach_all,
-    publish_csr,
     publish_rows,
     residual_segments,
     segment_exists,
 )
+from repro.perf import COUNTERS
 from repro.topology import (
     complete_graph,
     cycle_graph,
@@ -60,94 +66,89 @@ from repro.topology.classic import (
 from repro.topology.powerlaw import preferential_attachment
 
 
-def publish_or_skip(csr: CsrGraph):
-    seg = publish_csr(csr)
+def _warm_spt_cache(graph, sources=(0, 1, 2), weighted=True):
+    """A fresh (non-shared) SptCache with rows built for *sources*."""
+    from repro.graph.incremental import SptCache
+
+    cache = SptCache(graph, weighted=weighted)
+    cache.ensure_rows(sources)
+    return cache
+
+
+def publish_rows_or_skip(kind, n, weighted, version, rows):
+    seg = publish_rows(kind, n, weighted, version, rows)
     if seg is None:
         pytest.skip("shared memory unavailable on this platform")
     return seg
 
 
+def _published(graph=None, sources=(0,)):
+    """A creator handle for the SPT rows of *graph* (default a path)."""
+    cache = _warm_spt_cache(
+        graph if graph is not None else path_graph(4), sources=sources
+    )
+    csr = cache.csr
+    return publish_rows_or_skip(
+        "spt", csr.n, True, csr.source_version, cache.export_rows()
+    )
+
+
+def _corrupt(seg, offset: int, payload: bytes) -> None:
+    view = shm._attach_untracked(seg.name)
+    try:
+        view.buf[offset : offset + len(payload)] = payload
+    finally:
+        view.close()
+
+
 class TestFormatRoundTrip:
     def test_attach_reproduces_buffers_exactly(self):
-        csr = shared_csr(grid_graph(3, 4))
-        with publish_or_skip(csr) as seg:
-            attached, handle = attach_csr(seg.name)
+        """Every row comes back bit for bit, unreachable ``inf`` /
+        ``-1`` entries included."""
+        graph = grid_graph(3, 4)
+        graph.add_node("island")
+        cache = _warm_spt_cache(graph, sources=(0, 5, 11))
+        csr = cache.csr
+        rows = cache.export_rows()
+        with publish_rows_or_skip(
+            "spt", csr.n, True, csr.source_version, rows
+        ) as seg:
+            table, handle = attach_rows(seg.name)
             try:
-                assert attached.nodes == csr.nodes
-                assert attached.n == csr.n
-                assert attached.directed == csr.directed
-                assert attached.source_version == csr.source_version
-                assert bytes(attached.indptr) == bytes(csr.indptr)
-                assert bytes(attached.indices) == bytes(csr.indices)
-                assert bytes(attached.weights) == bytes(csr.weights)
+                assert table.sources == (0, 5, 11)
+                for i in table.sources:
+                    dist, pred = table.row(i)
+                    assert dist.tobytes() == array("d", rows[i][0]).tobytes()
+                    assert pred.tobytes() == array("q", rows[i][1]).tobytes()
+                    assert dist[csr.index["island"]] == float("inf")
+                    assert pred[csr.index["island"]] == -1
             finally:
                 handle.close()
 
     def test_attach_is_zero_copy(self):
-        """The numeric sections come back as casts over the shared pages."""
-        csr = shared_csr(cycle_graph(5))
-        with publish_or_skip(csr) as seg:
-            attached, handle = attach_csr(seg.name)
+        """The row blocks are casts over the shared pages: a write
+        through the creator's mapping shows in the attached view."""
+        with _published(cycle_graph(5)) as seg:
+            table, handle = attach_rows(seg.name)
             try:
-                for buf in (attached.indptr, attached.indices, attached.weights):
-                    assert isinstance(buf, memoryview)
-                    assert buf.readonly is False  # cast of the live mapping
-                # The graph pins its segment so the mapping outlives
+                dist, _pred = table.row(0)
+                assert isinstance(dist, memoryview)
+                # The table pins its segment so the mapping outlives
                 # local references to the handle.
-                assert attached.keepalive is handle
-            finally:
-                handle.close()
-
-    def test_empty_graph_round_trips(self):
-        from repro.graph.graph import Graph
-
-        csr = CsrGraph(Graph())
-        with publish_or_skip(csr) as seg:
-            attached, handle = attach_csr(seg.name)
-            try:
-                assert attached.n == 0
-                assert attached.nodes == []
-                assert len(attached.indices) == 0
+                assert table.segment is handle
+                offset = seg._shm.buf.tobytes().index(dist.tobytes())
+                seg._shm.buf[offset : offset + 8] = array("d", [7.5]).tobytes()
+                assert dist[0] == 7.5
             finally:
                 handle.close()
 
 
 class TestValidation:
-    def _corrupt(self, seg, offset: int, payload: bytes) -> None:
-        view = shm._attach_untracked(seg.name)
-        try:
-            view.buf[offset : offset + len(payload)] = payload
-        finally:
-            view.close()
-
-    def test_version_mismatch_is_refused(self):
-        csr = shared_csr(path_graph(4))
-        with publish_or_skip(csr) as seg:
-            # Preamble layout: magic[0:4], version u32 [4:8].
-            self._corrupt(seg, 4, (999).to_bytes(4, "little"))
-            with pytest.raises(ShmFormatError, match="format v999"):
-                attach_csr(seg.name)
-
-    def test_bad_magic_is_refused(self):
-        csr = shared_csr(path_graph(4))
-        with publish_or_skip(csr) as seg:
-            self._corrupt(seg, 0, b"NOPE")
-            with pytest.raises(ShmFormatError, match="magic"):
-                attach_csr(seg.name)
-
-    def test_foreign_tie_order_is_refused(self, monkeypatch):
-        csr = shared_csr(path_graph(4))
-        with publish_or_skip(csr) as seg:
-            monkeypatch.setattr(shm, "SHM_TIE_ORDER", "hops")
-            with pytest.raises(ShmFormatError, match="tie order"):
-                attach_csr(seg.name)
-
     def test_failed_attach_leaves_no_local_handle(self):
-        csr = shared_csr(path_graph(4))
-        with publish_or_skip(csr) as seg:
-            self._corrupt(seg, 0, b"NOPE")
+        with _published() as seg:
+            _corrupt(seg, 0, b"NOPE")
             with pytest.raises(ShmFormatError):
-                attach_csr(seg.name)
+                attach_rows(seg.name)
             # The refused attach closed its own mapping; the creator's
             # segment itself is untouched and still published.
             assert segment_exists(seg.name)
@@ -155,8 +156,7 @@ class TestValidation:
 
 class TestLifecycle:
     def test_normal_teardown_leaves_no_residue(self):
-        csr = shared_csr(four_cycle())
-        seg = publish_or_skip(csr)
+        seg = _published(four_cycle())
         name = seg.name
         assert segment_exists(name)
         seg.close()
@@ -165,10 +165,9 @@ class TestLifecycle:
         assert residual_segments() == []
 
     def test_exceptional_teardown_leaves_no_residue(self):
-        csr = shared_csr(four_cycle())
         name = None
         with pytest.raises(RuntimeError, match="boom"):
-            with publish_or_skip(csr) as seg:
+            with _published(four_cycle()) as seg:
                 name = seg.name
                 raise RuntimeError("boom")
         assert name is not None
@@ -176,47 +175,43 @@ class TestLifecycle:
         assert residual_segments() == []
 
     def test_attacher_cannot_unlink(self):
-        csr = shared_csr(four_cycle())
-        with publish_or_skip(csr) as seg:
-            _attached, handle = attach_csr(seg.name)
+        with _published(four_cycle()) as seg:
+            _table, handle = attach_rows(seg.name)
             handle.unlink()  # no-op: not the creator
             assert segment_exists(seg.name)
             handle.close()
         assert not segment_exists(seg.name)
 
     def test_close_and_unlink_are_idempotent(self):
-        csr = shared_csr(four_cycle())
-        seg = publish_or_skip(csr)
+        seg = _published(four_cycle())
         for _ in range(2):
             seg.close()
             seg.unlink()
         assert residual_segments() == []
 
     def test_attach_cache_is_per_name_and_detachable(self):
-        csr = shared_csr(grid_graph(2, 3))
-        with publish_or_skip(csr) as seg:
-            first = attach_csr_cached(seg.name)
-            second = attach_csr_cached(seg.name)
+        with _published(grid_graph(2, 3)) as seg:
+            first = attach_rows_cached(seg.name)
+            second = attach_rows_cached(seg.name)
             assert first is second
             detach_all()
-            third = attach_csr_cached(seg.name)
+            third = attach_rows_cached(seg.name)
             assert third is not first
             detach_all()
 
     def test_disabled_publication_falls_back(self, monkeypatch):
-        from repro.perf import COUNTERS
-
+        cache = _warm_spt_cache(path_graph(3), sources=(0,))
         monkeypatch.setenv("REPRO_SHM", "0")
+        assert not shm.shm_enabled()
         before = COUNTERS.shm_fallbacks
-        assert publish_csr(shared_csr(path_graph(3))) is None
+        assert publish_rows("spt", 3, True, None, cache.export_rows()) is None
         assert COUNTERS.shm_fallbacks == before + 1
 
     def test_oversize_payload_falls_back(self, monkeypatch):
-        from repro.perf import COUNTERS
-
-        monkeypatch.setenv("REPRO_SHM_MAX_BYTES", "16")
+        cache = _warm_spt_cache(complete_graph(6), sources=(0, 1))
+        monkeypatch.setattr(shm, "MAX_SEGMENT_BYTES", 16)
         before = COUNTERS.shm_fallbacks
-        assert publish_csr(shared_csr(complete_graph(6))) is None
+        assert publish_rows("spt", 6, True, None, cache.export_rows()) is None
         assert COUNTERS.shm_fallbacks == before + 1
         assert residual_segments() == []
 
@@ -238,26 +233,110 @@ TOPOLOGY_FAMILIES = [
     ("internet", lambda: generate_internet_graph(n=60, seed=2)),
 ]
 
+#: The graph a TestEveryTopologyFamily worker reads.  Set in the parent
+#: before the pool forks: inheritance is the only way it can arrive.
+_INHERITED_GRAPH = None
+
+
+def _inherited_csr_report() -> tuple:
+    """Worker side: builds counted, and the snapshot it finds."""
+    before = COUNTERS.csr_builds
+    csr = shared_csr(_INHERITED_GRAPH)
+    return (
+        COUNTERS.csr_builds - before, csr.nodes,
+        bytes(csr.indptr), bytes(csr.indices), bytes(csr.weights),
+    )
+
 
 class TestEveryTopologyFamily:
-    """Property: publish/attach is the identity on CSR buffers, for a
-    representative of every topology family the repo generates."""
+    """Property: the parent-to-worker hand-off is the identity on CSR
+    buffers and rebuilds nothing, for a representative of every
+    topology family the repo generates."""
 
     @pytest.mark.parametrize(
         "family", [f for _, f in TOPOLOGY_FAMILIES],
         ids=[name for name, _ in TOPOLOGY_FAMILIES],
     )
-    def test_round_trip_preserves_family_csr(self, family):
-        csr = shared_csr(family())
-        with publish_or_skip(csr) as seg:
-            attached, handle = attach_csr(seg.name)
-            try:
-                assert attached.nodes == csr.nodes
-                assert bytes(attached.indptr) == bytes(csr.indptr)
-                assert bytes(attached.indices) == bytes(csr.indices)
-                assert bytes(attached.weights) == bytes(csr.weights)
-            finally:
-                handle.close()
+    def test_round_trip_preserves_family_csr(self, family, monkeypatch):
+        graph = family()
+        csr = shared_csr(graph)
+        monkeypatch.setattr(f"{__name__}._INHERITED_GRAPH", graph)
+        executor = make_executor(2)
+        try:
+            report = executor.submit(_inherited_csr_report).result()
+        finally:
+            executor.shutdown()
+        assert report == (
+            0, csr.nodes,
+            bytes(csr.indptr), bytes(csr.indices), bytes(csr.weights),
+        )
+        assert residual_segments() == []
+
+
+#: Where the probing chunk wrappers append one line per worker chunk.
+#: Set in the parent before the pool forks, so every worker inherits it.
+_PROBE_LOG = None
+
+
+def _log_inherited_state(scale: str, seed: int, index: int) -> None:
+    """Worker side: do this network's caches hold the snapshots
+    ``shared_csr`` returns?"""
+    network = cached_suite(scale=scale, seed=seed)[index]
+    graph = network.graph
+    cache = shared_spt_cache(graph, weighted=network.weighted)
+    base = shared_unique_base(graph)
+    with open(_PROBE_LOG, "a") as fh:
+        fh.write(json.dumps([
+            os.getpid(),
+            cache.csr is shared_csr(graph),
+            base.oracle.csr() is shared_csr(base.padded),
+        ]) + "\n")
+
+
+def _probing_case_chunk(scale, seed, index, *rest):
+    result = parallel.table2_case_chunk(scale, seed, index, *rest)
+    _log_inherited_state(scale, seed, index)
+    return result
+
+
+def _probing_ilm_chunk(scale, seed, index, *rest):
+    result = parallel.ilm_scenario_chunk(scale, seed, index, *rest)
+    _log_inherited_state(scale, seed, index)
+    return result
+
+
+class TestInheritedState:
+    """Workers get the parent's pre-fork state one way only: ``fork``."""
+
+    def test_worker_caches_hold_the_shared_snapshots(
+        self, monkeypatch, tmp_path
+    ):
+        """In every worker chunk of a jobs-2 Table 2 run the network's
+        SPT cache sits on ``shared_csr(graph)`` and its base oracle on
+        ``shared_csr(base.padded)``: one snapshot per graph."""
+        log = tmp_path / "probe.jsonl"
+        monkeypatch.setattr(f"{__name__}._PROBE_LOG", str(log))
+        monkeypatch.setattr(table2, "table2_case_chunk", _probing_case_chunk)
+        monkeypatch.setattr(table2, "ilm_scenario_chunk", _probing_ilm_chunk)
+        table2.run(
+            scale="tiny", modes=("link",), ilm_accounting="per-link", jobs=2
+        )
+        records = [json.loads(line) for line in log.read_text().splitlines()]
+        networks = len(cached_suite(scale="tiny", seed=1))
+        assert len(records) > 2 * networks  # case and ILM chunks alike
+        assert all(pid != os.getpid() for pid, _, _ in records)
+        assert all(spt and oracle for _, spt, oracle in records), records
+        assert residual_segments() == []
+
+    def test_table3_and_figure10_create_no_segment(self):
+        """Neither fan-out builds rows after its workers start, so
+        neither has anything to publish."""
+        before = COUNTERS.snapshot()
+        table3.run(scale="tiny", jobs=2)
+        figure10.run(scale="tiny", jobs=2)
+        delta = COUNTERS.delta(before)
+        assert delta.shm_segments == 0
+        assert delta.shm_fallbacks == 0
         assert residual_segments() == []
 
 
@@ -327,10 +406,7 @@ class TestIlmJobsIdentity:
     def _rows(self, jobs: int) -> dict:
         network = cached_suite(scale="tiny", seed=1)[0]
         executor = make_executor(jobs) if jobs > 1 else None
-        publication = None
         try:
-            if executor is not None:
-                publication = publish_suite([network], with_base=True)
             return table2.evaluate_network(
                 network,
                 modes=("link",),
@@ -340,17 +416,12 @@ class TestIlmJobsIdentity:
                 jobs=jobs,
                 suite_ref=("tiny", 1, 0),
                 executor=executor,
-                shm_ref=publication.ref(0) if publication else None,
             )
         finally:
             if executor is not None:
                 executor.shutdown()
-            if publication is not None:
-                publication.release()
 
     def test_jobs4_matches_jobs1_with_shm(self):
-        from repro.perf import COUNTERS
-
         sequential = self._rows(jobs=1)
         before_chunks = COUNTERS.ilm_scenario_chunks
         parallel = self._rows(jobs=4)
@@ -367,22 +438,6 @@ class TestIlmJobsIdentity:
 
 
 # -- warm-row (RROW) segments -------------------------------------------------
-
-
-def _warm_spt_cache(graph, sources=(0, 1, 2), weighted=True):
-    """A fresh (non-shared) SptCache with rows built for *sources*."""
-    from repro.graph.incremental import SptCache
-
-    cache = SptCache(graph, weighted=weighted)
-    cache.ensure_rows(sources)
-    return cache
-
-
-def publish_rows_or_skip(kind, n, weighted, version, rows):
-    seg = publish_rows(kind, n, weighted, version, rows)
-    if seg is None:
-        pytest.skip("shared memory unavailable on this platform")
-    return seg
 
 
 class TestRowSegmentRoundTrip:
@@ -440,53 +495,32 @@ class TestRowSegmentRoundTrip:
             table, handle = attach_rows(seg.name)
             handle.close()
         delta = COUNTERS.delta(before)
-        assert delta.shm_row_segments == 1
-        assert delta.shm_row_attach == 1
+        assert delta.shm_segments == 1
+        assert delta.shm_attach == 1
         assert delta.warm_rows_published == 2
 
 
 class TestRowSegmentValidation:
-    def _corrupt(self, seg, offset: int, payload: bytes) -> None:
-        view = shm._attach_untracked(seg.name)
-        try:
-            view.buf[offset : offset + len(payload)] = payload
-        finally:
-            view.close()
-
-    def _published(self):
-        graph = path_graph(4)
-        cache = _warm_spt_cache(graph, sources=(0,))
-        csr = cache.csr
-        return publish_rows_or_skip(
-            "spt", csr.n, True, csr.source_version, cache.export_rows()
-        )
-
     def test_format_version_mismatch_is_refused(self):
-        with self._published() as seg:
-            self._corrupt(seg, 4, (999).to_bytes(4, "little"))
+        with _published() as seg:
+            _corrupt(seg, 4, (999).to_bytes(4, "little"))
             with pytest.raises(ShmFormatError, match="format v999"):
                 attach_rows(seg.name)
 
     def test_bad_magic_is_refused(self):
-        with self._published() as seg:
-            self._corrupt(seg, 0, b"NOPE")
-            with pytest.raises(ShmFormatError, match="magic"):
-                attach_rows(seg.name)
-
-    def test_csr_segment_is_not_a_row_segment(self):
-        csr = shared_csr(path_graph(4))
-        with publish_or_skip(csr) as seg:
+        with _published() as seg:
+            _corrupt(seg, 0, b"NOPE")
             with pytest.raises(ShmFormatError, match="magic"):
                 attach_rows(seg.name)
 
     def test_foreign_tie_order_is_refused(self, monkeypatch):
-        with self._published() as seg:
+        with _published() as seg:
             monkeypatch.setattr(shm, "SHM_TIE_ORDER", "hops")
             with pytest.raises(ShmFormatError, match="tie order"):
                 attach_rows(seg.name)
 
     def test_attach_after_unlink_raises(self):
-        seg = self._published()
+        seg = _published()
         name = seg.name
         seg.unlink()
         assert not segment_exists(name)
@@ -651,11 +685,10 @@ class TestWorkerWarmUpAccounting:
         clear_cache()
         network = cached_suite(scale="tiny", seed=1)[0]
         executor = make_executor(jobs) if jobs > 1 else None
-        publication = None
         before = COUNTERS.snapshot()
         try:
             if executor is not None:
-                publication = publish_suite(
+                publish_suite(
                     [network], with_base=True, with_rows=with_rows, seed=1
                 )
             rows = table2.evaluate_network(
@@ -667,13 +700,10 @@ class TestWorkerWarmUpAccounting:
                 jobs=jobs,
                 suite_ref=("tiny", 1, 0),
                 executor=executor,
-                shm_ref=publication.ref(0) if publication else None,
             )
         finally:
             if executor is not None:
                 executor.shutdown()
-            if publication is not None:
-                publication.release()
         return rows, COUNTERS.delta(before)
 
     def test_ilm_work_counter_parity_weighted_chunks_vs_sequential(self):
@@ -726,10 +756,8 @@ class TestWorkerWarmUpAccounting:
         """End to end: publication on, jobs-4 payload rows byte-identical
         to jobs-1, workers adopt instead of re-settling (their warm-up
         counter is zero)."""
-        probe = shm.publish_csr(shared_csr(path_graph(3)))
-        if probe is None:
+        if not shm.shm_enabled():
             pytest.skip("shared memory unavailable on this platform")
-        probe.unlink()
         detach_all()
         seq_rows, seq = self._evaluate(jobs=1, with_rows=False)
         par_rows, par = self._evaluate(jobs=4, with_rows=True)
@@ -737,7 +765,7 @@ class TestWorkerWarmUpAccounting:
         assert seq.worker_warm_row_builds == 0
         assert par.worker_warm_row_builds == 0
         assert par.warm_rows_adopted > 0
-        assert par.shm_row_segments > 0
+        assert par.shm_segments > 0
         assert residual_segments() == []
 
     def test_worker_warm_up_returns_without_publication(self, monkeypatch):
