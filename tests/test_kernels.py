@@ -119,7 +119,7 @@ def _accel_module(accel):
         pytest.skip("no C toolchain for the native backend")
     return natk
 
-#: Same representatives as the shared-memory sweep in tests/test_shm.py.
+#: Same representatives as the topology-family sweep in tests/test_shm.py.
 TOPOLOGY_FAMILIES = [
     ("path", lambda: path_graph(7)),
     ("cycle", lambda: cycle_graph(6)),
