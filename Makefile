@@ -24,5 +24,4 @@ clean:
 
 bench-smoke:
 	PYTHONPATH=src python benchmarks/bench_csr.py --smoke
-	PYTHONPATH=src python benchmarks/bench_shm.py --smoke
 	PYTHONPATH=src python benchmarks/bench_kernels.py --smoke

@@ -16,13 +16,10 @@ holds exactly the :class:`~repro.runconfig.RunConfig` fields the CLI
 declares, and :func:`write_bench_json` adds what the process decides
 (``tie_order`` — the canonical path contract; ``repair_fallback`` —
 the constant :data:`~repro.graph.incremental.REPAIR_FALLBACK_FRACTION`;
-``shm_enabled`` — whether the shared-memory warm-row publication of
-:mod:`repro.graph.shm` was available and not disabled via
-``REPRO_SHM=0``; ``kernel_backend``; ``jobs``, ``1`` unless declared)
-plus provenance.  Runs that differ in any of these do different work,
-so ``python -m repro.obs diff`` — the threshold/exit-code comparator —
-refuses to diff across them
-(:data:`~repro.runconfig.COMPARABILITY_KEYS`).
+``kernel_backend``; ``jobs``, ``1`` unless declared) plus provenance.
+Runs that differ in any of these do different work, so ``python -m
+repro.obs diff`` — the threshold/exit-code comparator — refuses to
+diff across them (:data:`~repro.runconfig.COMPARABILITY_KEYS`).
 """
 
 from __future__ import annotations
@@ -125,10 +122,6 @@ def write_bench_json(
     ``REPRO_LEDGER=0``) so the run joins the cross-run history that
     ``python -m repro.obs trend`` gates on.
     """
-    # Imported here: repro.graph.shm loads multiprocessing's shared
-    # memory machinery, which runs that never fan out otherwise skip.
-    from ..graph.shm import shm_enabled
-
     if path:
         out = Path(path)
         out.parent.mkdir(parents=True, exist_ok=True)
@@ -139,7 +132,6 @@ def write_bench_json(
     stamps = {
         "tie_order": TIE_ORDER,
         "repair_fallback": REPAIR_FALLBACK_FRACTION,
-        "shm_enabled": shm_enabled(),
         "kernel_backend": backend_name(),
         "jobs": 1,
         "git_sha": git_sha(),

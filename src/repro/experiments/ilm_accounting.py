@@ -82,9 +82,8 @@ from ..perf import COUNTERS, warm_up_phase
 
 #: A path in CSR index space: the node-index sequence, source first.
 Chain = tuple[int, ...]
-#: A source's primary tree, ``(order, pos, end, pred)`` (``_tree``);
-#: ``pred`` may be a read-only view adopted from shared memory.
-Tree = tuple[array, array, array, array | memoryview]
+#: A source's primary tree, ``(order, pos, end, pred)`` (``_tree``).
+Tree = tuple[array, array, array, array]
 
 
 class IlmAccountant:
@@ -190,9 +189,8 @@ class IlmAccountant:
         universe = self._universe
         if universe is None:
             # Universe warm-up: the oracle rows of every primary tree
-            # are batch-warmed here — exactly the set a parent
-            # publishes, so builds inside this phase count as
-            # warm_row_builds.
+            # are batch-warmed here, so builds inside this phase count
+            # as warm_row_builds (in a worker, worker_warm_row_builds).
             with warm_up_phase():
                 nodes = self.csr.nodes
                 self._oracle.warm_many(
@@ -240,28 +238,23 @@ class IlmAccountant:
             grouped[si] = _outermost(ranges) if len(ranges) > 1 else ranges
         return grouped
 
-    def plan_scenarios(
-        self, scenarios: list[FailureScenario]
-    ) -> tuple[list[int], list[int]]:
+    def plan_scenarios(self, scenarios: list[FailureScenario]) -> list[int]:
         """Cost-model pass over *scenarios* (the fan-out scheduler input).
 
-        Returns ``(costs, touched)``: a per-scenario work estimate and
-        the sorted CSR indices of every source any scenario repairs.
-        The estimate is the summed
+        Returns a per-scenario work estimate: the summed
         :meth:`~repro.graph.incremental.SptCache.repair_cost_estimate`
         over the scenario's touched sources — pre-failure subtree sizes
         below the dead links/routers, the dominant ``repair_spt`` term
         — plus the affected-demand count (backup walks and
-        decomposition probes scale with it).  As a side effect this
-        warms the exact SPT row set a parallel run wants to publish,
-        which is the same row set a sequential run builds one scenario
-        at a time.  Deterministic: pure arithmetic over cached rows.
+        decomposition probes scale with it).  The estimate reads the
+        pre-failure SPT rows of every touched source, so this builds
+        the rows a sequential run builds one scenario at a time.
+        Deterministic: pure arithmetic over cached rows.
         """
         index = self.csr.index
         cache = shared_spt_cache(self.graph, weighted=self.weighted)
         grouped_list = [self._affected(s) for s in scenarios]
-        touched = sorted({si for g in grouped_list for si in g})
-        cache.ensure_rows(touched)
+        cache.ensure_rows(sorted({si for g in grouped_list for si in g}))
         costs: list[int] = []
         for scenario, grouped in zip(scenarios, grouped_list):
             dead_pairs: list[tuple[int, int]] = []
@@ -278,44 +271,12 @@ class IlmAccountant:
                     si, dead_pairs, dead_nodes
                 ) + sum(hi - lo for lo, hi in ranges)
             costs.append(cost)
-        return costs, touched
+        return costs
 
-    def publish_warm_rows(self):
-        """Publish this accountant's warm rows for a scenario fan-out.
-
-        Ships every cached SPT row of the shared cache and every
-        complete oracle row (the sets :meth:`plan_scenarios` just
-        warmed, plus whatever earlier stages left behind) as two
-        ``RROW`` segments.  Returns ``(row_ref, segments)`` where
-        *row_ref* is the ``(spt name, oracle name)`` pair for
-        :func:`~repro.experiments.parallel.ilm_scenario_chunk` — or
-        ``None`` when nothing published — and *segments* are the
-        creator handles the caller must unlink after the fan-out.
-        """
-        from ..graph import shm
-
-        if not shm.shm_enabled():
-            return None, []
-        segments: list = []
-        spt_name = oracle_name = None
-        cache = shared_spt_cache(self.graph, weighted=self.weighted)
-        seg = shm.publish_rows(
-            "spt", self.csr.n, self.weighted, self.csr.source_version,
-            cache.export_rows(),
-        )
-        if seg is not None:
-            segments.append(seg)
-            spt_name = seg.name
-        seg = shm.publish_rows(
-            "oracle", self._probe.n, True, self._probe.source_version,
-            self._oracle.export_rows(),
-        )
-        if seg is not None:
-            segments.append(seg)
-            oracle_name = seg.name
-        if spt_name is None and oracle_name is None:
-            return None, segments
-        return (spt_name, oracle_name), segments
+    # Not called; perfbench/tracing.py wraps this attribute by name, so
+    # the name must resolve.
+    def publish_warm_rows(self) -> None:
+        """Does nothing: worker chunks build the rows they need."""
 
     def process_scenario(self, scenario: FailureScenario) -> int:
         """Account one failure scenario; returns affected-demand count.

@@ -31,21 +31,13 @@ to the sequential run:
   workers build the same state themselves on first use; the canonical
   ``(dist, index)`` tie contract makes rows byte-identical no matter
   which process computes them.
-* **Warm rows, not N warm-ups.**  Rows the parent builds *after* the
-  pool started — the per-link ILM stage's planning pass — cannot be
-  inherited: :meth:`IlmAccountant.publish_warm_rows` ships them as
-  ``RROW`` segments (:func:`repro.graph.shm.publish_rows`) and
-  workers adopt zero-copy read-only row views
-  (:meth:`SptCache.adopt_rows` / :meth:`LazyDistanceOracle.adopt_rows`)
-  instead of re-running the parent's warm-up searches.  Adopted views
-  are read-only buffers, so ``repair_batch`` copy-on-repair mutations
-  stay worker-local by construction.  Publication degrades gracefully
-  (``REPRO_SHM=0`` or no shared memory: workers warm up themselves,
-  ``COUNTERS.shm_fallbacks`` records it) and the creator unlinks every
-  segment in a ``finally``.  ``COUNTERS.worker_warm_row_builds`` —
-  injected into each chunk's counter delta by
-  :func:`_chunk_with_heartbeat` — records any warm-up Dijkstra a
-  worker still had to run itself.
+* **Rows built after the fork stay where they are built.**  Rows the
+  parent builds once the pool started — the per-link ILM stage's
+  planning pass — are not inherited: a worker chunk that needs one
+  builds it, once per worker process, under the same canonical tie
+  contract.  ``COUNTERS.worker_warm_row_builds`` — injected into each
+  chunk's counter delta by :func:`_chunk_with_heartbeat` — counts
+  those worker-side warm-up builds.
 * **Cost-weighted scheduling.**  Count-based :func:`chunk_bounds`
   balances *items*; :func:`weighted_chunks` balances *work*.  The
   parent estimates per-scenario cost from pre-failure SPT subtree
@@ -79,11 +71,6 @@ from typing import Callable, Iterator, Optional, Sequence
 from ..obs import heartbeat
 from ..obs.metrics import METRICS
 from ..perf import COUNTERS
-
-#: Per-fan-out row-segment name pair ``(SPT rows, oracle rows)``: the
-#: ILM scenario fan-out ships the demand-universe rows its planning
-#: pass warmed after the workers started.
-RowRef = Optional[tuple[Optional[str], Optional[str]]]
 
 
 def resolve_jobs(jobs: int) -> int:
@@ -188,9 +175,8 @@ def _tag_worker_builds(delta: dict) -> dict:
     Runs inside the worker, on the counter delta it is about to ship:
     every warm-up row build the chunk performed is by definition a
     *worker-side* build, so the parent's merged
-    ``worker_warm_row_builds`` totals exactly the warm-up duplication
-    the fan-out failed to eliminate (zero when row publication covered
-    everything).
+    ``worker_warm_row_builds`` totals the rows workers built for
+    themselves — rows the parent may have built too, after the fork.
     """
     delta = dict(delta)
     delta["worker_warm_row_builds"] = delta.get("warm_row_builds", 0)
@@ -375,9 +361,11 @@ def publish_suite(
     sweep, skip it).  *with_rows* also warms the demand-pair sources'
     rows (*seed* reproduces the pair sample) of the network's shared
     ``SptCache`` and base oracle, so case-evaluating workers start
-    warm instead of re-settling each source per process.  Nothing is
-    copied into shared memory: one snapshot of each graph exists per
-    process, the one every cache in it holds.
+    warm instead of re-settling each source per process.  One snapshot
+    of each graph exists per process, the one every cache in it holds.
+
+    The name, like the ``shm-publish`` stage ``table2.run`` times this
+    under, predates fork inheritance; ``perfbench`` looks both up.
     """
     from ..core.cache import shared_spt_cache, shared_unique_base
     from ..failures.sampler import sample_pairs
@@ -411,24 +399,6 @@ def _network(scale: str, seed: int, index: int):
     from .networks import cached_suite
 
     return cached_suite(scale=scale, seed=seed)[index]
-
-
-def _adopt_row_slot(ref: RowRef, slot: int, adopter) -> None:
-    """Worker side: attach row segment *slot* of *ref* and adopt it.
-
-    Best-effort — a missing or mismatching segment bumps
-    ``COUNTERS.shm_fallbacks`` and leaves the consumer on its local
-    warm-up path, never breaking the run.
-    """
-    name = ref[slot] if ref else None
-    if not name:
-        return
-    from ..graph import shm
-
-    try:
-        adopter(shm.attach_rows_cached(name))
-    except Exception:
-        COUNTERS.shm_fallbacks += 1
 
 
 #: Worker-process memo of (accountant, scenario list) per ILM fan-out
@@ -521,20 +491,17 @@ def figure10_stretch_chunk(
 
 def ilm_scenario_chunk(
     scale: str, seed: int, index: int, mode: str, ilm_max_scenarios: int,
-    row_ref: RowRef, failure_model: str,
-    qpos: int, indices: tuple[int, ...],
+    failure_model: str, qpos: int, indices: tuple[int, ...],
 ) -> tuple[list, dict, dict]:
     """ILM-account the scenarios at *indices* of one network/mode.
 
     Rebuilds the deterministic scenario list (sampled pairs -> failure
     cases -> deduplicated, thinned scenarios — exactly the sequential
     construction in :func:`~repro.experiments.table2.ilm_scenarios`),
-    adopts the fan-out's warm demand-universe rows (*row_ref*: SPT and
-    oracle ``RROW`` segment names published by
-    :func:`~repro.experiments.table2.evaluate_network` from the cost
-    model's planning pass), accounts its scattered scenario subset, and
-    ships the accountant's mergeable state; the parent folds the chunk
-    states together
+    accounts its scattered scenario subset — building whatever demand
+    universe rows its process does not hold yet — and ships the
+    accountant's mergeable state; the parent folds the chunk states
+    together
     (:meth:`~repro.experiments.ilm_accounting.IlmAccountant.merge_state`)
     for results byte-identical to the sequential loop regardless of
     how scenarios were packed into chunks.
@@ -550,7 +517,7 @@ def ilm_scenario_chunk(
     (``probe_calls`` included) do not depend on which chunks this
     worker saw before.
     """
-    from ..core.cache import shared_spt_cache, shared_unique_base
+    from ..core.cache import shared_unique_base
     from ..failures.sampler import sample_pairs
     from ..policies import make_failure_model
     from .ilm_accounting import IlmAccountant
@@ -561,13 +528,6 @@ def ilm_scenario_chunk(
     network = _network(scale, seed, index)
     graph = network.graph
     base = shared_unique_base(graph)
-    _adopt_row_slot(
-        row_ref, 0,
-        lambda table: shared_spt_cache(
-            graph, weighted=network.weighted
-        ).adopt_rows(table),
-    )
-    _adopt_row_slot(row_ref, 1, base.oracle.adopt_rows)
     key = (scale, seed, index, mode, ilm_max_scenarios, failure_model)
     cached = _ILM_ACCOUNTANTS.get(key)
     if cached is None:

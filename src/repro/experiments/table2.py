@@ -251,25 +251,19 @@ def evaluate_network(
                 if executor is not None and suite_ref is not None and jobs > 1:
                     scale, suite_seed, index = suite_ref
                     # Cost-model pass: estimate each scenario's repair
-                    # work from pre-failure subtree sizes (warming the
-                    # exact row set the fan-out wants shipped), publish
-                    # the warm rows, and LPT-pack scenarios into
-                    # cost-balanced chunks submitted heaviest-first.
-                    costs, _touched = accountant.plan_scenarios(scenarios)
-                    row_ref, row_segments = accountant.publish_warm_rows()
-                    try:
-                        chunk_exports = run_weighted(
-                            executor,
-                            ilm_scenario_chunk,
-                            (scale, suite_seed, index, mode,
-                             ilm_max_scenarios, row_ref, model_name),
-                            weighted_chunks(costs, jobs),
-                            jobs,
-                            len(scenarios),
-                        )
-                    finally:
-                        for seg in row_segments:
-                            seg.unlink()
+                    # work from pre-failure subtree sizes, then
+                    # LPT-pack scenarios into cost-balanced chunks
+                    # submitted heaviest-first.
+                    costs = accountant.plan_scenarios(scenarios)
+                    chunk_exports = run_weighted(
+                        executor,
+                        ilm_scenario_chunk,
+                        (scale, suite_seed, index, mode,
+                         ilm_max_scenarios, model_name),
+                        weighted_chunks(costs, jobs),
+                        jobs,
+                        len(scenarios),
+                    )
                     COUNTERS.ilm_scenario_chunks += len(chunk_exports)
                     for state in chunk_exports:
                         accountant.merge_state(state)
@@ -344,7 +338,8 @@ def run(
         if executor is not None:
             # Build every network's CSR, base set and warm pair-source
             # rows before the first submit: forked workers inherit
-            # them instead of rebuilding their own.
+            # them instead of rebuilding their own.  (The stage name
+            # predates fork inheritance; perfbench counts it as set-up.)
             with timer.stage("shm-publish") if timer else _null():
                 publish_suite(
                     networks, with_base=True, with_rows=True, seed=seed

@@ -108,9 +108,8 @@ class LazyDistanceOracle:
     Rows are stored **array-native**, once, by CSR source index, in the
     oracle's :class:`~repro.kernels.OracleRows` (:meth:`row_table`): one
     flat ``(dist, pred)`` pair of int-indexed buffers per source
-    (``array('d')`` / ``array('q')``, or read-only memoryviews when
-    adopted from shared memory), straight from the canonical CSR kernel
-    (:func:`~repro.graph.csr.dijkstra_csr_canonical`) — the same shape
+    (``array('d')`` / ``array('q')``), straight from the canonical CSR
+    kernel (:func:`~repro.graph.csr.dijkstra_csr_canonical`) — the same shape
     :class:`~repro.graph.incremental.SptCache` caches, so rows flow
     between the graph, cache, kernel, and experiment layers without
     conversion.  Every decomposition reads that table directly: the
@@ -357,7 +356,7 @@ class LazyDistanceOracle:
         return [nodes[i] for i, row in enumerate(rows) if row is not None]
 
     def ensure_rows(self, sources: Iterable[Node]) -> None:
-        """Build full rows for every listed source (publisher warm-up).
+        """Build full rows for every listed source (a warm-up).
 
         One batch through the kernel backend, then a lazy sweep picks up
         whatever the backend declined (reference backend, batches of
@@ -366,39 +365,3 @@ class LazyDistanceOracle:
         index = self._index()
         with warm_up_phase():
             self._make_full([index[s] for s in sources])
-
-    def export_rows(self) -> dict[int, tuple]:
-        """Full rows keyed by CSR source index.
-
-        The publication payload for
-        :func:`repro.graph.shm.publish_rows`: truncated rows are
-        excluded (their ``INF`` labels are ambiguous — an adopter could
-        not tell unsettled from unreachable).
-        """
-        table = self.row_table()
-        return {
-            i: (table.rows[i], table.preds[i])
-            for i, full in enumerate(table.full) if full
-        }
-
-    def adopt_rows(self, table) -> int:
-        """Install warm full rows from an attached shm ``RowTable``.
-
-        Mirrors :meth:`repro.graph.incremental.SptCache.adopt_rows`:
-        only sources with **no cached row at all** are filled (a
-        truncated local row keeps its normal promotion path so
-        ``oracle_promotions`` accounting is undisturbed), the installed
-        views are zero-copy and read-only, and the only counter moved
-        is ``warm_rows_adopted`` — adoption must never look like
-        search work.  Returns the number of rows installed; raises
-        ``ValueError`` on a kind/shape/version mismatch.
-        """
-        table.check_adoptable("oracle", self.csr())
-        own = self._table
-        adopted = 0
-        for i in table.sources:
-            if own.rows[i] is None:
-                own.store(i, *table.row(i), True)
-                adopted += 1
-        COUNTERS.warm_rows_adopted += adopted
-        return adopted

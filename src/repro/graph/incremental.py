@@ -315,46 +315,13 @@ class SptCache:
 
         :meth:`warm_rows` plus a lazy-build sweep for whatever the
         backend declined to batch (the reference backend batches
-        nothing) — the publisher-side primitive: a parent warms the
-        exact row set here, then ships it via
-        :func:`repro.graph.shm.publish_rows`.
+        nothing).  A parent warms here the rows its forked workers
+        inherit, and the ILM cost model the rows it reads.
         """
         idxs = list(dict.fromkeys(source_idxs))
         self.warm_rows(idxs)
         for i in idxs:
             self._row(i)
-
-    def export_rows(self) -> dict[int, tuple]:
-        """Every cached pre-failure row, keyed by CSR source index.
-
-        The publication payload for :func:`repro.graph.shm.publish_rows`
-        — all cached rows are full canonical rows of the unmasked
-        graph, so they are safe to ship as-is.
-        """
-        return dict(self._rows)
-
-    def adopt_rows(self, table) -> int:
-        """Install warm rows from an attached shm ``RowTable``.
-
-        Fills **only missing** sources with the table's zero-copy
-        read-only ``(dist, pred)`` views — locally built or repaired
-        rows are never overwritten.  Adoption is bookkeeping, not
-        search work: it bumps ``COUNTERS.warm_rows_adopted`` and leaves
-        ``csr_settled``/``csr_relaxations`` untouched, so worker-side
-        counter deltas keep measuring real work.  A table published for
-        a different graph shape, query semantics, or consumer kind is
-        refused outright (``ValueError``) — adopting wrong rows would
-        silently corrupt every downstream repair.  Returns the number
-        of rows installed.
-        """
-        table.check_adoptable("spt", self.csr, self.weighted)
-        adopted = 0
-        for i in table.sources:
-            if i not in self._rows:
-                self._rows[i] = table.row(i)
-                adopted += 1
-        COUNTERS.warm_rows_adopted += adopted
-        return adopted
 
     def _children_of(self, i: int) -> tuple[array, array]:
         """Children index of *i*'s cached pre-failure row (memoized)."""

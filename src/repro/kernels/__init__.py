@@ -28,10 +28,10 @@ dispatches through the backend selected here.  Two backends ship:
 Rows cross every layer as flat buffers: each backend returns ``dist``
 as ``array('d')`` and ``pred`` as ``array('q')``, and the caches
 (:class:`~repro.graph.incremental.SptCache`,
-:class:`~repro.graph.all_pairs.LazyDistanceOracle`, shared-memory
-publication) hold and index them as they are.  A restoration case
-stays inside the kernels end to end: ``repair_resettle`` finds the cut
-subtree, applies the fallback threshold and re-settles in one call;
+:class:`~repro.graph.all_pairs.LazyDistanceOracle`) hold and index
+them as they are.  A restoration case stays inside the kernels end to
+end: ``repair_resettle`` finds the cut subtree, applies the fallback
+threshold and re-settles in one call;
 ``decompose_flat`` sums the backup chain's hop weights, reads the
 oracle's rows by node index from its :class:`OracleRows` and, when
 some are missing or not final at the chain's later nodes, has the
@@ -73,18 +73,16 @@ class OracleRows:
     """A distance oracle's rows by node index: the row source of every
     backend's ``decompose_flat`` and ``ilm_account``.
 
-    ``rows[a]`` is node ``a``'s distance row (``array('d')`` or a
-    read-only ``'d'`` memoryview of ``n`` entries) or ``None``, and
-    ``preds[a]`` its predecessor row; ``addrs[a]`` is the distance
-    row's base address, 0 without a row, which the native backend
-    reads; ``full[a]`` is 1 when the row is full (its whole component
-    settled, so ``INF`` proves unreachability) and 0 when it is
-    truncated (settled up to some targets: ``INF`` may be unsettled)
-    or missing.  The owner stores every row through :meth:`store`,
-    which checks its shape and typecode once.  A truncated row may be
-    replaced by a full one (a promotion), and its address with it; a
-    full row is never replaced, and a stored row stays readable (a
-    shared-memory row's segment attached) while the table is in use.
+    ``rows[a]`` is node ``a``'s distance row (``array('d')`` of ``n``
+    entries) or ``None``, and ``preds[a]`` its predecessor row;
+    ``addrs[a]`` is the distance row's base address, 0 without a row,
+    which the native backend reads; ``full[a]`` is 1 when the row is
+    full (its whole component settled, so ``INF`` proves
+    unreachability) and 0 when it is truncated (settled up to some
+    targets: ``INF`` may be unsettled) or missing.  The owner stores
+    every row through :meth:`store`, which checks its shape and
+    typecode once.  A truncated row may be replaced by a full one (a
+    promotion), and its address with it; a full row is never replaced.
 
     The backends ask the owner for rows through two callbacks.
     ``decompose_flat`` reads a row wherever it is final at the chain's

@@ -23,11 +23,11 @@ available, so ``REPRO_KERNEL=auto`` silently degrades to the reference
 backend while an explicit ``REPRO_KERNEL=native`` fails loudly.
 
 **Zero-copy.**  The C entry points take raw pointers into the existing
-buffers — the snapshot's ``array.array`` CSR arrays, rows (read-only
-shared-memory row views from :mod:`repro.graph.shm` included) and the
-dead-edge / dead-node masks the snapshot owns; snapshot addresses are
-resolved once and cached on the snapshot (``CsrGraph.native_state``).  A failure view costs O(k): its
-checked dead slots and nodes are cached on the view
+buffers — the snapshot's ``array.array`` CSR arrays, ``array`` rows and
+the dead-edge / dead-node masks the snapshot owns; snapshot addresses
+are resolved once and cached on the snapshot
+(``CsrGraph.native_state``).  A failure view costs O(k): its checked
+dead slots and nodes are cached on the view
 (``CsrView.native_state``), and each call marks them in the snapshot's
 masks in C and clears them before it returns.  A snapshot therefore
 runs one kernel call at a time; ``--jobs`` workers are processes, each
@@ -49,7 +49,7 @@ from ..graph.shortest_paths import EPSILON
 from ..perf import COUNTERS
 from . import REPAIRED
 from . import python_backend as _py
-from .buffers import buffer_address, row_address
+from .buffers import row_address
 
 NAME = "native"
 INF = float("inf")
@@ -255,21 +255,19 @@ def _check(status: int) -> None:
 
 
 def _addr_of(buf) -> tuple[int, object]:
-    """``(base address, keepalive)`` of a contiguous buffer, zero-copy.
+    """``(base address, keepalive)`` of an ``array`` or ``bytearray``,
+    zero-copy.
 
-    ``array.array`` exposes its address directly; anything else goes
-    through the buffer protocol (shared-memory memoryview casts —
-    read-only ones included — and bytearray masks).  Empty buffers
-    yield a null pointer — the kernels never dereference them (no
-    slots / no nodes to scan).
+    ``array.array`` exposes its address directly; a bytearray mask is
+    pinned through ``ctypes``.  Empty buffers yield a null pointer —
+    the kernels never dereference them (no slots / no nodes to scan).
     """
+    if not len(buf):
+        return 0, buf
     if isinstance(buf, array):
-        return (buf.buffer_info()[0] if len(buf) else 0), buf
-    view = buf if isinstance(buf, memoryview) else memoryview(buf)
-    if view.readonly or not view.nbytes:
-        return buffer_address(view), view
-    pin = ctypes.c_char.from_buffer(view)
-    return ctypes.addressof(pin), (view, pin)
+        return buf.buffer_info()[0], buf
+    pin = ctypes.c_char.from_buffer(buf)
+    return ctypes.addressof(pin), (buf, pin)
 
 
 class _GraphState:
@@ -503,10 +501,10 @@ def repair_resettle(
 ) -> tuple[int, Optional[array], Optional[array]]:
     """Fused subtree discovery + threshold + re-settle, one C call.
 
-    Reads the cached pre-failure row in place (read-only shared-memory
-    rows included) and writes a repaired copy only when the outcome is
-    ``REPAIRED``.  Buffer shapes, the children index and the view's
-    dead indices are validated first (``ValueError`` on a mismatch).
+    Reads the cached pre-failure row in place, never writing it, and
+    writes a repaired copy only when the outcome is ``REPAIRED``.
+    Buffer shapes, the children index and the view's dead indices are
+    validated first (``ValueError`` on a mismatch).
     """
     csr = view.csr
     n = csr.n

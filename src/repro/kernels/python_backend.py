@@ -12,8 +12,7 @@ identical to the historical set-based loops.
 Backend interface (duck-typed module):
 
 Every row — ``dist`` and ``pred`` — is a flat buffer: the kernels
-return ``array('d')`` / ``array('q')``, and accept those or read-only
-memoryviews of the same formats (rows adopted from shared memory).
+return and accept ``array('d')`` / ``array('q')``.
 
 ``NAME``
     Backend identifier stamped into BENCH headers.

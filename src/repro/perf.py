@@ -46,37 +46,24 @@ Counter meanings:
     re-settled across them (the affected subtrees — the honest
     per-failure work), and repairs abandoned for a full recompute
     because the affected region exceeded the threshold.
-``shm_segments`` / ``shm_attach`` / ``shm_fallbacks``
-    Shared-memory warm-row substrate (:mod:`repro.graph.shm` ``RROW``
-    segments): row tables published by a creator process, read-only
-    attaches performed by workers, and publish/attach attempts that
-    fell back to per-process warm-up (shared memory unavailable,
-    disabled via ``REPRO_SHM=0``, over the size cap, or a header
-    mismatch).  The obs-gate asserts the attach path stays hot: a
-    fan-out that silently warms up per worker shows up as
-    ``shm_fallbacks`` growth.
 ``ilm_scenario_chunks``
     Per-link ILM accounting fan-out: deterministic scenario chunks
     dispatched to ``--jobs`` workers (0 in a sequential run).
-``warm_rows_published`` / ``warm_rows_adopted``
-    Individual pre-failure ``dist``/``pred`` rows shipped through a row
-    segment and rows installed into a worker-side
-    ``SptCache``/``LazyDistanceOracle`` from an attached segment.
-    Adoption is bookkeeping, never search work: it must not move
-    ``csr_settled``/``csr_relaxations``.
 ``warm_row_builds`` / ``worker_warm_row_builds``
     Full pre-failure row constructions during *warm-up* (the batch
-    universe/planning Dijkstra/BFS runs that warm-row publication
-    exists to eliminate), and the subset of those performed inside
-    ``--jobs`` workers.  ``SptCache`` canonical rows always count;
-    oracle rows count only inside a :func:`warm_up_phase` block (the
-    demand-universe and planning warms) — demand-driven oracle work
-    (truncated-row promotions, targeted probes, decomposition row
-    fetches) is query cost, not duplicated warm-up, and is tracked by
-    the search counters instead.  With publication on,
-    ``worker_warm_row_builds`` dropping to zero is the proof that
-    workers inherit or attach their rows instead of re-settling
-    sources.
+    universe/planning Dijkstra/BFS runs), and the subset of those
+    performed inside ``--jobs`` workers.  ``SptCache`` canonical rows
+    always count; oracle rows count only inside a
+    :func:`warm_up_phase` block (the demand-universe and planning
+    warms) — demand-driven oracle work (truncated-row promotions,
+    targeted probes, decomposition row fetches) is query cost, not
+    duplicated warm-up, and is tracked by the search counters instead.
+    Workers inherit what the parent built before the fork; rows the
+    parent built after it (the per-link ILM planning pass) a worker
+    builds again, and ``worker_warm_row_builds`` counts them.  Which
+    worker pulls which chunk decides how many, so at ``--jobs`` > 1
+    only ``warm_row_builds - worker_warm_row_builds`` (the parent's
+    own builds) repeats from run to run.
 """
 
 from __future__ import annotations
@@ -107,12 +94,7 @@ class PerfCounters:
     spt_repairs: int = 0
     spt_nodes_resettled: int = 0
     spt_fallbacks: int = 0
-    shm_segments: int = 0
-    shm_attach: int = 0
-    shm_fallbacks: int = 0
     ilm_scenario_chunks: int = 0
-    warm_rows_published: int = 0
-    warm_rows_adopted: int = 0
     warm_row_builds: int = 0
     worker_warm_row_builds: int = 0
 
@@ -157,10 +139,11 @@ def warm_up_phase():
     """Mark the dynamic extent of a batch warm-up.
 
     Oracle full-row builds bump ``warm_row_builds`` only inside this
-    context (universe warming, publication planning): those are the
-    rows a parent can ship through an ``RROW`` segment, so a worker
-    rebuilding one is duplicated warm-up.  Demand-driven oracle builds
-    outside the context are query work and stay out of the counter.
+    context (universe and pair-source warming): those are rows every
+    process that accounts a network needs, so a worker building one
+    the parent also built is duplicated warm-up.  Demand-driven oracle
+    builds outside the context are query work and stay out of the
+    counter.
     Re-entrant; cheap enough for per-fan-out use, not per-row.
     """
     global _warm_up_depth

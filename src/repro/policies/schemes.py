@@ -116,7 +116,7 @@ class ConcatenationPolicy(RestorationPolicy):
         targeted canonical search past the fallback threshold), and the
         decomposition DP covers it with the fewest base LSPs.  Results
         and counters are those of ``backup_path`` + ``Path.cost`` +
-        ``min_pieces_decompose``, at any jobs/shm/kernel setting; the
+        ``min_pieces_decompose``, at any jobs or kernel setting; the
         case runs in CSR index space and builds its ``Path`` objects
         once (:meth:`_restoration`).
         """

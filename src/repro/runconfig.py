@@ -151,11 +151,9 @@ def add_arguments(parser: argparse.ArgumentParser, names: Sequence[str]) -> None
 
 #: Header fields every ``BENCH_*.json`` carries from the process rather
 #: than from a flag: the tie rule, the SPT-repair fallback threshold,
-#: shared-memory availability, the kernel backend, and ``jobs`` (1
-#: unless the CLI declares the field).
-ENVIRONMENT_KEYS = (
-    "tie_order", "repair_fallback", "shm_enabled", "kernel_backend", "jobs",
-)
+#: the kernel backend, and ``jobs`` (1 unless the CLI declares the
+#: field).
+ENVIRONMENT_KEYS = ("tie_order", "repair_fallback", "kernel_backend", "jobs")
 
 #: Result fields that pin the workload inside one config: the case
 #: count, and the scenario cap of per-link ILM accounting.

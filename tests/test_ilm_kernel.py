@@ -9,8 +9,7 @@ here:
   pieces, counts, probes, naive counts and the rows it asks for — over
   the 13-family sweep of ``tests/test_kernels.py`` (tie-heavy unit
   graphs with BFS rows included) plus random tie-heavy weighted graphs,
-  with rows passed as ``array`` and as read-only memoryviews, and with
-  one :class:`~repro.kernels.OracleRows` reused across calls;
+  with one :class:`~repro.kernels.OracleRows` reused across calls;
 * each target's pieces are exactly those of the kernel DP over its
   chain (``decomp_oracles.decompose_flat_reference``), with the same
   probe count, and a multi-target call returns the
@@ -76,17 +75,11 @@ GRAPH_PARAMS = pytest.mark.parametrize(
 )
 
 
-def _read_only(buf):
-    """A read-only memoryview of *buf*'s bytes in its own format."""
-    return memoryview(buf.tobytes()).cast(buf.typecode)
-
-
 class _Oracle:
     """Full canonical rows of the probe graph, with a fill log."""
 
-    def __init__(self, csr, read_only=False):
+    def __init__(self, csr):
         self.view = as_view(csr)
-        self.read_only = read_only
         self.cache = {}
         self.requests = []
 
@@ -100,10 +93,7 @@ class _Oracle:
         def fill(missing):
             self.requests.append(list(missing))
             for a in missing:
-                row = self.row(a)
-                table.store(
-                    a, _read_only(row) if self.read_only else row, full=True
-                )
+                table.store(a, self.row(a), full=True)
 
         table = OracleRows(self.view.csr.n, fill=fill)
         return table
@@ -154,23 +144,20 @@ def _decompose_chain(csr, oracle, chain):
 
 
 class TestNativeMatchesReference:
-    @pytest.mark.parametrize("read_only", [False, True], ids=["array", "view"])
     @GRAPH_PARAMS
-    def test_every_output_matches(self, factory, read_only):
+    def test_every_output_matches(self, factory):
         if natk is None:
             pytest.skip("no C toolchain for the native backend")
         graph = factory()
         csr = shared_csr(graph)
-        ref_oracle = _Oracle(csr, read_only)
-        nat_oracle = _Oracle(csr, read_only)
+        ref_oracle = _Oracle(csr)
+        nat_oracle = _Oracle(csr)
         # One table per backend across every call: stored rows and the
         # native scratch must carry over between calls without leaking.
         ref_table, nat_table = ref_oracle.table(), nat_oracle.table()
         ref_naive = array("l", bytes(8 * csr.n))
         nat_naive = array("l", bytes(8 * csr.n))
         for source, targets, dist, pred in _cases(graph, seed=17):
-            if read_only:
-                dist, pred = _read_only(dist), _read_only(pred)
             want = pyk.ilm_account(
                 csr, source, targets, dist, pred, ref_table, ref_naive
             )

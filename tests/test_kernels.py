@@ -5,8 +5,9 @@ The backend contract (:mod:`repro.kernels`) is that the compiled
 backend is a drop-in for the pure-Python reference — same rows, same
 repaired SPTs, same decomposition columns, same perf counters, bit for
 bit.  This suite pins that contract over a representative of every
-topology family the repo generates (the same 13-family sweep as
-``tests/test_shm.py``), for clean views and for views with dead edges
+topology family the repo generates (the 13-family sweep
+``tests/test_parallel.py`` reuses for the fork hand-off), for clean
+views and for views with dead edges
 and dead nodes.  Each case also runs against
 :mod:`tests.numpy_kernels`, a test-only vectorized fixpoint
 re-derivation of the same interface (under the scipy settle stage
@@ -18,9 +19,10 @@ The oracle's vectorized stages are called directly
 (``_repair_resettle_vec``, ``_decompose_flat_vec``) so its size gates
 cannot hide a divergence; the native backend has no gates, so its
 public entry points are exercised at every input size: the fused
-repair through all four outcomes, the decomposition DP over row
-buffers it reads in place (validated first — a malformed buffer raises
-``ValueError`` instead of reaching C), and shortest-path counting from
+repair through all four outcomes, the decomposition DP over ``array``
+rows it reads in place (validated first — a malformed buffer or a
+memoryview raises ``ValueError`` instead of reaching C), and
+shortest-path counting from
 every source, including counts past u64 (rerun exactly by the
 reference) and the zero-weight tie every backend rejects.
 
@@ -119,7 +121,9 @@ def _accel_module(accel):
         pytest.skip("no C toolchain for the native backend")
     return natk
 
-#: Same representatives as the topology-family sweep in tests/test_shm.py.
+#: One small instance per topology family the generators can produce;
+#: tests/test_ilm_kernel.py and the fork hand-off sweep in
+#: tests/test_parallel.py reuse it.
 TOPOLOGY_FAMILIES = [
     ("path", lambda: path_graph(7)),
     ("cycle", lambda: cycle_graph(6)),
@@ -462,8 +466,6 @@ class TestPreorder:
             self._assert_preorder(pred, root, *got)
             if natk is not None:
                 assert natk.preorder(pred, root) == got, (label, root)
-                shared = memoryview(pred.tobytes()).cast("q")  # read-only
-                assert natk.preorder(shared, root) == got, (label, root)
 
     def test_a_pred_cycle_off_the_root_is_unreached(self):
         pred = array("q", [-1, 2, 1, 0])
@@ -775,8 +777,8 @@ class TestCountPaths:
 
 @requires_native
 class TestNativeValidation:
-    """Malformed buffers raise ValueError before any pointer reaches C;
-    read-only shared-memory rows are accepted and never written."""
+    """Malformed buffers — memoryviews included — raise ValueError
+    before any pointer reaches C; the rows C reads are never written."""
 
     def _setup(self):
         graph = generate_isp_topology(n=40, seed=3)
@@ -800,6 +802,10 @@ class TestNativeValidation:
         with pytest.raises(ValueError, match="dist"):
             natk.repair_resettle(
                 failed, 0, list(dist), pred, children, 100.0, False
+            )
+        with pytest.raises(ValueError, match="dist"):
+            natk.repair_resettle(
+                failed, 0, memoryview(dist), pred, children, 100.0, False
             )
 
     def test_repair_rejects_a_bad_children_index(self):
@@ -846,6 +852,8 @@ class TestNativeValidation:
             table.store(chain[1], list(rows[1]))
         with pytest.raises(ValueError, match="rows"):
             table.store(chain[1], array("f", rows[1]))
+        with pytest.raises(ValueError, match="rows"):
+            table.store(chain[1], memoryview(rows[1]))
         with pytest.raises(ValueError, match="chain index"):
             natk.decompose_flat(csr, (0, 1, n), table)
         with pytest.raises(ValueError, match="chain index"):
@@ -865,51 +873,32 @@ class TestNativeValidation:
             natk.count_paths(csr, 0, list(dist), EPSILON)
         with pytest.raises(ValueError, match="dist"):
             natk.count_paths(csr, 0, array("f", dist), EPSILON)
+        with pytest.raises(ValueError, match="dist"):
+            natk.count_paths(csr, 0, memoryview(dist), EPSILON)
         with pytest.raises(ValueError, match="source"):
             natk.count_paths(csr, csr.n, dist, EPSILON)
 
-    def test_read_only_shared_memory_rows_are_accepted_and_never_written(self):
-        from repro.graph import shm
-
-        if not shm.shm_enabled():
-            pytest.skip("shared memory disabled")
+    def test_rows_read_in_place_are_never_written(self):
         view, failed, dist, pred = self._setup()
         n = view.csr.n
-        seg = shm.publish_rows("spt", n, True, None, {0: (dist, pred)})
-        if seg is None:
-            pytest.skip("shared memory unavailable")
-        try:
-            table, attached = shm.attach_rows(seg.name)
-            try:
-                ro_dist, ro_pred = table.row(0)
-                assert ro_dist.readonly and ro_pred.readonly
-                children = natk.children_index(ro_pred)
-                got = natk.repair_resettle(
-                    failed, 0, ro_dist, ro_pred, children, 2.0 * n, False
-                )
-                want = pyk.repair_resettle(
-                    failed, 0, dist, pred, pyk.children_index(pred),
-                    2.0 * n, False,
-                )
-                assert got == want and got[0] == REPAIRED
-                assert list(ro_dist) == list(dist)
-                assert list(ro_pred) == list(pred)
-                chain = [0]
-                while len(chain) < 6:  # a tree path out of node 0
-                    chain.append(
-                        next(v for v in range(n) if pred[v] == chain[-1])
-                    )
-                table = _row_table(view.csr, chain, [ro_dist])
-                assert natk.decompose_flat(view.csr, chain, table) == (
-                    pyk.decompose_flat(view.csr, chain, table)
-                )
-                assert table.rows[0] is ro_dist
-                assert list(ro_dist) == list(dist)
-            finally:
-                attached.close()
-        finally:
-            seg.close()
-            seg.unlink()
+        pristine = (bytes(dist), bytes(pred))
+        got = natk.repair_resettle(
+            failed, 0, dist, pred, natk.children_index(pred), 2.0 * n, False
+        )
+        assert (bytes(dist), bytes(pred)) == pristine
+        want = pyk.repair_resettle(
+            failed, 0, dist, pred, pyk.children_index(pred), 2.0 * n, False
+        )
+        assert got == want and got[0] == REPAIRED
+        chain = [0]
+        while len(chain) < 6:  # a tree path out of node 0
+            chain.append(next(v for v in range(n) if pred[v] == chain[-1]))
+        table = _row_table(view.csr, chain, [dist])
+        assert natk.decompose_flat(view.csr, chain, table) == (
+            pyk.decompose_flat(view.csr, chain, table)
+        )
+        assert table.rows[0] is dist
+        assert (bytes(dist), bytes(pred)) == pristine
 
 
 @requires_native

@@ -18,10 +18,10 @@ bit-identity sweep in ``tests/test_kernels.py``:
   name into the environment pre-fork, so ``--jobs`` workers and
   spawned subprocesses make the same deterministic choice.
 * **End-to-end parity** — the table2 per-link ILM pipeline produces
-  byte-identical payload rows and perf-counter deltas under
-  ``REPRO_KERNEL=native`` and the python reference, at ``--jobs`` 1
-  and 4, with the shared-memory fast path and with ``REPRO_SHM=0``
-  (mirroring ``tests/test_shm.py::TestIlmJobsIdentity``).
+  byte-identical payload rows under ``REPRO_KERNEL=native`` and the
+  python reference at ``--jobs`` 1 and 4, and identical perf-counter
+  deltas at ``--jobs`` 1 (mirroring
+  ``tests/test_parallel.py::TestIlmJobsIdentity``).
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ import repro.kernels as kernels
 from repro.experiments import table2
 from repro.experiments.networks import cached_suite
 from repro.experiments.parallel import make_executor
-from repro.graph.shm import residual_segments
 from repro.kernels import backend_name, set_backend
 from repro.perf import COUNTERS
 
@@ -288,7 +287,7 @@ def _worker_kernel_probe(_index: int) -> tuple[str, str]:
 
 @requires_native
 class TestTable2NativeParity:
-    """Payload rows and counters: native == python, jobs 1/4, shm on/off."""
+    """Payload rows and counters: native == python, jobs 1 and 4."""
 
     def _rows(self, jobs: int) -> dict:
         network = cached_suite(scale="tiny", seed=1)[0]
@@ -321,17 +320,8 @@ class TestTable2NativeParity:
         assert got == expected
         assert nat_delta == ref_delta
 
-    def test_rows_match_at_jobs4_with_shm(self):
+    def test_rows_match_at_jobs4(self):
         set_backend("python")
         expected = self._rows(jobs=4)
         set_backend("native")
         assert self._rows(jobs=4) == expected
-        assert residual_segments() == []
-
-    def test_rows_match_at_jobs4_without_shm(self, monkeypatch):
-        set_backend("python")
-        expected = self._rows(jobs=4)
-        monkeypatch.setenv("REPRO_SHM", "0")
-        set_backend("native")
-        assert self._rows(jobs=4) == expected
-        assert residual_segments() == []

@@ -103,7 +103,7 @@ class TestDiff:
 
     def test_policy_header_mismatch_exit_2(self, tmp_path, capsys):
         for key, old_value, new_value in (
-            ("shm_enabled", True, False),
+            ("kernel_backend", "python", "native"),
             ("jobs", 1, 4),
         ):
             old = write_bench(tmp_path / "old.json", **{key: old_value})
@@ -154,11 +154,16 @@ class TestDiff:
         assert f"NOT COMPARABLE: {key} differs" in capsys.readouterr().out
 
     def test_policy_header_absent_in_old_still_compares(self, tmp_path):
-        # Files predating the shm_enabled/jobs header fields diff as
+        # Files predating the kernel_backend/jobs header fields diff as
         # before; the comparability check needs the key on both sides.
         old = write_bench(tmp_path / "old.json")
-        new = write_bench(tmp_path / "new.json", shm_enabled=True, jobs=2)
+        new = write_bench(
+            tmp_path / "new.json", kernel_backend="native", jobs=2
+        )
         assert main(["diff", str(old), str(new)]) == 0
+        # A retired stamp (shm_enabled) no longer constrains at all.
+        retired = write_bench(tmp_path / "retired.json", shm_enabled=True)
+        assert main(["diff", str(retired), str(old)]) == 0
 
 
 class TestLegacyRootPathsDropped:

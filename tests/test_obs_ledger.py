@@ -29,7 +29,6 @@ PAYLOAD = {
     "cases": 240,
     "modes": ["link"],
     "tie_order": "canonical",
-    "shm_enabled": True,
     "kernel_backend": "python",
     "jobs": 1,
     "wall_clock_s": 0.21,
@@ -63,8 +62,8 @@ class TestSchema:
         entry = make_entry("table2", PAYLOAD)
         assert entry["config"] == {
             "scale": "tiny", "seed": 7, "cases": 240, "modes": ["link"],
-            "tie_order": "canonical", "shm_enabled": True,
-            "kernel_backend": "python", "jobs": 1,
+            "tie_order": "canonical", "kernel_backend": "python",
+            "jobs": 1,
         }
         # Measurements never leak into the comparability config.
         assert "wall_clock_s" not in entry["config"]
@@ -138,7 +137,7 @@ class TestComparability:
     @pytest.mark.parametrize("field,value", [
         ("scale", "small"), ("seed", 8), ("cases", 9),
         ("modes", ["link", "router"]), ("kernel_backend", "numpy"),
-        ("jobs", 4), ("shm_enabled", False),
+        ("jobs", 4), ("tie_order", "hops"),
         ("ilm_accounting", "per-link"), ("ilm_max_scenarios", 50),
     ])
     def test_policy_change_breaks_comparability(self, field, value):
@@ -162,8 +161,8 @@ class TestComparability:
         assert set(COMPARABILITY_KEYS) == {
             "name", "scale", "seed", "cases", "modes", "policy",
             "failure_model", "ilm_accounting", "ilm_max_scenarios",
-            "tie_order", "repair_fallback", "shm_enabled",
-            "kernel_backend", "jobs", "max_links", "size", "pairs",
+            "tie_order", "repair_fallback", "kernel_backend", "jobs",
+            "max_links", "size", "pairs",
         }
         assert {f.name for f in fields(RunConfig)} <= set(COMPARABILITY_KEYS)
         assert len(set(COMPARABILITY_KEYS)) == len(COMPARABILITY_KEYS)
