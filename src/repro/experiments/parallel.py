@@ -31,7 +31,7 @@ to the sequential run:
   workers build the same state themselves on first use; the canonical
   ``(dist, index)`` tie contract makes rows byte-identical no matter
   which process computes them.
-* **Rows built after the fork stay where they are built.**  Rows the
+* **Rows built after the fork are rebuilt, not shipped.**  Rows the
   parent builds once the pool started — the per-link ILM stage's
   planning pass — are not inherited: a worker chunk that needs one
   builds it, once per worker process, under the same canonical tie
