@@ -52,7 +52,7 @@ def shared_unique_base(graph: Union[Graph, DiGraph]) -> UniqueShortestPathsBase:
 
 #: graph -> {weighted flag -> SptCache}.  Separate from the base-set
 #: cache because SPT caches exist for graphs that never get a base set
-#: (e.g. the bypass searches of Table 3).
+#: (e.g. the weighted network's bypass searches of Table 3).
 _SPT_CACHE: "weakref.WeakKeyDictionary[Graph, dict[bool, SptCache]]" = (
     weakref.WeakKeyDictionary()
 )

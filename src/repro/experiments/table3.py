@@ -14,6 +14,8 @@ from typing import Optional
 
 from ..core.local_restoration import bypass_path
 from ..exceptions import NoPath, NoRestorationPath
+from ..failures.models import FailureScenario
+from ..graph.csr import hop_distance_csr, shared_csr
 from ..graph.graph import Graph
 from ..graph.shortest_paths import shortest_path
 from ..obs import TRACER
@@ -50,22 +52,43 @@ def link_bypass_hops(
 ) -> Optional[int]:
     """Hop count of the min-cost bypass of link ``(u, v)``; None for bridges.
 
-    Under the default (independent) failure model this is exactly
-    :func:`~repro.core.local_restoration.bypass_path` — byte-identical
-    to the pre-policy sweep.  A correlated model expands the link into
-    its full fault set first (e.g. the whole SRLG group), so the bypass
-    must survive every correlated casualty, not just the link itself.
+    The failure is *model*'s scenario for the link (the link alone
+    without a model or under the default independent model); a
+    correlated model expands it into its full fault set first (e.g.
+    the whole SRLG group), so the bypass must survive every correlated
+    casualty, not just the link itself.
+
+    On an unweighted network the answer is the hop distance between
+    the endpoints once the scenario's links are gone: one
+    :func:`~repro.graph.csr.hop_distance_csr` call, equal to
+    ``bypass_path(graph, u, v, weighted=False).hops`` (and to the dict
+    ``shortest_path(..., weighted=False).hops``) on every link, since a
+    hop distance has no tie rule.  A weighted network takes the
+    canonical min-cost chain of
+    :func:`~repro.core.local_restoration.bypass_path` under the default
+    model, and the dict ``shortest_path`` under a correlated one: the
+    hop count of an equal-cost bypass depends on which one a search's
+    tie rule picks.
     """
-    if model is None or model.name == DEFAULT_FAILURE_MODEL:
+    if weighted:
+        if model is None or model.name == DEFAULT_FAILURE_MODEL:
+            try:
+                return bypass_path(graph, u, v, weighted=True).hops
+            except NoRestorationPath:
+                return None
+        view = model.scenario_for_link((u, v)).apply(graph)
         try:
-            return bypass_path(graph, u, v, weighted=weighted).hops
-        except NoRestorationPath:
+            return shortest_path(view, u, v, weighted=True).hops
+        except NoPath:
             return None
-    view = model.scenario_for_link((u, v)).apply(graph)
-    try:
-        return shortest_path(view, u, v, weighted=weighted).hops
-    except NoPath:
-        return None
+    scenario = (
+        FailureScenario.single_link(u, v)
+        if model is None
+        else model.scenario_for_link((u, v))
+    )
+    csr = shared_csr(graph)
+    view = csr.with_edges_removed(scenario.links, scenario.routers)
+    return hop_distance_csr(view, csr.index[u], csr.index[v])
 
 
 def bypass_distribution(
@@ -208,7 +231,17 @@ def main(argv: list[str] | None = None) -> str:
         with cli.timer.stage("render"):
             report = render(results)
     print(report)
-    cli.write_bench({})
+    cli.write_bench(
+        {
+            "rows": {
+                name: {
+                    "percents": {str(h): pct for h, pct in percents.items()},
+                    "bridges": bridges,
+                }
+                for name, (percents, bridges) in results.items()
+            }
+        }
+    )
     return report
 
 

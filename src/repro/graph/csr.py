@@ -28,6 +28,8 @@ Path contract (pinned by ``tests/test_csr.py`` and
   index order, so its predecessor of ``v`` is the least-index neighbor
   one level up — exactly what canonical Dijkstra produces on unit
   weights.
+* :func:`hop_distance_csr` returns only the hop distance between two
+  nodes (bidirectional BFS, no rows, no tie rule).
 
 Kernels report to ``COUNTERS.csr_relaxations`` / ``csr_settled`` rather
 than the ``dijkstra_*`` counters, so ``repro.obs diff`` shows work
@@ -360,6 +362,20 @@ def bfs_csr(
     """
     _require_alive(view, source)
     return kernel_backend().bfs(view, source, target)
+
+
+def hop_distance_csr(view: CsrView, source: int, target: int) -> Optional[int]:
+    """Hop distance between two node indices of an undirected view;
+    ``None`` when the view disconnects them (or a dead endpoint).
+
+    The length :func:`bfs_csr` would give, without its rows: one
+    bidirectional BFS that stops at the first meet, over O(nodes
+    visited) scratch.  No path comes back, so no tie rule applies.
+    ``ValueError`` for a directed snapshot.  Dispatches to the active
+    kernel backend (:mod:`repro.kernels`).
+    """
+    hops = kernel_backend().hop_distance(view, source, target)
+    return None if hops < 0 else hops
 
 
 def dicts_from_arrays(

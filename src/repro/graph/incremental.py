@@ -536,8 +536,8 @@ class SptCache:
         searches answer (renting); their settle work accrues in
         ``_spent``, and only once a source has paid about one full
         row's worth does the cache build the row and switch to repair
-        (buying).  One-shot sources — table3 bypasses each edge of the
-        graph once, every source ~degree times — never pay for a full
+        (buying).  One-shot sources — the weighted network's Table 3
+        bypasses ask each source ~degree times — never pay for a full
         row, while table2's sources (hundreds of failure cases each)
         cross the threshold almost immediately.  Total work is within
         2x of the better strategy either way, without knowing the
@@ -583,10 +583,11 @@ def csr_shortest_path(
 
     Dispatches on the argument: a :class:`FilteredView` over an
     undirected base becomes a mask on the base's **shared
-    per-process** :class:`SptCache` (so one-shot callers like figure10,
-    table3 bypasses and the restoration planners amortize pre-failure
-    rows across the many failure cases of the same pair, exactly like
-    table2); a bare undirected :class:`Graph` queries the same cache
+    per-process** :class:`SptCache` (so callers like figure10, the
+    weighted network's table3 bypasses and the restoration planners
+    amortize pre-failure rows across the many failure cases of the
+    same pair, exactly like table2); a bare undirected :class:`Graph`
+    queries the same cache
     with an empty mask.  Returns ``None`` when the argument is outside
     the fast path (directed graphs, non-weakref-able objects, nodes
     added after the snapshot) so the caller can fall back to the dict

@@ -1,7 +1,9 @@
 """Runtime-selectable kernel backends for the canonical path engine.
 
 Every hot loop of the reproduction — canonical Dijkstra/BFS row
-building (:mod:`repro.graph.csr`), decremental SPT re-settling
+building (:mod:`repro.graph.csr`), the bidirectional-BFS hop distance
+of Table 3's unweighted bypasses (``hop_distance``, behind
+:func:`repro.graph.csr.hop_distance_csr`), decremental SPT re-settling
 (:mod:`repro.graph.incremental`), the flat decomposition DP
 (:mod:`repro.core.decomposition`), per-link ILM accounting of one
 (scenario, source) pair over its repaired tree (``ilm_account``,

@@ -195,6 +195,10 @@ _LIB.repro_bfs.restype = ctypes.c_int
 _LIB.repro_bfs.argtypes = [
     _ptr, _ptr, _i64, *_VIEW, _i64, _i64, _ptr, _ptr, _i64p, _i64p,
 ]
+_LIB.repro_hop_distance.restype = ctypes.c_int
+_LIB.repro_hop_distance.argtypes = [
+    _ptr, _ptr, *_VIEW, _i64, _i64, _ptr, _ptr, _ptr, _ptr,
+]
 _LIB.repro_rows_many.restype = ctypes.c_int
 _LIB.repro_rows_many.argtypes = [
     _ptr, _ptr, _ptr, _i64, *_VIEW, _ptr, _i64, _i64, _ptr, _ptr,
@@ -272,8 +276,8 @@ def _addr_of(buf) -> tuple[int, object]:
 
 class _GraphState:
     """A snapshot's native state: its buffer addresses, the dead masks
-    every call over one of its views borrows, and ``ilm_account``'s
-    work arrays (built on first use).
+    every call over one of its views borrows, and the work arrays of
+    ``hop_distance`` and ``ilm_account`` (each built on first use).
 
     The masks stay all zero between calls: each view-taking kernel
     marks its view's dead slots and nodes (:func:`_dead`) on entry and
@@ -283,7 +287,7 @@ class _GraphState:
     """
 
     __slots__ = ("indptr", "indices", "weights", "edge_mask", "node_mask",
-                 "masks", "keepalive", "ilm")
+                 "masks", "keepalive", "hops", "ilm")
 
     def __init__(self, csr) -> None:
         self.indptr, k1 = _addr_of(csr.indptr)
@@ -295,6 +299,7 @@ class _GraphState:
         node_dead, k5 = _addr_of(self.node_mask)
         self.masks = (edge_dead, node_dead)
         self.keepalive = (k1, k2, k3, k4, k5)
+        self.hops: Optional[_HopScratch] = None
         self.ilm: Optional[_IlmScratch] = None
 
 
@@ -394,6 +399,50 @@ def bfs(view, source: int, target: int = -1) -> tuple[array, array]:
     COUNTERS.csr_relaxations += relaxations.value
     COUNTERS.csr_settled += settled.value
     return dist, pred
+
+
+class _HopScratch:
+    """``hop_distance``'s work arrays over one snapshot, kept between
+    calls: a side byte per node (all zero between calls: the kernel
+    clears what it labelled from its visit queues), the two visit
+    queues, and the ``(hops, relaxations, settled)`` out-slots."""
+
+    __slots__ = ("side", "queues", "out", "ptrs")
+
+    def __init__(self, n: int) -> None:
+        self.side = array("B", bytes(n))
+        self.queues = _Q0 * (2 * n)
+        self.out = _Q0 * 3
+        queues = self.queues.buffer_info()[0]
+        self.ptrs = (
+            self.side.buffer_info()[0], queues, queues + 8 * n,
+            self.out.buffer_info()[0],
+        )
+
+
+def hop_distance(view, source: int, target: int) -> int:
+    """Bidirectional-BFS hop distance (``-1``: disconnected), in C.
+
+    The reference's query checks (``python_backend.hop_query``) run
+    first, so C only sees live, distinct, in-range endpoints of an
+    undirected snapshot; its work arrays live on the snapshot.
+    """
+    early = _py.hop_query(view, source, target)
+    if early is not None:
+        return early
+    csr = view.csr
+    g = _graph_state(csr)
+    dead = _dead(view)
+    scratch = g.hops
+    if scratch is None:
+        scratch = g.hops = _HopScratch(csr.n)
+    _check(_LIB.repro_hop_distance(
+        g.indptr, g.indices, *g.masks, *dead, source, target, *scratch.ptrs,
+    ))
+    hops, relaxations, settled = scratch.out
+    COUNTERS.csr_relaxations += relaxations
+    COUNTERS.csr_settled += settled
+    return hops
 
 
 _ROWS_SCRATCH: dict[int, tuple[array, array]] = {}

@@ -142,7 +142,7 @@ CLI_HEADERS = {
     "table3": (
         ["--scale", "tiny", "--max-links", "5"],
         {"scale", "seed", "max_links", "jobs", "failure_model", "kernel_backend"},
-        set(),
+        {"rows"},
     ),
     "figure10": (
         ["--scale", "tiny"],

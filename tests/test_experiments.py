@@ -14,7 +14,7 @@ from repro.experiments.networks import scales, suite
 from repro.experiments.reporting import format_histogram, format_table, percent_histogram
 from repro.experiments.table1 import PAPER_TABLE1, collect as collect_table1, render as render_table1
 from repro.experiments.table2 import evaluate_network, run_case
-from repro.experiments.table3 import bypass_distribution
+from repro.experiments.table3 import bypass_distribution, link_bypass_hops
 from repro.experiments.theory_figures import figure2, figure3, figure4, figure5, run as run_theory
 from repro.failures.models import FailureScenario
 from repro.failures.sampler import FailureCase, link_failure_cases
@@ -210,6 +210,52 @@ class TestTable3Driver:
         percents, bridge = bypass_distribution(small_isp, weighted=True, max_links=5)
         total = round((sum(percents.values()) + bridge))
         assert total == 100
+
+    @staticmethod
+    def _unweighted_tiny_networks():
+        from repro.experiments.networks import cached_suite
+
+        networks = [n for n in cached_suite(scale="tiny", seed=1) if not n.weighted]
+        assert len(networks) == 3
+        return networks
+
+    def test_unweighted_hops_equal_the_bypass_path_hops(self, line5):
+        """The hop-distance kernel gives ``bypass_path``'s hop count on
+        every link of every unweighted tiny network; None on bridges."""
+        from repro.core.local_restoration import bypass_path
+        from repro.exceptions import NoRestorationPath
+
+        graphs = [n.graph for n in self._unweighted_tiny_networks()] + [line5]
+        bridges = 0
+        for graph in graphs:
+            for u, v in graph.edges():
+                try:
+                    want = bypass_path(graph, u, v, weighted=False).hops
+                except NoRestorationPath:
+                    want = None
+                    bridges += 1
+                assert link_bypass_hops(graph, u, v, False) == want, (u, v)
+        assert bridges >= 4
+
+    @pytest.mark.parametrize("model_name", ["srlg", "regional", "router-links"])
+    def test_correlated_unweighted_hops_equal_the_dict_search(self, model_name):
+        """Under a correlated model the kernel gives the dict search's hop
+        count over the model's filtered view; None where it finds no path."""
+        from repro.exceptions import NoPath
+        from repro.graph.shortest_paths import shortest_path
+        from repro.policies import make_failure_model
+
+        for network in self._unweighted_tiny_networks():
+            graph = network.graph
+            model = make_failure_model(model_name, graph, seed=1)
+            for u, v in graph.edges():
+                view = model.scenario_for_link((u, v)).apply(graph)
+                try:
+                    want = shortest_path(view, u, v, weighted=False).hops
+                except NoPath:
+                    want = None
+                got = link_bypass_hops(graph, u, v, False, model)
+                assert got == want, (network.name, u, v)
 
 
 class TestFigure10Driver:

@@ -18,7 +18,8 @@ reference's output is a function of the final labels alone.
 The oracle's vectorized stages are called directly
 (``_repair_resettle_vec``, ``_decompose_flat_vec``) so its size gates
 cannot hide a divergence; the native backend has no gates, so its
-public entry points are exercised at every input size: the fused
+public entry points are exercised at every input size: the
+bidirectional-BFS hop distance against the canonical BFS, the fused
 repair through all four outcomes, the decomposition DP over ``array``
 rows it reads in place (validated first — a malformed buffer or a
 memoryview raises ``ValueError`` instead of reaching C), and
@@ -421,6 +422,87 @@ class _NoNativeCalls:
 
     def __getattr__(self, name):
         raise AssertionError(f"{name} reached C")
+
+
+def _hop_queries(graph, view):
+    """``(view, source, target)`` hop queries on *view*: each link's
+    endpoints with that link also removed, then a seeded sample of
+    other pairs (equal, dead and disconnected endpoints included)."""
+    csr = view.csr
+    for a, b in sorted(graph.edges(), key=repr):
+        yield view.without(edges=[(a, b)]), csr.index[a], csr.index[b]
+    rng = random.Random(csr.n)
+    for _ in range(12):
+        yield view, rng.randrange(csr.n), rng.randrange(csr.n)
+
+
+class TestHopDistance:
+    """``hop_distance``: the reference's bidirectional BFS gives the
+    canonical BFS distance, and native gives the same answers and
+    counter increments."""
+
+    @staticmethod
+    def _bfs_hops(view, s, t):
+        node_dead = view.masks()[1]
+        if node_dead[s] or node_dead[t]:
+            return -1
+        d = pyk.bfs(view, s, t)[0][t]
+        return -1 if d == float("inf") else int(d)
+
+    @pytest.mark.parametrize(
+        "family", [f for _, f in TOPOLOGY_FAMILIES] + [_disconnected_graph],
+        ids=[name for name, _ in TOPOLOGY_FAMILIES] + ["disconnected"],
+    )
+    def test_backends_give_the_bfs_distance(self, family):
+        graph = family()
+        queries = 0
+        for label, view in _view_variants(graph):
+            for query, s, t in _hop_queries(graph, view):
+                want = self._bfs_hops(query, s, t)
+                before = COUNTERS.snapshot()
+                got = pyk.hop_distance(query, s, t)
+                delta = COUNTERS.delta(before)
+                assert got == want, (label, s, t)
+                if natk is not None:
+                    before = COUNTERS.snapshot()
+                    assert natk.hop_distance(query, s, t) == want
+                    assert COUNTERS.delta(before) == delta, (label, s, t)
+                queries += 1
+        assert queries > 12
+
+    @pytest.mark.parametrize("name", ["python", "native"])
+    def test_dead_endpoints_and_equal_endpoints(self, name):
+        mod = pyk if name == "python" else _accel_module("native")
+        view = as_view(shared_csr(cycle_graph(6)))
+        dead = view.without(nodes=[view.csr.nodes[2]])
+        assert mod.hop_distance(view, 0, 3) == 3
+        assert mod.hop_distance(dead, 0, 3) == 3  # round the other side
+        assert mod.hop_distance(dead, 0, 2) == -1
+        assert mod.hop_distance(dead, 2, 0) == -1
+        assert mod.hop_distance(dead, 2, 2) == -1
+        before = COUNTERS.snapshot()
+        assert mod.hop_distance(dead, 4, 4) == 0
+        assert COUNTERS.delta(before).csr_settled == 1
+
+    @pytest.mark.parametrize("name", ["python", "native"])
+    def test_directed_snapshots_and_bad_indices_raise_before_c(
+        self, name, monkeypatch
+    ):
+        from repro.graph.graph import DiGraph
+
+        mod = pyk
+        if name == "native":
+            mod = _accel_module("native")
+            monkeypatch.setattr(natk, "_LIB", _NoNativeCalls())
+        digraph = DiGraph()
+        digraph.add_edge(0, 1)
+        digraph.add_edge(1, 0)
+        with pytest.raises(ValueError, match="undirected"):
+            mod.hop_distance(as_view(shared_csr(digraph)), 0, 1)
+        view = as_view(shared_csr(path_graph(4)))
+        for s, t in ((0, 4), (-1, 2), (4, 4)):
+            with pytest.raises(ValueError, match=r"outside \[0, 4\)"):
+                mod.hop_distance(view, s, t)
 
 
 class TestPreorder:
@@ -920,6 +1002,7 @@ class TestSnapshotMasks:
     def _assert_clear(csr):
         state = csr.native_state
         assert not any(state.edge_mask) and not any(state.node_mask)
+        assert state.hops is None or not any(state.hops.side)
 
     def _calls(self, view):
         """Every view-taking entry point once, as ``(name, args)``."""
@@ -930,6 +1013,7 @@ class TestSnapshotMasks:
             ("dijkstra_canonical", (view, alive[0])),
             ("dijkstra_canonical", (view, alive[1], alive[-3:])),
             ("bfs", (view, alive[0])),
+            ("hop_distance", (view, alive[0], alive[-1])),
             ("repair_resettle", (view, 0, dist, pred, children, 1e9, False)),
         ]
 
@@ -1020,7 +1104,7 @@ class TestSelection:
 
     def test_reference_backend_has_the_full_interface(self):
         for attr in (
-            "NAME", "dijkstra_canonical", "bfs", "rows_many",
+            "NAME", "dijkstra_canonical", "bfs", "hop_distance", "rows_many",
             "children_index", "preorder", "repair_resettle",
             "decompose_flat", "ilm_account", "count_paths",
         ):
