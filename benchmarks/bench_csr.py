@@ -4,9 +4,10 @@ Times the pieces the fast restoration pipeline is built from:
 
 * one-off CSR snapshot construction (the cost ``shared_csr`` amortizes),
 * full array Dijkstra/BFS vs. the dict kernels they displaced,
-* decremental SPT repair after k = 1..3 link failures vs. recomputing
-  the row from scratch — the tentpole trade the experiment hot loops
-  now make per failure case.
+* decremental SPT repair after k = 1..3 link failures (a warmed
+  ``SptCache.repair_batch_idx``, the entry the per-link ILM stage
+  calls) vs. recomputing the row from scratch — the trade the
+  experiment hot loops make per failure case.
 
 Also runnable directly — ``python benchmarks/bench_csr.py`` — to emit
 ``results/BENCH_csr.json`` in the established BENCH schema (timings +
@@ -26,10 +27,9 @@ from repro.graph.csr import (
     CsrView,
     as_view,
     bfs_csr,
-    dijkstra_csr,
     dijkstra_csr_canonical,
 )
-from repro.graph.incremental import repair_spt
+from repro.graph.incremental import SptCache
 from repro.graph.shortest_paths import bfs_shortest_paths, dijkstra
 from repro.perf import COUNTERS
 
@@ -49,7 +49,7 @@ def bench_csr_build(benchmark, isp200):
 def bench_dijkstra_csr_full(benchmark, as500):
     csr = CsrGraph(as500)
     src = csr.index[sorted(as500.nodes, key=repr)[0]]
-    dist, _ = benchmark(dijkstra_csr, as_view(csr), src)
+    dist, _, _ = benchmark(dijkstra_csr_canonical, as_view(csr), src)
     assert sum(d != float("inf") for d in dist) == as500.number_of_nodes()
 
 
@@ -68,15 +68,18 @@ def bench_bfs_csr_full(benchmark, as500):
 
 
 def bench_spt_repair_k2(benchmark, isp200):
-    """Repair a canonical row after 2 link failures (the common case)."""
-    csr = CsrGraph(isp200)
+    """Repair a cached canonical row after 2 link failures (the common
+    case)."""
+    cache = SptCache(isp200)
     source = sorted(isp200.nodes, key=repr)[0]
-    src = csr.index[source]
-    dist, pred, _ = dijkstra_csr_canonical(as_view(csr), src)
-    view = csr.with_edges_removed(_failures(isp200, 2, seed=5, source=source))
-    got, _ = benchmark(repair_spt, view, src, dist, pred)
+    src = cache.csr.index[source]
+    cache.ensure_rows([src])
+    view = cache.csr.with_edges_removed(
+        _failures(isp200, 2, seed=5, source=source)
+    )
+    rows = benchmark(cache.repair_batch_idx, (src,), view)
     want, _, _ = dijkstra_csr_canonical(view, src)
-    assert got == want
+    assert rows[src][0] == want
 
 
 def bench_scratch_row_k2(benchmark, isp200):
@@ -139,21 +142,22 @@ def main(argv=None) -> None:
     results: dict[str, float] = {
         "csr_build_s": _timed(CsrGraph, graph, repeat=args.repeat),
     }
-    csr = CsrGraph(graph)
+    cache = SptCache(graph)
+    csr = cache.csr
     src = csr.index[source]
     base = CsrView(csr)
     results["dijkstra_dict_full_s"] = _timed(
         dijkstra, graph, source, repeat=args.repeat
     )
     results["dijkstra_csr_full_s"] = _timed(
-        dijkstra_csr, base, src, repeat=args.repeat
+        dijkstra_csr_canonical, base, src, repeat=args.repeat
     )
     results["bfs_dict_full_s"] = _timed(
         bfs_shortest_paths, graph, source, repeat=args.repeat
     )
     results["bfs_csr_full_s"] = _timed(bfs_csr, base, src, repeat=args.repeat)
 
-    dist, pred, _ = dijkstra_csr_canonical(base, src)
+    cache.ensure_rows([src])
     for k in (1, 2, 3):
         view = csr.with_edges_removed(
             _failures(graph, k, seed=5 + k, source=source)
@@ -162,10 +166,10 @@ def main(argv=None) -> None:
             dijkstra_csr_canonical, view, src, repeat=args.repeat
         )
         results[f"spt_repair_k{k}_s"] = _timed(
-            repair_spt, view, src, dist, pred, repeat=args.repeat
+            cache.repair_batch_idx, (src,), view, repeat=args.repeat
         )
-        repaired, _ = repair_spt(view, src, dist, pred)
-        want, _, _ = dijkstra_csr_canonical(view, src)
+        repaired = cache.repair_batch_idx((src,), view)[src]
+        want = dijkstra_csr_canonical(view, src)[:2]
         assert repaired == want, f"repair mismatch at k={k}"
 
     payload = {

@@ -8,9 +8,8 @@ experiment drivers use them.
 from __future__ import annotations
 
 from repro.core.base_paths import UniqueShortestPathsBase
-from repro.graph.all_pairs import ApspDistances
 from repro.graph.connectivity import bridges
-from repro.graph.shortest_paths import bidirectional_dijkstra, dijkstra
+from repro.graph.shortest_paths import dijkstra
 from repro.graph.spt import ShortestPathDag
 
 
@@ -26,14 +25,6 @@ def bench_dijkstra_powerlaw(benchmark, as500):
     assert len(dist) == as500.number_of_nodes()
 
 
-def bench_bidirectional_dijkstra(benchmark, as500):
-    nodes = sorted(as500.nodes, key=repr)
-    s, t = nodes[0], nodes[-1]
-    expected, _ = dijkstra(as500, s, target=t)
-    cost, path = benchmark(bidirectional_dijkstra, as500, s, t)
-    assert cost == expected[t]
-
-
 def bench_dijkstra_on_failure_view(benchmark, isp200):
     """Dijkstra through a FilteredView must not be much slower than raw."""
     nodes = sorted(isp200.nodes, key=repr)
@@ -44,12 +35,6 @@ def bench_dijkstra_on_failure_view(benchmark, isp200):
     view = isp200.without(edges=edges[:2])
     dist, _ = benchmark(dijkstra, view, source)
     assert len(dist) >= isp200.number_of_nodes() - 4
-
-
-def bench_apsp_isp(benchmark, isp200):
-    sources = sorted(isp200.nodes, key=repr)[:40]
-    apsp = benchmark(ApspDistances.compute, isp200, sources)
-    assert apsp.average_distance() > 0
 
 
 def bench_shortest_path_dag(benchmark, isp200):

@@ -244,7 +244,7 @@ class IlmAccountant:
         Returns a per-scenario work estimate: the summed
         :meth:`~repro.graph.incremental.SptCache.repair_cost_estimate`
         over the scenario's touched sources — pre-failure subtree sizes
-        below the dead links/routers, the dominant ``repair_spt`` term
+        below the dead links/routers, the dominant term of the repair
         — plus the affected-demand count (backup walks and
         decomposition probes scale with it).  The estimate reads the
         pre-failure SPT rows of every touched source, so this builds

@@ -402,15 +402,10 @@ def main(argv: list[str] | None = None) -> str:
         with cli.timer.stage("render"):
             report = render(all_rows)
     print(report)
-    cases = stats.get("cases", 0)
-    relaxations = cli.counters()["dijkstra_relaxations"]
     out = cli.write_bench(
         {
             "ilm_max_scenarios": ILM_MAX_SCENARIOS,
-            "cases": cases,
-            "dijkstra_relaxations_per_case": (
-                round(relaxations / cases, 1) if cases else None
-            ),
+            "cases": stats.get("cases", 0),
             "rows": {
                 mode: [asdict(row) for row in rows]
                 for mode, rows in all_rows.items()

@@ -6,13 +6,13 @@ Public surface re-exported here; see the submodules for the full API:
   :class:`FilteredView`, :func:`edge_key`.
 * :mod:`repro.graph.paths` — :class:`Path` and concatenation helpers.
 * :mod:`repro.graph.heap` — :class:`AddressableHeap`.
-* :mod:`repro.graph.shortest_paths` — Dijkstra/BFS/bidirectional search.
+* :mod:`repro.graph.shortest_paths` — dict Dijkstra/BFS search.
 * :mod:`repro.graph.spt` — shortest-path DAGs and path counting.
-* :mod:`repro.graph.all_pairs` — APSP oracles.
+* :mod:`repro.graph.all_pairs` — the lazy APSP distance oracle.
 * :mod:`repro.graph.connectivity` — components, bridges, cut vertices.
 """
 
-from .all_pairs import ApspDistances, LazyDistanceOracle
+from .all_pairs import LazyDistanceOracle
 from .connectivity import (
     articulation_points,
     bridges,
@@ -33,7 +33,6 @@ from .maxflow import edge_disjoint_paths, max_disjoint_path_count, max_flow
 from .paths import Path, concat_all, is_concatenation_of
 from .shortest_paths import (
     bfs_shortest_paths,
-    bidirectional_dijkstra,
     costs_equal,
     dijkstra,
     is_shortest_path,
@@ -51,7 +50,6 @@ from .spt import (
 
 __all__ = [
     "AddressableHeap",
-    "ApspDistances",
     "DiGraph",
     "Edge",
     "FilteredView",
@@ -63,7 +61,6 @@ __all__ = [
     "all_shortest_paths",
     "articulation_points",
     "bfs_shortest_paths",
-    "bidirectional_dijkstra",
     "bridges",
     "concat_all",
     "connected_components",

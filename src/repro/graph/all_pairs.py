@@ -5,18 +5,15 @@ decision procedure "is this sub-path a basic path?" reduces to "is it a
 shortest path?", which is answered from an APSP distance oracle.
 
 For the graph sizes in the paper (200 — 40k nodes) a distance *matrix*
-is only feasible for the small graphs, so this module provides both:
-
-* :class:`ApspDistances` — dense oracle, one Dijkstra per node, built
-  eagerly (ISP-sized graphs).
-* :class:`LazyDistanceOracle` — per-source Dijkstra computed on first
-  use and cached (Internet-sized graphs, where experiments touch only a
-  sample of sources).
+is only feasible for the small graphs, so the one oracle,
+:class:`LazyDistanceOracle`, computes each source's row on first use
+and caches it: experiments on the Internet-sized graphs touch only a
+sample of sources.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from ..exceptions import NoPath
 from ..kernels import OracleRows, kernel_backend
@@ -24,78 +21,6 @@ from ..perf import COUNTERS, in_warm_up, warm_up_phase
 from .csr import INF, CsrView, dijkstra_csr_canonical, shared_csr
 from .graph import Node
 from .paths import Path
-from .shortest_paths import costs_equal, dijkstra, reconstruct_path
-
-
-class ApspDistances:
-    """Eager all-pairs distances and predecessor maps.
-
-    >>> from repro.graph.graph import Graph
-    >>> g = Graph.from_edges([(1, 2), (2, 3)])
-    >>> apsp = ApspDistances.compute(g)
-    >>> apsp.distance(1, 3)
-    2.0
-    """
-
-    __slots__ = ("_dist", "_pred")
-
-    def __init__(
-        self,
-        dist: dict[Node, dict[Node, float]],
-        pred: dict[Node, dict[Node, Node]],
-    ) -> None:
-        self._dist = dist
-        self._pred = pred
-
-    @classmethod
-    def compute(
-        cls, graph, sources: Optional[list[Node]] = None, break_ties_by_hops: bool = False
-    ) -> "ApspDistances":
-        """One Dijkstra per source (all nodes, unless *sources* restricts)."""
-        dist: dict[Node, dict[Node, float]] = {}
-        pred: dict[Node, dict[Node, Node]] = {}
-        for s in sources if sources is not None else graph.nodes:
-            dist[s], pred[s] = dijkstra(graph, s, break_ties_by_hops=break_ties_by_hops)
-        return cls(dist, pred)
-
-    @property
-    def sources(self) -> Iterator[Node]:
-        """Iterate over the sources this oracle covers."""
-        return iter(self._dist)
-
-    def distance(self, u: Node, v: Node) -> float:
-        """Shortest distance u→v; raises :class:`NoPath` if unreachable."""
-        row = self._dist.get(u)
-        if row is None:
-            raise NoPath(f"source {u!r} not covered by this APSP")
-        if v not in row:
-            raise NoPath(f"no path from {u!r} to {v!r}")
-        return row[v]
-
-    def has_path(self, u: Node, v: Node) -> bool:
-        """True if a path exists (and the source is covered)."""
-        row = self._dist.get(u)
-        return row is not None and v in row
-
-    def path(self, u: Node, v: Node) -> Path:
-        """One shortest path u→v."""
-        if u not in self._pred:
-            raise NoPath(f"source {u!r} not covered by this APSP")
-        return reconstruct_path(self._pred[u], u, v)
-
-    def is_shortest(self, path: Path, cost: float) -> bool:
-        """True if a path of weight *cost* between the endpoints is shortest."""
-        return costs_equal(cost, self.distance(path.source, path.target))
-
-    def average_distance(self) -> float:
-        """Mean distance over all covered, connected, distinct pairs."""
-        total, count = 0.0, 0
-        for s, row in self._dist.items():
-            for t, d in row.items():
-                if s != t:
-                    total += d
-                    count += 1
-        return total / count if count else 0.0
 
 
 class LazyDistanceOracle:

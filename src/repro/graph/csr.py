@@ -23,11 +23,10 @@ Path contract (pinned by ``tests/test_csr.py`` and
   and weighted repaired rows.  It is label-local, not the restorable
   tie-breaking of Bodwin–Parter (arXiv:2102.10174): against the
   padded base set it is not restorable (DESIGN.md §6).
-* :func:`dijkstra_csr` is a thin façade over it, and :func:`bfs_csr`
-  is its unit-weight twin: canonical BFS processes each frontier in
-  index order, so its predecessor of ``v`` is the least-index neighbor
-  one level up — exactly what canonical Dijkstra produces on unit
-  weights.
+* :func:`bfs_csr` is its unit-weight twin: canonical BFS processes
+  each frontier in index order, so its predecessor of ``v`` is the
+  least-index neighbor one level up — exactly what canonical Dijkstra
+  produces on unit weights.
 * :func:`hop_distance_csr` returns only the hop distance between two
   nodes (bidirectional BFS, no rows, no tie rule).
 
@@ -293,25 +292,6 @@ def shared_csr(graph) -> CsrGraph:
 def _require_alive(view: CsrView, src: int) -> None:
     if src in view.dead_nodes:
         raise NodeNotFound(f"node {view.csr.nodes[src]!r} has failed")
-
-
-def dijkstra_csr(
-    view: CsrView, source: int, target: int = -1
-) -> tuple[array, array]:
-    """Dijkstra on CSR buffers in the canonical tie order.
-
-    Returns ``(dist, pred)`` rows indexed by node index (``inf`` /
-    ``-1`` for unreached) as ``array('d')`` / ``array('q')``.  With
-    ``target >= 0`` stops as soon as the target settles; the settled
-    prefix (and hence the source→target predecessor chain) is identical
-    to an exhaustive run's.  A thin façade over
-    :func:`dijkstra_csr_canonical` — one kernel, one tie order, across
-    the whole library.
-    """
-    dist, pred, _ = dijkstra_csr_canonical(
-        view, source, targets=None if target < 0 else (target,)
-    )
-    return dist, pred
 
 
 def dijkstra_csr_canonical(

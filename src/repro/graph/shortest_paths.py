@@ -6,14 +6,16 @@ failed graph, and the greedy decomposition repeatedly asks "is this
 prefix a shortest path?".  This module provides:
 
 * :func:`dijkstra` — classic single-source Dijkstra over the adjacency
-  protocol, with optional early target exit and optional hop-count
-  tie-breaking (so that among equal-cost paths the fewest-hop one is
-  found, matching OSPF behaviour).
+  protocol, with optional early target exit.
 * :func:`bfs_shortest_paths` — the unweighted specialization.
-* :func:`bidirectional_dijkstra` — point-to-point queries on the big
-  Internet-scale graphs, where full Dijkstra per query is wasteful.
 * :func:`shortest_path` / :func:`shortest_path_length` — convenience
   wrappers returning :class:`~repro.graph.paths.Path` objects.
+
+The CSR kernels (:mod:`repro.graph.csr`) are tested against these
+dict searches, and :func:`~repro.graph.incremental.fast_shortest_path`
+falls back to :func:`shortest_path` off the CSR path.
+Point-to-point hop counts on the big graphs go through the
+bidirectional-BFS kernel, :func:`~repro.graph.csr.hop_distance_csr`.
 
 All functions accept any object implementing the adjacency protocol
 (:class:`~repro.graph.graph.Graph`, :class:`~repro.graph.graph.DiGraph`,
@@ -46,7 +48,6 @@ def dijkstra(
     graph,
     source: Node,
     target: Optional[Node] = None,
-    break_ties_by_hops: bool = False,
 ) -> tuple[dict[Node, float], dict[Node, Node]]:
     """Single-source Dijkstra.
 
@@ -55,42 +56,26 @@ def dijkstra(
     predecessor on one such path (``pred[source]`` is absent).
 
     With *target* given, stops as soon as the target is settled; ``dist``
-    then covers only settled nodes.  With *break_ties_by_hops*, among
-    equal-cost paths the one with fewer hops is preferred — this mirrors
-    what an OSPF implementation with equal-cost tie-breaking produces and
-    keeps restoration-path hop counts canonical.
+    then covers only settled nodes.
     """
     if not graph.has_node(source):
         raise NodeNotFound(f"no node {source!r}")
     dist: dict[Node, float] = {}
-    hops: dict[Node, int] = {}
     pred: dict[Node, Node] = {}
     heap: AddressableHeap[Node] = AddressableHeap()
-    heap.push(source, (0.0, 0) if break_ties_by_hops else 0.0)
-    tentative_hops: dict[Node, int] = {source: 0}
+    heap.push(source, 0.0)
     relaxations = 0
     while heap:
-        u, priority = heap.pop()
-        if break_ties_by_hops:
-            d_u, h_u = priority  # type: ignore[misc]
-        else:
-            d_u, h_u = priority, tentative_hops.get(u, 0)
+        u, d_u = heap.pop()
         dist[u] = d_u  # type: ignore[assignment]
-        hops[u] = h_u
         if u == target:
             break
         for v, w in graph.adjacency(u):
             relaxations += 1
             if v in dist:
                 continue
-            candidate = d_u + w  # type: ignore[operator]
-            if break_ties_by_hops:
-                if heap.push_or_decrease(v, (candidate, h_u + 1)):
-                    pred[v] = u
-            else:
-                if heap.push_or_decrease(v, candidate):
-                    pred[v] = u
-                    tentative_hops[v] = h_u + 1
+            if heap.push_or_decrease(v, d_u + w):  # type: ignore[operator]
+                pred[v] = u
     COUNTERS.dijkstra_runs += 1
     COUNTERS.dijkstra_settled += len(dist)
     COUNTERS.dijkstra_relaxations += relaxations
@@ -154,67 +139,11 @@ def reconstruct_path(pred: dict[Node, Node], source: Node, target: Node) -> Path
     return Path(nodes)
 
 
-def bidirectional_dijkstra(graph, source: Node, target: Node) -> tuple[float, Path]:
-    """Point-to-point shortest path by simultaneous forward/backward search.
-
-    Returns ``(cost, path)``.  Only valid on undirected graphs/views (the
-    backward search reuses the forward adjacency).  Raises
-    :class:`~repro.exceptions.NoPath` when disconnected.
-    """
-    if getattr(graph, "directed", False):
-        raise ValueError("bidirectional_dijkstra requires an undirected graph")
-    if not graph.has_node(source):
-        raise NodeNotFound(f"no node {source!r}")
-    if not graph.has_node(target):
-        raise NodeNotFound(f"no node {target!r}")
-    if source == target:
-        return 0.0, Path([source])
-
-    dists: list[dict[Node, float]] = [{}, {}]  # settled: forward, backward
-    preds: list[dict[Node, Node]] = [{}, {}]
-    heaps: list[AddressableHeap[Node]] = [AddressableHeap(), AddressableHeap()]
-    heaps[0].push(source, 0.0)
-    heaps[1].push(target, 0.0)
-    best_cost = float("inf")
-    meeting: Optional[Node] = None
-
-    while heaps[0] and heaps[1]:
-        # Termination: once the frontier minima sum to >= the best meeting
-        # cost, no undiscovered route can improve on it.
-        if heaps[0].peek()[1] + heaps[1].peek()[1] >= best_cost:  # type: ignore[operator]
-            break
-        # Expand the side with the smaller frontier minimum.
-        side = 0 if heaps[0].peek()[1] <= heaps[1].peek()[1] else 1
-        u, d_u = heaps[side].pop()
-        dists[side][u] = d_u  # type: ignore[assignment]
-        other = 1 - side
-        if u in dists[other] and dists[side][u] + dists[other][u] < best_cost:
-            best_cost = dists[side][u] + dists[other][u]
-            meeting = u
-        for v, w in graph.adjacency(u):
-            if v in dists[side]:
-                continue
-            candidate = d_u + w  # type: ignore[operator]
-            if heaps[side].push_or_decrease(v, candidate):
-                preds[side][v] = u
-            # Path through frontier edge may beat both settled meetings.
-            if v in dists[other] and candidate + dists[other][v] < best_cost:
-                best_cost = candidate + dists[other][v]
-                meeting = v
-
-    if meeting is None:
-        raise NoPath(f"no path from {source!r} to {target!r}")
-    forward = reconstruct_path(preds[0], source, meeting)
-    backward = reconstruct_path(preds[1], target, meeting)
-    return best_cost, forward.concat(backward.reversed())
-
-
 def shortest_path(
     graph,
     source: Node,
     target: Node,
     weighted: bool = True,
-    break_ties_by_hops: bool = False,
 ) -> Path:
     """Return one shortest path from *source* to *target* as a :class:`Path`.
 
@@ -222,9 +151,7 @@ def shortest_path(
     connected in *graph* (e.g. after failures).
     """
     if weighted:
-        dist, pred = dijkstra(
-            graph, source, target=target, break_ties_by_hops=break_ties_by_hops
-        )
+        dist, pred = dijkstra(graph, source, target=target)
     else:
         dist, pred = bfs_shortest_paths(graph, source, target=target)
     if target not in dist:

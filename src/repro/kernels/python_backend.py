@@ -385,7 +385,7 @@ def resettle(
 ) -> tuple[array, array]:
     """Boundary offers + bounded heap re-settle of the affected subtree.
 
-    The body of the historical ``repair_spt`` hot path: blank the
+    The re-settle half of :func:`repair_resettle`: blank the
     affected labels, seed a heap with every surviving edge from an
     intact node into the region (equal offers resolved by the canonical
     ``(dist[parent], parent index)`` rule), then re-settle restricted to

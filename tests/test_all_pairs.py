@@ -1,73 +1,26 @@
-"""Tests for the APSP distance oracles."""
+"""Tests for the lazy APSP distance oracle."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.exceptions import NoPath
-from repro.graph.all_pairs import ApspDistances, LazyDistanceOracle
+from repro.graph.all_pairs import LazyDistanceOracle
 from repro.graph.graph import Graph
 from repro.graph.shortest_paths import costs_equal, dijkstra
 
 
-class TestApspDistances:
-    def test_all_distances(self, weighted_diamond):
-        apsp = ApspDistances.compute(weighted_diamond)
-        assert apsp.distance(1, 4) == 2.0
-        assert apsp.distance(4, 1) == 2.0
-        assert apsp.distance(2, 3) == 3.0  # via 1 or 4, not the w=5 chord
-
-    def test_restricted_sources(self, diamond):
-        apsp = ApspDistances.compute(diamond, sources=[1])
-        assert apsp.distance(1, 4) == 2.0
-        with pytest.raises(NoPath):
-            apsp.distance(2, 4)  # source 2 not covered
-        assert list(apsp.sources) == [1]
-
-    def test_unreachable_raises(self):
-        g = Graph.from_edges([(1, 2), (3, 4)])
-        apsp = ApspDistances.compute(g)
-        with pytest.raises(NoPath):
-            apsp.distance(1, 3)
-        assert not apsp.has_path(1, 3)
-        assert apsp.has_path(1, 2)
-
-    def test_path_reconstruction(self, weighted_diamond):
-        apsp = ApspDistances.compute(weighted_diamond)
-        path = apsp.path(1, 4)
-        assert path.nodes == (1, 2, 4)
-
-    def test_is_shortest(self, diamond):
-        apsp = ApspDistances.compute(diamond)
-        assert apsp.is_shortest(apsp.path(1, 4), 2.0)
-        assert not apsp.is_shortest(apsp.path(1, 4), 3.0)
-
-    def test_average_distance(self, line5):
-        apsp = ApspDistances.compute(line5)
-        # Pairs at distances 1,2,3,4 symmetric: mean = 2 * (4*1+3*2+2*3+1*4) / 20.
-        assert apsp.average_distance() == pytest.approx(2.0)
-
-    def test_average_distance_empty(self):
-        g = Graph()
-        g.add_node(1)
-        assert ApspDistances.compute(g).average_distance() == 0.0
-
-    def test_tie_break_by_hops(self):
-        g = Graph.from_edges([(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 3)])
-        apsp = ApspDistances.compute(g, break_ties_by_hops=True)
-        assert apsp.path(0, 3).hops == 1
-
-
 class TestLazyDistanceOracle:
     def test_matches_eager(self, small_isp):
+        """Every answer equals the row of an eager dict Dijkstra."""
         lazy = LazyDistanceOracle(small_isp)
         nodes = sorted(small_isp.nodes, key=repr)
-        eager = ApspDistances.compute(small_isp, sources=nodes[:3])
         for s in nodes[:3]:
+            eager, _ = dijkstra(small_isp, s)
             for t in nodes[::7]:
                 if s == t:
                     continue
-                assert costs_equal(lazy.distance(s, t), eager.distance(s, t))
+                assert costs_equal(lazy.distance(s, t), eager[t])
 
     def test_caches_sources(self, diamond):
         lazy = LazyDistanceOracle(diamond)

@@ -11,8 +11,8 @@ Three properties make the contract load-bearing for the whole library
 2. **Weighted repair equivalence** — on tie-heavy weighted graphs,
    repaired rows equal from-scratch canonical rows exactly, pred
    arrays included.
-3. **Batched repair equivalence** — ``SptCache.repair_batch`` returns,
-   per source, the same row as the single-source ``repaired_row``.
+3. **Batched repair equivalence** — ``SptCache.repair_batch_idx``
+   returns, per source, the row of a from-scratch canonical run.
 
 Plus the BENCH header's stamps of the contract: ``tie_order`` and the
 ``REPAIR_FALLBACK_FRACTION`` constant.
@@ -31,13 +31,10 @@ from repro.graph.csr import (
     dijkstra_csr_canonical,
 )
 from repro.graph.graph import Graph
-from repro.graph.incremental import (
-    REPAIR_FALLBACK_FRACTION,
-    SptCache,
-    repair_spt,
-)
+from repro.graph.incremental import REPAIR_FALLBACK_FRACTION, SptCache
 
 from .legacy_kernels import dijkstra_csr_legacy
+from .test_incremental import forced_repair, scratch_row
 
 
 def tie_heavy_graph(rng: random.Random, n: int = 36, extra: int = 40) -> Graph:
@@ -135,8 +132,8 @@ class TestWeightedRepairEquivalence:
         for trial in range(6):
             k = rng.choice((1, 2, 3))
             view = csr.with_edges_removed(rng.sample(edges, k))
-            got = repair_spt(view, src, dist, pred, fallback_fraction=2.0)
-            want = dijkstra_csr_canonical(view, src)
+            got = forced_repair(view, src, dist, pred)
+            want = scratch_row(view, src)
             assert got[0] == want[0]  # distances bitwise
             assert got[1] == want[1]  # canonical parents exactly
 
@@ -149,22 +146,21 @@ class TestBatchedRepair:
         edges = [(u, v) for u, v, _ in g.weighted_edges()]
         for trial in range(5):
             cache = SptCache(g, weighted=weighted)
-            sources = rng.sample(range(36), 6)
-            fv = g.without(edges=rng.sample(edges, 2))
-            view = cache.view_for(fv)
-            # Independent cache: identical graph, per-source queries.
-            solo = SptCache(g, weighted=weighted)
-            rows = cache.repair_batch(sources, fv)
+            index = cache.csr.index
+            sources = [index[s] for s in rng.sample(range(36), 6)]
+            view = cache.view_for(g.without(edges=rng.sample(edges, 2)))
+            rows = cache.repair_batch_idx(sources, view)
             assert set(rows) == set(sources)
             for s in sources:
-                assert rows[s] == solo.repaired_row(s, view)
+                assert rows[s] == scratch_row(view, s, weighted)
 
     def test_repair_batch_skips_dead_sources(self):
         g = tie_heavy_graph(random.Random(5))
         cache = SptCache(g, weighted=True)
+        index = cache.csr.index
         fv = g.without(nodes=[3])
-        rows = cache.repair_batch([1, 3, 7], fv)
-        assert 3 not in rows and set(rows) == {1, 7}
+        rows = cache.repair_batch_idx([index[1], index[3], index[7]], fv)
+        assert index[3] not in rows and set(rows) == {index[1], index[7]}
 
 
 class TestBenchHeader:

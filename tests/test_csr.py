@@ -5,9 +5,9 @@ Two contracts are pinned here.  The dict kernels keep their
 :mod:`tests.legacy_kernels` reproduce them exactly (settle order,
 predecessor choices, ties included) — the canonical CSR order differs
 from them deliberately, not accidentally.  The **canonical kernels**
-(``dijkstra_csr_canonical``, and ``dijkstra_csr`` / ``bfs_csr``, which
-route to the same tie order) match the dict kernels wherever results
-are tie-invariant (distances always) and are themselves pinned by
+(``dijkstra_csr_canonical`` and its unit-weight twin ``bfs_csr``)
+match the dict kernels wherever results are tie-invariant (distances
+always) and are themselves pinned by
 :mod:`tests.test_canonical_contract`.  Every topology family in
 :mod:`repro.topology` is exercised.
 """
@@ -26,7 +26,6 @@ from repro.graph.csr import (
     as_view,
     bfs_csr,
     dicts_from_arrays,
-    dijkstra_csr,
     dijkstra_csr_canonical,
     mask_from_view,
     path_nodes,
@@ -201,14 +200,21 @@ class TestKernelEquivalence:
             assert got_pred == pred_d
 
     def test_default_dijkstra_is_canonical(self, topo):
-        """The undecorated entry point routes to the canonical kernel."""
+        """Dijkstra picks the tight parent minimizing ``(dist, index)``."""
         csr = CsrGraph(topo)
         view = as_view(csr)
+        indptr, indices, weights = csr.indptr, csr.indices, csr.weights
         for src in sources_of(topo, k=3):
-            dist, pred = dijkstra_csr(view, csr.index[src])
-            c_dist, c_pred, _ = dijkstra_csr_canonical(view, csr.index[src])
-            assert dist == c_dist
-            assert pred == c_pred
+            dist, pred, _ = dijkstra_csr_canonical(view, csr.index[src])
+            tight: dict[int, list[tuple[float, int]]] = {}
+            for u in range(csr.n):
+                for slot in range(indptr[u], indptr[u + 1]):
+                    v = indices[slot]
+                    if dist[u] + weights[slot] == dist[v] != INF:
+                        tight.setdefault(v, []).append((dist[u], u))
+            for v in range(csr.n):
+                if pred[v] >= 0:
+                    assert pred[v] == min(tight[v])[1]
 
     def test_default_bfs_is_canonical(self, topo):
         """Default BFS picks the min-index parent one level up."""
@@ -252,7 +258,7 @@ class TestKernelEquivalence:
             dist_d, _ = dijkstra(fv, src)
             dist, _ = dijkstra_csr_legacy(view, csr.index[src])
             assert dicts_from_arrays(csr, dist, [-1] * csr.n)[0] == dist_d
-            c_dist, _ = dijkstra_csr(view, csr.index[src])
+            c_dist, _, _ = dijkstra_csr_canonical(view, csr.index[src])
             assert dicts_from_arrays(csr, c_dist, [-1] * csr.n)[0] == dist_d
 
     def test_early_exit_settles_target_prefix(self):
@@ -260,9 +266,9 @@ class TestKernelEquivalence:
         csr = CsrGraph(g)
         nodes = list(g.nodes)
         s, t = nodes[0], nodes[-1]
-        full, full_pred = dijkstra_csr(as_view(csr), csr.index[s])
-        part, part_pred = dijkstra_csr(
-            as_view(csr), csr.index[s], target=csr.index[t]
+        full, full_pred, _ = dijkstra_csr_canonical(as_view(csr), csr.index[s])
+        part, part_pred, _ = dijkstra_csr_canonical(
+            as_view(csr), csr.index[s], targets=(csr.index[t],)
         )
         it = csr.index[t]
         assert part[it] == full[it]
@@ -273,8 +279,6 @@ class TestKernelEquivalence:
     def test_dead_source_raises(self):
         csr = CsrGraph(path_graph(3))
         view = csr.with_edges_removed(nodes=[0])
-        with pytest.raises(NodeNotFound):
-            dijkstra_csr(view, csr.index[0])
         with pytest.raises(NodeNotFound):
             bfs_csr(view, csr.index[0])
         with pytest.raises(NodeNotFound):
@@ -303,7 +307,7 @@ class TestCounters:
         csr = CsrGraph(g)
         before_r = COUNTERS.csr_relaxations
         before_s = COUNTERS.csr_settled
-        dijkstra_csr(as_view(csr), 0)
+        dijkstra_csr_canonical(as_view(csr), 0)
         assert COUNTERS.csr_relaxations > before_r
         assert COUNTERS.csr_settled >= before_s + 8
 
@@ -311,6 +315,6 @@ class TestCounters:
         g = cycle_graph(8)
         csr = CsrGraph(g)
         before = COUNTERS.dijkstra_relaxations
-        dijkstra_csr(as_view(csr), 0)
+        bfs_csr(as_view(csr), 0)
         dijkstra_csr_canonical(CsrView(csr), 0)
         assert COUNTERS.dijkstra_relaxations == before

@@ -137,7 +137,7 @@ CLI_HEADERS = {
         ["--scale", "tiny", "--modes", "link"],
         {"scale", "seed", "modes", "ilm_accounting", "jobs", "policy",
          "failure_model", "kernel_backend"},
-        {"ilm_max_scenarios", "cases", "dijkstra_relaxations_per_case", "rows"},
+        {"ilm_max_scenarios", "cases", "rows"},
     ),
     "table3": (
         ["--scale", "tiny", "--max-links", "5"],

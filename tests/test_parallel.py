@@ -245,7 +245,7 @@ class TestInheritedState:
         pristine = (bytes(dist), bytes(pred))
         nodes = cache.csr.nodes
         view = cache.view_for(FailureScenario.single_link(nodes[0], nodes[1]))
-        got_dist, got_pred = cache._repaired_row_idx(0, view)
+        got_dist, got_pred = cache.repair_batch_idx([0], view)[0]
         # The repair produced a post-failure row...
         assert (bytes(got_dist), bytes(got_pred)) != pristine
         # ...while the cached pre-failure row is the same, untouched.

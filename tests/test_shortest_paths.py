@@ -1,8 +1,6 @@
-"""Tests for Dijkstra/BFS/bidirectional search, cross-checked vs networkx."""
+"""Tests for dict Dijkstra/BFS search, cross-checked vs networkx."""
 
 from __future__ import annotations
-
-import random
 
 import networkx as nx
 import pytest
@@ -12,7 +10,6 @@ from repro.exceptions import NodeNotFound, NoPath
 from repro.graph.graph import DiGraph, Graph
 from repro.graph.shortest_paths import (
     bfs_shortest_paths,
-    bidirectional_dijkstra,
     costs_equal,
     dijkstra,
     is_shortest_path,
@@ -57,13 +54,6 @@ class TestDijkstra:
         path = reconstruct_path(pred, 1, 4)
         assert path.source == 1 and path.target == 4
         assert path.cost(diamond) == dist[4]
-
-    def test_tie_break_by_hops(self):
-        # Two equal-cost routes 0->3: 0-1-2-3 (all 1s) vs 0-3 (weight 3).
-        g = Graph.from_edges([(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 3)])
-        dist, pred = dijkstra(g, 0, break_ties_by_hops=True)
-        assert dist[3] == 3.0
-        assert reconstruct_path(pred, 0, 3).hops == 1
 
     def test_directed_graph(self):
         g = DiGraph()
@@ -121,45 +111,6 @@ class TestWrappers:
         # 1-3-4 is 2 hops (hop-optimal) but cost 4 (not cost-optimal).
         assert is_shortest_path(weighted_diamond, Path([1, 3, 4]), weighted=False)
         assert not is_shortest_path(weighted_diamond, Path([1, 3, 4]), weighted=True)
-
-
-class TestBidirectional:
-    def test_matches_dijkstra(self, weighted_diamond):
-        cost, path = bidirectional_dijkstra(weighted_diamond, 1, 4)
-        assert cost == 2.0
-        assert path.cost(weighted_diamond) == 2.0
-
-    def test_same_node(self, diamond):
-        cost, path = bidirectional_dijkstra(diamond, 1, 1)
-        assert cost == 0.0 and path.is_trivial
-
-    def test_no_path_raises(self):
-        g = Graph.from_edges([(1, 2), (3, 4)])
-        with pytest.raises(NoPath):
-            bidirectional_dijkstra(g, 1, 3)
-
-    def test_directed_rejected(self):
-        g = DiGraph()
-        g.add_edge(1, 2)
-        with pytest.raises(ValueError):
-            bidirectional_dijkstra(g, 1, 2)
-
-    def test_random_graphs_match_full_dijkstra(self):
-        rng = random.Random(3)
-        for trial in range(20):
-            g = Graph()
-            n = rng.randrange(5, 30)
-            for i in range(1, n):
-                g.add_edge(rng.randrange(i), i, weight=rng.choice([1, 2, 3, 5]))
-            for _ in range(n):
-                u, v = rng.sample(range(n), 2)
-                if not g.has_edge(u, v):
-                    g.add_edge(u, v, weight=rng.choice([1, 2, 3, 5]))
-            s, t = rng.sample(range(n), 2)
-            expected = shortest_path_length(g, s, t)
-            cost, path = bidirectional_dijkstra(g, s, t)
-            assert costs_equal(cost, expected)
-            assert costs_equal(path.cost(g), expected)
 
 
 @st.composite
