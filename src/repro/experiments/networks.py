@@ -8,9 +8,10 @@ hop-count routing), the Internet router-level map, and the AS graph.
 * ``"small"`` — the default benchmark scale (the ISP at full published
   size, the two big graphs shrunk; their power-law shape — and hence
   every Table 2/3 statistic — is size-stable);
-* ``"paper"`` — full Table 1 sizes (4,746 and 40,377 nodes; budget
-  accordingly: pure-Python Dijkstras on the 40k-node graph take
-  seconds each).
+* ``"paper"`` — full Table 1 sizes (4,746 and 40,377 nodes).  With the
+  native kernels a run takes seconds: about 9 s for Table 2
+  (per-pair), 3 s for Table 3 and 1 s for Figure 10 at jobs 1, seed 1
+  on a 2-vCPU VM (entries 19–21 of ``results/history/ledger.jsonl``).
 """
 
 from __future__ import annotations
