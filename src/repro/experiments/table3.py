@@ -14,10 +14,10 @@ from typing import Optional
 
 from ..core.local_restoration import bypass_path
 from ..exceptions import NoPath, NoRestorationPath
-from ..failures.models import FailureScenario
-from ..graph.csr import hop_distance_csr, shared_csr
+from ..graph.csr import shared_csr
 from ..graph.graph import Graph
 from ..graph.shortest_paths import shortest_path
+from ..kernels import kernel_backend
 from ..obs import TRACER
 from ..obs.metrics import DEPTH_EDGES, METRICS
 from ..policies import (
@@ -58,10 +58,12 @@ def link_bypass_hops(
     the whole SRLG group), so the bypass must survive every correlated
     casualty, not just the link itself.
 
-    On an unweighted network the answer is the hop distance between
-    the endpoints once the scenario's links are gone: one
-    :func:`~repro.graph.csr.hop_distance_csr` call, equal to
-    ``bypass_path(graph, u, v, weighted=False).hops`` (and to the dict
+    On an unweighted network the answer is one ``bypass_hops`` kernel
+    call: the hop distance between the endpoints with the link cut,
+    over the snapshot's unmasked view under the default model (no
+    scenario, no view, no slot search in Python) and over the
+    scenario's view under a correlated one.  It equals
+    ``bypass_path(graph, u, v, weighted=False).hops`` (and the dict
     ``shortest_path(..., weighted=False).hops``) on every link, since a
     hop distance has no tie rule.  A weighted network takes the
     canonical min-cost chain of
@@ -70,8 +72,9 @@ def link_bypass_hops(
     hop count of an equal-cost bypass depends on which one a search's
     tie rule picks.
     """
+    default = model is None or model.name == DEFAULT_FAILURE_MODEL
     if weighted:
-        if model is None or model.name == DEFAULT_FAILURE_MODEL:
+        if default:
             try:
                 return bypass_path(graph, u, v, weighted=True).hops
             except NoRestorationPath:
@@ -81,14 +84,15 @@ def link_bypass_hops(
             return shortest_path(view, u, v, weighted=True).hops
         except NoPath:
             return None
-    scenario = (
-        FailureScenario.single_link(u, v)
-        if model is None
-        else model.scenario_for_link((u, v))
-    )
     csr = shared_csr(graph)
-    view = csr.with_edges_removed(scenario.links, scenario.routers)
-    return hop_distance_csr(view, csr.index[u], csr.index[v])
+    if default:
+        view = csr.unmasked
+    else:
+        scenario = model.scenario_for_link((u, v))
+        view = csr.with_edges_removed(scenario.links, scenario.routers)
+    index = csr.index
+    hops = kernel_backend().bypass_hops(view, index[u], index[v])
+    return None if hops < 0 else hops
 
 
 def bypass_distribution(

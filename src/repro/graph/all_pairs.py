@@ -83,7 +83,7 @@ class LazyDistanceOracle:
         and promote full rows)."""
         table = self._table
         if table is None:
-            self._csr = CsrView(shared_csr(self._graph))
+            self._csr = shared_csr(self._graph).unmasked
             table = self._table = OracleRows(
                 self._csr.csr.n, self._warm_chain, self._make_full
             )

@@ -27,8 +27,10 @@ Path contract (pinned by ``tests/test_csr.py`` and
   each frontier in index order, so its predecessor of ``v`` is the
   least-index neighbor one level up — exactly what canonical Dijkstra
   produces on unit weights.
-* :func:`hop_distance_csr` returns only the hop distance between two
-  nodes (bidirectional BFS, no rows, no tie rule).
+* Table 3's bypass hop counts call the kernel entry ``bypass_hops``
+  directly on a snapshot's :attr:`~CsrGraph.unmasked` view: the hop
+  distance between a link's endpoints with the link cut (bidirectional
+  BFS, no rows, no tie rule).
 
 Kernels report to ``COUNTERS.csr_relaxations`` / ``csr_settled`` rather
 than the ``dijkstra_*`` counters, so ``repro.obs diff`` shows work
@@ -61,7 +63,9 @@ class CsrGraph:
     :class:`array.array` instances, which the native kernels read in
     place; ``native_state`` holds the native backend's addresses of
     them and the dead masks its calls over any view of this snapshot
-    mark and clear, one call at a time.
+    mark and clear, one call at a time.  ``unmasked`` is the
+    snapshot's one view with nothing dead, shared by every caller, so
+    the native backend resolves its (empty) dead lists once.
     """
 
     __slots__ = (
@@ -75,11 +79,13 @@ class CsrGraph:
         "source_version",
         "_zero_masks",
         "native_state",
+        "unmasked",
     )
 
     def __init__(self, graph) -> None:
         self._zero_masks = None
         self.native_state = None
+        self.unmasked = CsrView(self)
         self.directed = bool(getattr(graph, "directed", False))
         self.source_version = getattr(graph, "version", None)
         nodes = list(graph.nodes)
@@ -256,10 +262,10 @@ class CsrView:
 
 
 def as_view(csr_or_view) -> CsrView:
-    """Normalize a :class:`CsrGraph` to an unmasked :class:`CsrView`."""
+    """Normalize a :class:`CsrGraph` to its unmasked :class:`CsrView`."""
     if isinstance(csr_or_view, CsrView):
         return csr_or_view
-    return CsrView(csr_or_view)
+    return csr_or_view.unmasked
 
 
 #: graph -> CsrGraph, weakly keyed so snapshots die with their graphs.
@@ -342,20 +348,6 @@ def bfs_csr(
     """
     _require_alive(view, source)
     return kernel_backend().bfs(view, source, target)
-
-
-def hop_distance_csr(view: CsrView, source: int, target: int) -> Optional[int]:
-    """Hop distance between two node indices of an undirected view;
-    ``None`` when the view disconnects them (or a dead endpoint).
-
-    The length :func:`bfs_csr` would give, without its rows: one
-    bidirectional BFS that stops at the first meet, over O(nodes
-    visited) scratch.  No path comes back, so no tie rule applies.
-    ``ValueError`` for a directed snapshot.  Dispatches to the active
-    kernel backend (:mod:`repro.kernels`).
-    """
-    hops = kernel_backend().hop_distance(view, source, target)
-    return None if hops < 0 else hops
 
 
 def dicts_from_arrays(

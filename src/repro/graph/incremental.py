@@ -241,7 +241,7 @@ class SptCache:
     def _row(self, i: int) -> tuple:
         row = self._rows.get(i)
         if row is None:
-            base = CsrView(self.csr)
+            base = self.csr.unmasked
             if self.weighted:
                 dist, pred, _ = dijkstra_csr_canonical(base, i)
             else:
@@ -266,7 +266,7 @@ class SptCache:
         missing = [i for i in idxs if i not in self._rows]
         if len(missing) > 1:
             built = kernel_backend().rows_many(
-                CsrView(self.csr), missing, not self.weighted
+                self.csr.unmasked, missing, not self.weighted
             )
             if built:
                 self._rows.update(built)
@@ -499,6 +499,6 @@ def fast_shortest_path(
         cache = shared_spt_cache(base, weighted=weighted)
         index = cache.csr.index
         if source in index and target in index:
-            view = CsrView(cache.csr) if base is graph else cache.view_for(graph)
+            view = cache.csr.unmasked if base is graph else cache.view_for(graph)
             return cache.backup_path(source, target, view)
     return shortest_path(graph, source, target, weighted=weighted)

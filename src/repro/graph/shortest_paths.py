@@ -14,8 +14,8 @@ prefix a shortest path?".  This module provides:
 The CSR kernels (:mod:`repro.graph.csr`) are tested against these
 dict searches, and :func:`~repro.graph.incremental.fast_shortest_path`
 falls back to :func:`shortest_path` off the CSR path.
-Point-to-point hop counts on the big graphs go through the
-bidirectional-BFS kernel, :func:`~repro.graph.csr.hop_distance_csr`.
+Table 3's bypass hop counts on the unweighted graphs go through the
+bidirectional-BFS kernel entry ``bypass_hops`` (:mod:`repro.kernels`).
 
 All functions accept any object implementing the adjacency protocol
 (:class:`~repro.graph.graph.Graph`, :class:`~repro.graph.graph.DiGraph`,

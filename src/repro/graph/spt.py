@@ -20,7 +20,7 @@ from typing import Iterator, Optional
 
 from ..exceptions import NoPath
 from ..kernels import kernel_backend
-from .csr import INF, CsrView, dijkstra_csr_canonical, shared_csr
+from .csr import INF, dijkstra_csr_canonical, shared_csr
 from .graph import Graph, Node
 from .paths import Path
 from .shortest_paths import EPSILON, costs_equal, dijkstra
@@ -66,7 +66,7 @@ class ShortestPathDag:
         """
         if isinstance(graph, Graph):
             csr = shared_csr(graph)
-            row, _, _ = dijkstra_csr_canonical(CsrView(csr), csr.index[source])
+            row, _, _ = dijkstra_csr_canonical(csr.unmasked, csr.index[source])
             return cls(graph, source, csr=csr, row=row)
         dist, _ = dijkstra(graph, source)
         return cls(graph, source, dist=dist)

@@ -1,18 +1,19 @@
 """Runtime-selectable kernel backends for the canonical path engine.
 
 Every hot loop of the reproduction — canonical Dijkstra/BFS row
-building (:mod:`repro.graph.csr`), the bidirectional-BFS hop distance
-of Table 3's unweighted bypasses (``hop_distance``, behind
-:func:`repro.graph.csr.hop_distance_csr`), decremental SPT re-settling
-(:mod:`repro.graph.incremental`), the flat decomposition DP
-(:mod:`repro.core.decomposition`), per-link ILM accounting of one
-(scenario, source) pair over its repaired tree (``ilm_account``,
-behind :mod:`repro.experiments.ilm_accounting`), the preorder of a
-shortest-path tree (``preorder``: the accountant's primary trees and
-the repair cost model's subtree sizes), and shortest-path
-counting over a canonical row's tight-edge DAG (``count_paths``,
-behind :mod:`repro.graph.spt` and Table 2's multiplicity column) —
-dispatches through the backend selected here.  Two backends ship:
+building (:mod:`repro.graph.csr`), the bidirectional-BFS hop count of
+Table 3's unweighted bypasses (``bypass_hops``, which cuts the link
+itself; called by :func:`repro.experiments.table3.link_bypass_hops`),
+decremental SPT re-settling (:mod:`repro.graph.incremental`), the flat
+decomposition DP (:mod:`repro.core.decomposition`), per-link ILM
+accounting of one (scenario, source) pair over its repaired tree
+(``ilm_account``, behind :mod:`repro.experiments.ilm_accounting`), the
+preorder of a shortest-path tree (``preorder``: the accountant's
+primary trees and the repair cost model's subtree sizes), and
+shortest-path counting over a canonical row's tight-edge DAG
+(``count_paths``, behind :mod:`repro.graph.spt` and Table 2's
+multiplicity column) — dispatches through the backend selected here.
+Two backends ship:
 
 ``python``
     The reference implementation: the original pure-Python loops over

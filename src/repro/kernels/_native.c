@@ -387,19 +387,20 @@ repro_bfs(const i64 *indptr, const i64 *indices, i64 n, u8 *edge_dead,
 }
 
 /* ---------------------------------------------------------------- *
- * Hop distance by level-synchronous bidirectional BFS — the reference
- * loop of python_backend.hop_distance.  Side 0 grows from the source,
- * side 1 from the target; each keeps the nodes it labelled in its
- * visit queue (`queue_s` / `queue_t`, room for n each), its frontier
- * being the queue's tail.  Each round expands the side whose frontier
- * holds fewer CSR slots, ties to the source side; the first meet
- * closes a path of level_s + level_t + 1 hops, which is exact because
- * the two balls are disjoint.  `side` holds 0 (unlabelled) or side +
- * 1 per node; it arrives all zero and is cleared from the visit
- * queues before returning, so a call costs O(nodes labelled).  The
- * wrapper has checked the snapshot is undirected and both endpoints
- * are live, in range and distinct.  `out` receives the hop count (-1
- * when no meet), the relaxations and the nodes labelled.
+ * Table 3's bypass hop count by level-synchronous bidirectional BFS —
+ * the reference loop of python_backend.bypass_hops.  Side 0 grows from
+ * the source, side 1 from the target; each keeps the nodes it
+ * labelled in its visit queue (`queue_s` / `queue_t`, room for n
+ * each), its frontier being the queue's tail.  Each round expands the
+ * side whose frontier holds fewer CSR slots, ties to the source side;
+ * the first meet closes a path of level_s + level_t + 1 hops, which is
+ * exact because the two balls are disjoint.  `side` holds 0
+ * (unlabelled) or side + 1 per node; it arrives all zero and is
+ * cleared from the visit queues before returning, so a call costs
+ * O(nodes labelled).  The wrapper has checked the snapshot is
+ * undirected and both endpoints are live, in range and distinct.
+ * `out` receives the hop count (-1 when no meet), the relaxations and
+ * the nodes labelled.
  * ---------------------------------------------------------------- */
 
 static i64
@@ -451,23 +452,44 @@ hop_core(const i64 *indptr, const i64 *indices, const u8 *edge_dead,
     return -1;
 }
 
+/* The first u -> v slot (the one CsrGraph.edge_slots masks); -1 when
+ * u has no such neighbour. */
+static i64
+first_slot(const i64 *indptr, const i64 *indices, i64 u, i64 v)
+{
+    for (i64 slot = indptr[u]; slot < indptr[u + 1]; slot++)
+        if (indices[slot] == v)
+            return slot;
+    return -1;
+}
+
+/* Hop distance from u to v over the view with the u-v link cut as
+ * well: its first u -> v and v -> u slots are marked dead beside the
+ * view's dead lists for the call and cleared with them. */
 int
-repro_hop_distance(const i64 *indptr, const i64 *indices, u8 *edge_dead,
-                   u8 *node_dead, const i64 *dead_slots, i64 n_dead_slots,
-                   const i64 *dead_nodes, i64 n_dead_nodes, i64 source,
-                   i64 target, u8 *side, i64 *queue_s, i64 *queue_t,
-                   i64 *out)
+repro_bypass_hops(const i64 *indptr, const i64 *indices, u8 *edge_dead,
+                  u8 *node_dead, const i64 *dead_slots, i64 n_dead_slots,
+                  const i64 *dead_nodes, i64 n_dead_nodes, i64 u, i64 v,
+                  u8 *side, i64 *queue_s, i64 *queue_t, i64 *out)
 {
     i64 *queues[2] = {queue_s, queue_t};
     i64 lens[2];
+    i64 link[2] = {first_slot(indptr, indices, u, v),
+                   first_slot(indptr, indices, v, u)};
     set_dead(edge_dead, node_dead, dead_slots, n_dead_slots, dead_nodes,
              n_dead_nodes, 1);
-    out[0] = hop_core(indptr, indices, edge_dead, node_dead, source, target,
-                      side, queues, lens, &out[1]);
+    for (int k = 0; k < 2; k++)
+        if (link[k] >= 0)
+            edge_dead[link[k]] = 1;
+    out[0] = hop_core(indptr, indices, edge_dead, node_dead, u, v, side,
+                      queues, lens, &out[1]);
     out[2] = lens[0] + lens[1];
     for (int k = 0; k < 2; k++)
         for (i64 pos = 0; pos < lens[k]; pos++)
             side[queues[k][pos]] = 0;
+    for (int k = 0; k < 2; k++)
+        if (link[k] >= 0)
+            edge_dead[link[k]] = 0;
     set_dead(edge_dead, node_dead, dead_slots, n_dead_slots, dead_nodes,
              n_dead_nodes, 0);
     return 0;

@@ -195,8 +195,8 @@ _LIB.repro_bfs.restype = ctypes.c_int
 _LIB.repro_bfs.argtypes = [
     _ptr, _ptr, _i64, *_VIEW, _i64, _i64, _ptr, _ptr, _i64p, _i64p,
 ]
-_LIB.repro_hop_distance.restype = ctypes.c_int
-_LIB.repro_hop_distance.argtypes = [
+_LIB.repro_bypass_hops.restype = ctypes.c_int
+_LIB.repro_bypass_hops.argtypes = [
     _ptr, _ptr, *_VIEW, _i64, _i64, _ptr, _ptr, _ptr, _ptr,
 ]
 _LIB.repro_rows_many.restype = ctypes.c_int
@@ -277,7 +277,7 @@ def _addr_of(buf) -> tuple[int, object]:
 class _GraphState:
     """A snapshot's native state: its buffer addresses, the dead masks
     every call over one of its views borrows, and the work arrays of
-    ``hop_distance`` and ``ilm_account`` (each built on first use).
+    ``bypass_hops`` and ``ilm_account`` (each built on first use).
 
     The masks stay all zero between calls: each view-taking kernel
     marks its view's dead slots and nodes (:func:`_dead`) on entry and
@@ -402,7 +402,7 @@ def bfs(view, source: int, target: int = -1) -> tuple[array, array]:
 
 
 class _HopScratch:
-    """``hop_distance``'s work arrays over one snapshot, kept between
+    """``bypass_hops``' work arrays over one snapshot, kept between
     calls: a side byte per node (all zero between calls: the kernel
     clears what it labelled from its visit queues), the two visit
     queues, and the ``(hops, relaxations, settled)`` out-slots."""
@@ -420,24 +420,24 @@ class _HopScratch:
         )
 
 
-def hop_distance(view, source: int, target: int) -> int:
-    """Bidirectional-BFS hop distance (``-1``: disconnected), in C.
+def bypass_hops(view, u: int, v: int) -> int:
+    """Table 3's bypass hop count (``-1``: no bypass), in C.
 
     The reference's query checks (``python_backend.hop_query``) run
     first, so C only sees live, distinct, in-range endpoints of an
-    undirected snapshot; its work arrays live on the snapshot.
+    undirected snapshot.  C cuts the ``u``–``v`` link itself, beside
+    the view's dead lists, and its work arrays live on the snapshot.
     """
-    early = _py.hop_query(view, source, target)
+    early = _py.hop_query(view, u, v)
     if early is not None:
         return early
     csr = view.csr
     g = _graph_state(csr)
-    dead = _dead(view)
     scratch = g.hops
     if scratch is None:
         scratch = g.hops = _HopScratch(csr.n)
-    _check(_LIB.repro_hop_distance(
-        g.indptr, g.indices, *g.masks, *dead, source, target, *scratch.ptrs,
+    _check(_LIB.repro_bypass_hops(
+        g.indptr, g.indices, *g.masks, *_dead(view), u, v, *scratch.ptrs,
     ))
     hops, relaxations, settled = scratch.out
     COUNTERS.csr_relaxations += relaxations

@@ -21,10 +21,11 @@ return and accept ``array('d')`` / ``array('q')``.
     source is alive.
 ``bfs(view, source, target) -> (dist, pred)``
     Canonical index-ordered BFS with optional early target exit.
-``hop_distance(view, source, target) -> int``
-    Hop distance over an undirected view by bidirectional BFS, ``-1``
-    when the view disconnects the pair; ``ValueError`` for a directed
-    snapshot or an index outside it.
+``bypass_hops(view, u, v) -> int``
+    Table 3's bypass hop count: the hop distance from *u* to *v* over
+    an undirected view with the ``u``–``v`` link cut as well, by
+    bidirectional BFS; ``-1`` when that disconnects the pair;
+    ``ValueError`` for a directed snapshot or an index outside it.
 ``rows_many(view, sources, unit) -> dict | None``
     Batched full rows; ``None`` means "no batched path — caller loops".
 ``children_index(pred) -> (offsets, kids)``
@@ -176,56 +177,56 @@ def bfs(view, source: int, target: int = -1) -> tuple[array, array]:
     return array("d", dist), array("q", pred)
 
 
-def hop_query(view, source: int, target: int) -> Optional[int]:
-    """Check a :func:`hop_distance` query; its answer when no search is
-    needed (``-1`` for a dead endpoint, ``0`` for ``source == target``),
-    else ``None``.
+def hop_query(view, u: int, v: int) -> Optional[int]:
+    """Check a :func:`bypass_hops` query; its answer when no search is
+    needed (``-1`` for a dead endpoint, ``0`` for ``u == v``), else
+    ``None``.
 
     ``ValueError`` for a directed snapshot (the backward search walks
     out-edges as in-edges) or an index outside the snapshot.
     """
     csr = view.csr
     if csr.directed:
-        raise ValueError("hop_distance needs an undirected snapshot")
+        raise ValueError("bypass_hops needs an undirected snapshot")
     n = csr.n
-    if not (0 <= source < n and 0 <= target < n):
+    if not (0 <= u < n and 0 <= v < n):
         raise ValueError(f"node index outside [0, {n})")
-    if source in view.dead_nodes or target in view.dead_nodes:
+    if u in view.dead_nodes or v in view.dead_nodes:
         return -1
-    if source == target:
+    if u == v:
         COUNTERS.csr_settled += 1
         return 0
     return None
 
 
-def hop_distance(view, source: int, target: int) -> int:
-    """Hop distance between two nodes of an undirected view; ``-1`` when
-    the view disconnects them.
+def bypass_hops(view, u: int, v: int) -> int:
+    """Hop distance from *u* to *v* over an undirected view with the
+    ``u``–``v`` link cut as well (its first slot each way, the ones
+    :meth:`~repro.graph.csr.CsrGraph.edge_slots` masks); ``-1`` when
+    that disconnects them.
 
     A level-synchronous bidirectional BFS: each side keeps the nodes it
     labelled in a visit queue, its frontier a tail of it, and each
     round expands the side whose frontier holds fewer CSR slots (ties
-    go to the source side).  The first meet is exact: found while
-    expanding level ``L`` of one side against the other side's ball of
-    radius ``B``, it closes a path of ``L + 1 + B`` hops, and the two
-    balls are disjoint, so no shorter path exists.  A side whose
-    frontier runs dry has labelled its whole component without a meet.
+    go to *u*'s side).  The first meet is exact: found while expanding
+    level ``L`` of one side against the other side's ball of radius
+    ``B``, it closes a path of ``L + 1 + B`` hops, and the two balls
+    are disjoint, so no shorter path exists.  A side whose frontier
+    runs dry has labelled its whole component without a meet.
     ``csr_relaxations`` counts every live slot scanned and
     ``csr_settled`` every node labelled, both endpoints included.
     """
-    early = hop_query(view, source, target)
+    early = hop_query(view, u, v)
     if early is not None:
         return early
     csr = view.csr
     indptr, indices = csr.indptr, csr.indices
     edge_dead, node_dead = view.masks()
-    side = {source: 0, target: 1}
-    queues = ([source], [target])
+    link = csr.edge_slots(((csr.nodes[u], csr.nodes[v]),))
+    side = {u: 0, v: 1}
+    queues = ([u], [v])
     starts = [0, 0]
-    volumes = [
-        indptr[source + 1] - indptr[source],
-        indptr[target + 1] - indptr[target],
-    ]
+    volumes = [indptr[u + 1] - indptr[u], indptr[v + 1] - indptr[v]]
     levels = [0, 0]
     relaxations = 0
     hops = -1
@@ -237,17 +238,17 @@ def hop_distance(view, source: int, target: int) -> int:
             break
         volume = 0
         for pos in range(lo, hi):
-            u = queue[pos]
-            for slot in range(indptr[u], indptr[u + 1]):
-                v = indices[slot]
-                if node_dead[v] or edge_dead[slot]:
+            a = queue[pos]
+            for slot in range(indptr[a], indptr[a + 1]):
+                b = indices[slot]
+                if node_dead[b] or edge_dead[slot] or slot in link:
                     continue
                 relaxations += 1
-                got = side.get(v)
+                got = side.get(b)
                 if got is None:
-                    side[v] = k
-                    queue.append(v)
-                    volume += indptr[v + 1] - indptr[v]
+                    side[b] = k
+                    queue.append(b)
+                    volume += indptr[b + 1] - indptr[b]
                 elif got != k:
                     hops = levels[0] + levels[1] + 1
                     break

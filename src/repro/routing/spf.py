@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..exceptions import NoPath
-from ..graph.csr import CsrView, dicts_from_arrays, dijkstra_csr_canonical, shared_csr
+from ..graph.csr import dicts_from_arrays, dijkstra_csr_canonical, shared_csr
 from ..graph.graph import Graph, Node
 from ..graph.paths import Path
 from ..graph.shortest_paths import reconstruct_path
@@ -31,7 +31,7 @@ def _spf_run(graph: Graph, root: Node) -> tuple[dict[Node, float], dict[Node, No
     restoration proofs need).
     """
     csr = shared_csr(graph)
-    dist, pred, _ = dijkstra_csr_canonical(CsrView(csr), csr.index[root])
+    dist, pred, _ = dijkstra_csr_canonical(csr.unmasked, csr.index[root])
     return dicts_from_arrays(csr, dist, pred)
 
 

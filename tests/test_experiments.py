@@ -237,6 +237,54 @@ class TestTable3Driver:
                 assert link_bypass_hops(graph, u, v, False) == want, (u, v)
         assert bridges >= 4
 
+    @pytest.mark.parametrize("backend", ["python", "native"])
+    def test_one_backend_call_per_link(self, backend, monkeypatch):
+        """Under the default model (no model, or the independent one) an
+        unweighted link costs exactly one kernel call: ``bypass_hops``
+        over the snapshot's unmasked view, with no failure scenario and
+        no scenario view built."""
+        from repro.graph.csr import CsrGraph, shared_csr
+        from repro.kernels import (
+            available_backends, backend_name, kernel_backend, set_backend,
+        )
+        from repro.policies import make_failure_model
+
+        if backend not in available_backends():
+            pytest.skip("no C toolchain for the native backend")
+        monkeypatch.setenv("REPRO_KERNEL", backend_name())
+        previous = set_backend(backend)
+        try:
+            module = kernel_backend()
+            calls = []
+            for name in (
+                "dijkstra_canonical", "bfs", "bypass_hops", "rows_many",
+                "children_index", "preorder", "repair_resettle",
+                "decompose_flat", "ilm_account", "count_paths",
+            ):
+                def counted(*args, _name=name, _fn=getattr(module, name)):
+                    calls.append((_name, args[0]))
+                    return _fn(*args)
+
+                monkeypatch.setattr(module, name, counted)
+
+            def refuse(*args, **kwargs):
+                raise AssertionError("built a failure scenario or its view")
+
+            monkeypatch.setattr(FailureScenario, "__init__", refuse)
+            monkeypatch.setattr(CsrGraph, "with_edges_removed", refuse)
+            for network in self._unweighted_tiny_networks():
+                graph = network.graph
+                unmasked = shared_csr(graph).unmasked
+                links = list(graph.edges())
+                for model in (None, make_failure_model("independent", graph)):
+                    calls.clear()
+                    for u, v in links:
+                        link_bypass_hops(graph, u, v, False, model)
+                    assert [name for name, _ in calls] == ["bypass_hops"] * len(links)
+                    assert all(view is unmasked for _, view in calls)
+        finally:
+            set_backend(previous)
+
     @pytest.mark.parametrize("model_name", ["srlg", "regional", "router-links"])
     def test_correlated_unweighted_hops_equal_the_dict_search(self, model_name):
         """Under a correlated model the kernel gives the dict search's hop

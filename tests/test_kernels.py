@@ -425,24 +425,28 @@ class _NoNativeCalls:
 
 
 def _hop_queries(graph, view):
-    """``(view, source, target)`` hop queries on *view*: each link's
-    endpoints with that link also removed, then a seeded sample of
-    other pairs (equal, dead and disconnected endpoints included)."""
+    """``(u, v)`` bypass queries on *view*: each link's endpoints, then
+    a seeded sample of other pairs (equal, dead and disconnected
+    endpoints included)."""
     csr = view.csr
     for a, b in sorted(graph.edges(), key=repr):
-        yield view.without(edges=[(a, b)]), csr.index[a], csr.index[b]
+        yield csr.index[a], csr.index[b]
     rng = random.Random(csr.n)
     for _ in range(12):
-        yield view, rng.randrange(csr.n), rng.randrange(csr.n)
+        yield rng.randrange(csr.n), rng.randrange(csr.n)
 
 
 class TestHopDistance:
-    """``hop_distance``: the reference's bidirectional BFS gives the
-    canonical BFS distance, and native gives the same answers and
-    counter increments."""
+    """``bypass_hops``: the reference's bidirectional BFS gives the
+    canonical BFS distance over the view minus the ``u``–``v`` link,
+    and native gives the same answers and counter increments."""
 
     @staticmethod
     def _bfs_hops(view, s, t):
+        """The canonical BFS distance from *s* to *t* with their link
+        (if any) also removed; ``-1`` when cut or dead."""
+        nodes = view.csr.nodes
+        view = view.without(edges=[(nodes[s], nodes[t])])
         node_dead = view.masks()[1]
         if node_dead[s] or node_dead[t]:
             return -1
@@ -457,15 +461,15 @@ class TestHopDistance:
         graph = family()
         queries = 0
         for label, view in _view_variants(graph):
-            for query, s, t in _hop_queries(graph, view):
-                want = self._bfs_hops(query, s, t)
+            for s, t in _hop_queries(graph, view):
+                want = self._bfs_hops(view, s, t)
                 before = COUNTERS.snapshot()
-                got = pyk.hop_distance(query, s, t)
+                got = pyk.bypass_hops(view, s, t)
                 delta = COUNTERS.delta(before)
                 assert got == want, (label, s, t)
                 if natk is not None:
                     before = COUNTERS.snapshot()
-                    assert natk.hop_distance(query, s, t) == want
+                    assert natk.bypass_hops(view, s, t) == want
                     assert COUNTERS.delta(before) == delta, (label, s, t)
                 queries += 1
         assert queries > 12
@@ -475,14 +479,31 @@ class TestHopDistance:
         mod = pyk if name == "python" else _accel_module("native")
         view = as_view(shared_csr(cycle_graph(6)))
         dead = view.without(nodes=[view.csr.nodes[2]])
-        assert mod.hop_distance(view, 0, 3) == 3
-        assert mod.hop_distance(dead, 0, 3) == 3  # round the other side
-        assert mod.hop_distance(dead, 0, 2) == -1
-        assert mod.hop_distance(dead, 2, 0) == -1
-        assert mod.hop_distance(dead, 2, 2) == -1
+        assert mod.bypass_hops(view, 0, 3) == 3  # not a link: nothing cut
+        assert mod.bypass_hops(view, 0, 1) == 5  # round the other side
+        assert mod.bypass_hops(dead, 0, 3) == 3
+        assert mod.bypass_hops(dead, 0, 1) == -1
+        assert mod.bypass_hops(dead, 0, 2) == -1
+        assert mod.bypass_hops(dead, 2, 0) == -1
+        assert mod.bypass_hops(dead, 2, 2) == -1
         before = COUNTERS.snapshot()
-        assert mod.hop_distance(dead, 4, 4) == 0
+        assert mod.bypass_hops(dead, 4, 4) == 0
         assert COUNTERS.delta(before).csr_settled == 1
+
+    @pytest.mark.parametrize("name", ["python", "native"])
+    def test_a_link_the_view_already_cut(self, name):
+        mod = pyk if name == "python" else _accel_module("native")
+        graph = grid_graph(3, 4)
+        base = as_view(shared_csr(graph))
+        for a, b in sorted(graph.edges(), key=repr):
+            u, v = base.csr.index[a], base.csr.index[b]
+            cut = base.without(edges=[(a, b)])
+            before = COUNTERS.snapshot()
+            want = mod.bypass_hops(base, u, v)
+            delta = COUNTERS.delta(before)
+            before = COUNTERS.snapshot()
+            assert mod.bypass_hops(cut, u, v) == want == 3
+            assert COUNTERS.delta(before) == delta
 
     @pytest.mark.parametrize("name", ["python", "native"])
     def test_directed_snapshots_and_bad_indices_raise_before_c(
@@ -498,11 +519,11 @@ class TestHopDistance:
         digraph.add_edge(0, 1)
         digraph.add_edge(1, 0)
         with pytest.raises(ValueError, match="undirected"):
-            mod.hop_distance(as_view(shared_csr(digraph)), 0, 1)
+            mod.bypass_hops(as_view(shared_csr(digraph)), 0, 1)
         view = as_view(shared_csr(path_graph(4)))
         for s, t in ((0, 4), (-1, 2), (4, 4)):
             with pytest.raises(ValueError, match=r"outside \[0, 4\)"):
-                mod.hop_distance(view, s, t)
+                mod.bypass_hops(view, s, t)
 
 
 class TestPreorder:
@@ -1000,9 +1021,27 @@ class TestSnapshotMasks:
 
     @staticmethod
     def _assert_clear(csr):
+        """Both masks and the side bytes are all zero: every slot,
+        those of the link ``bypass_hops`` cuts in C included."""
         state = csr.native_state
         assert not any(state.edge_mask) and not any(state.node_mask)
         assert state.hops is None or not any(state.hops.side)
+
+    @staticmethod
+    def _live_link(view):
+        """A link of *view* with both endpoints and both slots alive,
+        so ``bypass_hops`` marks and clears slots the view leaves live."""
+        csr = view.csr
+        node_dead = view.masks()[1]
+        for u in range(csr.n):
+            for slot in range(csr.indptr[u], csr.indptr[u + 1]):
+                v = csr.indices[slot]
+                if not (node_dead[u] or node_dead[v]) and not (
+                    csr.edge_slots([(csr.nodes[u], csr.nodes[v])])
+                    & view.dead_edges
+                ):
+                    return u, v
+        raise AssertionError("no live link")
 
     def _calls(self, view):
         """Every view-taking entry point once, as ``(name, args)``."""
@@ -1013,13 +1052,14 @@ class TestSnapshotMasks:
             ("dijkstra_canonical", (view, alive[0])),
             ("dijkstra_canonical", (view, alive[1], alive[-3:])),
             ("bfs", (view, alive[0])),
-            ("hop_distance", (view, alive[0], alive[-1])),
+            ("bypass_hops", (view, alive[0], alive[-1])),
+            ("bypass_hops", (view, *self._live_link(view))),
             ("repair_resettle", (view, 0, dist, pred, children, 1e9, False)),
         ]
 
     def test_masks_are_zero_after_every_call(self):
         csr, failed_edges, failed_nodes = self._views()
-        for view in (failed_edges, failed_nodes):
+        for view in (failed_edges, failed_nodes, csr.unmasked):
             for name, args in self._calls(view):
                 assert getattr(natk, name)(*args) == getattr(pyk, name)(*args)
                 self._assert_clear(csr)
@@ -1043,7 +1083,7 @@ class TestSnapshotMasks:
             raise RuntimeError("native kernel failed")
 
         monkeypatch.setattr(natk, "_check", fail)
-        for view in (failed_edges, failed_nodes):
+        for view in (failed_edges, failed_nodes, csr.unmasked):
             for name, args in self._calls(view):
                 with pytest.raises(RuntimeError):
                     getattr(natk, name)(*args)
@@ -1104,7 +1144,7 @@ class TestSelection:
 
     def test_reference_backend_has_the_full_interface(self):
         for attr in (
-            "NAME", "dijkstra_canonical", "bfs", "hop_distance", "rows_many",
+            "NAME", "dijkstra_canonical", "bfs", "bypass_hops", "rows_many",
             "children_index", "preorder", "repair_resettle",
             "decompose_flat", "ilm_account", "count_paths",
         ):
