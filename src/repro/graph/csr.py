@@ -28,9 +28,10 @@ Path contract (pinned by ``tests/test_csr.py`` and
   least-index neighbor one level up — exactly what canonical Dijkstra
   produces on unit weights.
 * Table 3's bypass hop counts call the kernel entry ``bypass_hops``
-  directly on a snapshot's :attr:`~CsrGraph.unmasked` view: the hop
-  distance between a link's endpoints with the link cut (bidirectional
-  BFS, no rows, no tie rule).
+  directly, on a snapshot's :attr:`~CsrGraph.unmasked` view or a
+  correlated scenario's view: the hop distance between a link's
+  endpoints with the link cut (bidirectional BFS, no rows, no tie
+  rule).
 
 Kernels report to ``COUNTERS.csr_relaxations`` / ``csr_settled`` rather
 than the ``dijkstra_*`` counters, so ``repro.obs diff`` shows work

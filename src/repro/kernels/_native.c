@@ -387,20 +387,23 @@ repro_bfs(const i64 *indptr, const i64 *indices, i64 n, u8 *edge_dead,
 }
 
 /* ---------------------------------------------------------------- *
- * Table 3's bypass hop count by level-synchronous bidirectional BFS —
- * the reference loop of python_backend.bypass_hops.  Side 0 grows from
- * the source, side 1 from the target; each keeps the nodes it
- * labelled in its visit queue (`queue_s` / `queue_t`, room for n
- * each), its frontier being the queue's tail.  Each round expands the
- * side whose frontier holds fewer CSR slots, ties to the source side;
- * the first meet closes a path of level_s + level_t + 1 hops, which is
- * exact because the two balls are disjoint.  `side` holds 0
- * (unlabelled) or side + 1 per node; it arrives all zero and is
- * cleared from the visit queues before returning, so a call costs
- * O(nodes labelled).  The wrapper has checked the snapshot is
- * undirected and both endpoints are live, in range and distinct.
- * `out` receives the hop count (-1 when no meet), the relaxations and
- * the nodes labelled.
+ * Table 3's bypass hop count: the hop distance from u to v over the
+ * view with the u-v link cut as well — the reference loop of
+ * python_backend.bypass_hops.  The link's first u -> v and v -> u
+ * slots (the ones CsrGraph.edge_slots masks) are marked dead beside
+ * the view's dead lists for the call and cleared with them.  A
+ * level-synchronous bidirectional BFS: side 0 grows from u, side 1
+ * from v; each keeps the nodes it labelled in its visit queue
+ * (`queue_s` / `queue_t`, room for n each), its frontier being the
+ * queue's tail.  Each round expands the side whose frontier holds
+ * fewer CSR slots, ties to u's side; the first meet closes a path of
+ * level_s + level_t + 1 hops, which is exact because the two balls are
+ * disjoint.  `side` holds 0 (unlabelled) or side + 1 per node; it
+ * arrives all zero and is cleared from the visit queues before
+ * returning, so a call costs O(nodes labelled).  The wrapper has
+ * checked the snapshot is undirected and both endpoints are live, in
+ * range and distinct.  `out` receives the hop count (-1 when no
+ * meet), the relaxations and the nodes labelled.
  * ---------------------------------------------------------------- */
 
 static i64
@@ -452,8 +455,7 @@ hop_core(const i64 *indptr, const i64 *indices, const u8 *edge_dead,
     return -1;
 }
 
-/* The first u -> v slot (the one CsrGraph.edge_slots masks); -1 when
- * u has no such neighbour. */
+/* The first u -> v slot; -1 when u has no such neighbour. */
 static i64
 first_slot(const i64 *indptr, const i64 *indices, i64 u, i64 v)
 {
@@ -463,9 +465,6 @@ first_slot(const i64 *indptr, const i64 *indices, i64 u, i64 v)
     return -1;
 }
 
-/* Hop distance from u to v over the view with the u-v link cut as
- * well: its first u -> v and v -> u slots are marked dead beside the
- * view's dead lists for the call and cleared with them. */
 int
 repro_bypass_hops(const i64 *indptr, const i64 *indices, u8 *edge_dead,
                   u8 *node_dead, const i64 *dead_slots, i64 n_dead_slots,
